@@ -23,7 +23,7 @@ when iteration stalls. Converged solutions honor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,6 +34,14 @@ from .utility import UtilitySpec, admissible, eval_utility
 RESIDUAL_RTOL = 1e-10
 
 
+def _require_finite(obj, skip=()):
+    # optional fields left as None stay allowed
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if field.name not in skip and value is not None and not math.isfinite(value):
+            raise DataError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, slots=True, kw_only=True)
 class SolverOptions:
     max_iterations: int = 200
@@ -41,6 +49,7 @@ class SolverOptions:
     tolerance: float = RESIDUAL_RTOL
 
     def __post_init__(self):
+        _require_finite(self)
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
         if not (0.0 < self.damping <= 1.0):
@@ -72,6 +81,7 @@ class PricingScenario:
     dividend_mean: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, skip=("utility",))
         if not (0.0 < self.beta <= 1.0):
             raise DataError(f"beta must be in (0, 1], got {self.beta}")
         if self.payoff_variance < 0.0 or self.price_variance < 0.0:
@@ -200,28 +210,41 @@ def sdf(utility: UtilitySpec, beta: float, c_t: float, c_T: float) -> float:
     return beta * eval_utility(utility, c_T, 1) / eval_utility(utility, c_t, 1)
 
 
-def _price_upper_bound(scn: PricingScenario, holdings: float, spent: float) -> float:
-    # largest trial price keeping today's mean consumption admissible
-    if scn.utility.family in ("log", "power") and holdings > 0.0:
-        return (scn.endowment_t - spent) / holdings
-    return math.inf
+def _solve_linearized(
+    scn: PricingScenario, options: SolverOptions, *,
+    spent: float, xi: float, c_T0: float, x: float, A: float, B: float,
+) -> PriceSolution:
+    """Solve the linearized mean-price equation for p0.
 
+        p0 = beta * u'(cT0)/u'(ct0) * x + beta * u''(cT0)/u'(ct0) * A
+           + u''(ct0)/u'(ct0) * B,          ct0 = e_t - spent - p0 * xi.
 
-def _solve_implicit(rhs, seed: float, hi_bound: float, options: SolverOptions) -> PriceSolution:
-    """Damped fixed-point on p = rhs(p), bracketed fallback on rhs(p) - p.
-
-    Iteration aims two decades below the residual contract so downstream
-    oracle comparisons at the contract tolerance have headroom; an iterate
-    that merely satisfies the contract is still accepted if the tighter
-    target proves unreachable.
+    Every scenario reduces to these coefficients: x is the payoff mean, A
+    the payoff-risk term and B the price-risk term. Damped fixed-point
+    iteration seeded at beta * x (exact for linear utility), bracketed
+    fallback on rhs(p0) - p0 when iteration stalls. Iteration aims two
+    decades below the residual contract so downstream oracle comparisons at
+    the contract tolerance have headroom; an iterate that merely satisfies
+    the contract is still accepted if the tighter target proves unreachable.
     """
+    u = scn.utility
+    if not admissible(u, c_T0):
+        raise DomainError(f"sale-date mean consumption {c_T0:g} inadmissible")
+    up_T = eval_utility(u, c_T0, 1)
+    upp_T = eval_utility(u, c_T0, 2)
 
-    def residual(p: float) -> float:
-        return rhs(p) - p
-
-    tol = options.tolerance
-    margin = 1e-12 * max(1.0, abs(hi_bound)) if math.isfinite(hi_bound) else 0.0
-    hi_adm = hi_bound - margin
+    def residual(p0: float) -> float:
+        c_t0 = scn.endowment_t - spent - p0 * xi
+        if not admissible(u, c_t0):
+            raise DomainError(
+                f"purchase-date mean consumption {c_t0:g} inadmissible at trial p0={p0:g}"
+            )
+        up_t = eval_utility(u, c_t0, 1)
+        if not (up_t > 0.0) or not math.isfinite(up_t):
+            raise DomainError(f"marginal utility unusable at mean consumption {c_t0:g}")
+        upp_t = eval_utility(u, c_t0, 2)
+        rhs = scn.beta * (up_T / up_t) * x + scn.beta * (upp_T / up_t) * A + (upp_t / up_t) * B
+        return rhs - p0
 
     def safe_residual(p: float) -> float:
         try:
@@ -229,8 +252,17 @@ def _solve_implicit(rhs, seed: float, hi_bound: float, options: SolverOptions) -
         except (DomainError, ZeroDivisionError, OverflowError):
             return math.nan
 
+    # largest trial price keeping today's mean consumption admissible
+    hi_bound = math.inf
+    if u.family in ("log", "power") and xi > 0.0:
+        hi_bound = (scn.endowment_t - spent) / xi
+    bounded = math.isfinite(hi_bound)
+    hi_adm = hi_bound - 1e-12 * max(1.0, abs(hi_bound)) if bounded else hi_bound
+
+    tol = options.tolerance
+    seed = scn.beta * x
     runaway = 1e12 * max(1.0, abs(seed))
-    p = min(seed, hi_adm) if math.isfinite(hi_bound) else seed
+    p = min(seed, hi_adm) if bounded else seed
     iterations = 0
     best: tuple[float, float, int] | None = None
     for _ in range(options.max_iterations):
@@ -285,18 +317,6 @@ def _solve_implicit(rhs, seed: float, hi_bound: float, options: SolverOptions) -
     )
 
 
-def _ratio_terms(utility: UtilitySpec, c_t0: float, c_T0: float):
-    up_t = eval_utility(utility, c_t0, 1)
-    if not (up_t > 0.0) or not math.isfinite(up_t):
-        raise DomainError(
-            f"marginal utility unusable at mean consumption {c_t0:g}"
-        )
-    up_T = eval_utility(utility, c_T0, 1)
-    upp_t = eval_utility(utility, c_t0, 2)
-    upp_T = eval_utility(utility, c_T0, 2)
-    return up_T / up_t, upp_T / up_t, upp_t / up_t
-
-
 def solve_price_single(
     scn: PricingScenario, options: SolverOptions = DEFAULT_OPTIONS
 ) -> PriceSolution:
@@ -307,25 +327,10 @@ def solve_price_single(
     p0 = beta * x0 exactly, which is also the iteration seed.
     """
     xi = scn.holdings
-    c_T0 = scn.endowment_T + scn.payoff_mean * xi
-    if not admissible(scn.utility, c_T0):
-        raise DomainError(f"sale-date mean consumption {c_T0:g} inadmissible")
-
-    def rhs(p0: float) -> float:
-        c_t0 = scn.endowment_t - p0 * xi
-        if not admissible(scn.utility, c_t0):
-            raise DomainError(
-                f"purchase-date mean consumption {c_t0:g} inadmissible at trial p0={p0:g}"
-            )
-        r_up, r_upp_T, r_upp_t = _ratio_terms(scn.utility, c_t0, c_T0)
-        return (
-            scn.beta * r_up * scn.payoff_mean
-            + scn.beta * r_upp_T * xi * scn.payoff_variance
-            + r_upp_t * xi * scn.price_variance
-        )
-
-    seed = scn.beta * scn.payoff_mean
-    return _solve_implicit(rhs, seed, _price_upper_bound(scn, xi, 0.0), options)
+    return _solve_linearized(
+        scn, options, spent=0.0, xi=xi, c_T0=scn.endowment_T + scn.payoff_mean * xi,
+        x=scn.payoff_mean, A=xi * scn.payoff_variance, B=xi * scn.price_variance,
+    )
 
 
 def solve_price_first_purchase(
@@ -334,6 +339,21 @@ def solve_price_first_purchase(
     """First-purchase equation of a two-trade scenario; same structure as
     the single-trade equation applied to the t1 fields."""
     return solve_price_single(scn, options)
+
+
+def _solve_second(
+    scn: TwoTradeScenario, options: SolverOptions, first: PriceSolution | None,
+    *, c_T0: float, A: float,
+) -> PriceSolution:
+    # both second-purchase variants: the first lot is bought at the known
+    # price p0(t1) and its price autocorrelation joins the price-risk term
+    if first is None:
+        first = solve_price_first_purchase(scn, options)
+    xi1, xi2 = scn.holdings, scn.holdings2
+    return _solve_linearized(
+        scn, options, spent=first.mean_price * xi1, xi=xi2, c_T0=c_T0,
+        x=scn.payoff_mean2, A=A, B=xi1 * scn.price_autocorr + xi2 * scn.price_variance2,
+    )
 
 
 def solve_price_second_purchase(
@@ -348,30 +368,11 @@ def solve_price_second_purchase(
     the current window a price of risk: the term xi(t1) * B_p joins
     xi(t2) * sigma_p^2(t2) under u''(ct0)/u'(ct0).
     """
-    if first is None:
-        first = solve_price_first_purchase(scn, options)
-    p1 = first.mean_price
-    xi1, xi2 = scn.holdings, scn.holdings2
-    spent = p1 * xi1
-    c_T0 = scn.endowment_T + scn.payoff_mean2 * (xi1 + xi2)
-    if not admissible(scn.utility, c_T0):
-        raise DomainError(f"sale-date mean consumption {c_T0:g} inadmissible")
-
-    def rhs(p0: float) -> float:
-        c_t0 = scn.endowment_t - spent - p0 * xi2
-        if not admissible(scn.utility, c_t0):
-            raise DomainError(
-                f"second-purchase mean consumption {c_t0:g} inadmissible at trial p0={p0:g}"
-            )
-        r_up, r_upp_T, r_upp_t = _ratio_terms(scn.utility, c_t0, c_T0)
-        return (
-            scn.beta * r_up * scn.payoff_mean2
-            + scn.beta * r_upp_T * (xi1 + xi2) * scn.payoff_variance2
-            + r_upp_t * (xi1 * scn.price_autocorr + xi2 * scn.price_variance2)
-        )
-
-    seed = scn.beta * scn.payoff_mean2
-    return _solve_implicit(rhs, seed, _price_upper_bound(scn, xi2, spent), options)
+    held = scn.holdings + scn.holdings2
+    return _solve_second(
+        scn, options, first,
+        c_T0=scn.endowment_T + scn.payoff_mean2 * held, A=held * scn.payoff_variance2,
+    )
 
 
 def solve_price_two_sales(
@@ -390,30 +391,12 @@ def solve_price_two_sales(
     """
     if not scn.two_sale:
         raise DataError("scenario has no two-sale fields (payoff_autocorr, T2)")
-    if first is None:
-        first = solve_price_first_purchase(scn, options)
-    p1 = first.mean_price
     xi1, xi2 = scn.holdings, scn.holdings2
-    spent = p1 * xi1
-    c_T0 = scn.endowment_T + scn.first_lot_payoff_mean * xi1 + scn.payoff_mean2 * xi2
-    if not admissible(scn.utility, c_T0):
-        raise DomainError(f"sale-date mean consumption {c_T0:g} inadmissible")
-
-    def rhs(p0: float) -> float:
-        c_t0 = scn.endowment_t - spent - p0 * xi2
-        if not admissible(scn.utility, c_t0):
-            raise DomainError(
-                f"second-purchase mean consumption {c_t0:g} inadmissible at trial p0={p0:g}"
-            )
-        r_up, r_upp_T, r_upp_t = _ratio_terms(scn.utility, c_t0, c_T0)
-        return (
-            scn.beta * r_up * scn.payoff_mean2
-            + scn.beta * r_upp_T * (xi1 * scn.payoff_autocorr + xi2 * scn.payoff_variance2)
-            + r_upp_t * (xi1 * scn.price_autocorr + xi2 * scn.price_variance2)
-        )
-
-    seed = scn.beta * scn.payoff_mean2
-    return _solve_implicit(rhs, seed, _price_upper_bound(scn, xi2, spent), options)
+    return _solve_second(
+        scn, options, first,
+        c_T0=scn.endowment_T + scn.first_lot_payoff_mean * xi1 + scn.payoff_mean2 * xi2,
+        A=xi1 * scn.payoff_autocorr + xi2 * scn.payoff_variance2,
+    )
 
 
 def linearized_marginal_expectation(
@@ -470,18 +453,15 @@ class HoldingsOptimum:
         }
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_holdings(
     scn: PricingScenario, price_samples, payoff_samples, bounds: tuple[float, float]
 ) -> HoldingsOptimum:
     """Maximize mean[u(e_t - p*xi)] + beta * mean[u(e_T + x*xi)] over xi.
 
-    Golden-section search localizes the maximum, then bisection on the
-    derivative polishes interior optima until the sampled first-order
-    condition is met to rounding. When the maximum sits on a bound the
-    boundary point is returned with at_boundary set.
+    The objective is checked to be concave, so its derivative is monotone
+    and bisection on [lo, hi] finds interior optima until the sampled
+    first-order condition is met to rounding. When the maximum sits on a
+    bound the boundary point is returned with at_boundary set.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (hi > lo):
@@ -502,16 +482,14 @@ def optimize_holdings(
     def derivative(xi: float) -> float:
         return -residual_basic_eq(scn, p, x, xi)
 
-    # bounds must keep every sampled consumption admissible
-    d_lo = derivative(lo)
-    d_hi = derivative(hi)
-
-    # concavity check: the derivative must not increase across the range
+    # concavity check: the derivative must not increase across the range;
+    # evaluating it at the bounds also rejects inadmissible ones
     grid = np.linspace(lo, hi, 9)
     dgrid = np.array([derivative(g) for g in grid])
     slack = 1e-9 * max(1.0, float(np.max(np.abs(dgrid))))
     if np.any(np.diff(dgrid) > slack):
         raise DataError("objective is not concave in holdings over the given bounds")
+    d_lo, d_hi = dgrid[0], dgrid[-1]
 
     def finish(xi: float, at_boundary: bool) -> HoldingsOptimum:
         return HoldingsOptimum(
@@ -526,29 +504,8 @@ def optimize_holdings(
     if d_hi >= 0.0:
         return finish(hi, True)
 
-    # golden-section bracket of the interior maximum
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(c1), objective(c2)
-    for _ in range(200):
-        if b - a <= 1e-12 * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = objective(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = objective(c1)
-
-    # polish the first-order condition by bisecting the derivative
+    # the derivative falls from d_lo > 0 to d_hi < 0: bisect its sign change
     left, right = lo, hi
-    if derivative(a) > 0.0:
-        left = a
-    if derivative(b) < 0.0:
-        right = b
     for _ in range(200):
         mid = 0.5 * (left + right)
         d = derivative(mid)

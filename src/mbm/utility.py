@@ -83,12 +83,3 @@ def eval_utility(spec: UtilitySpec, c, order: int = 0):
 
     return float(out) if scalar else out
 
-
-def marginal(spec: UtilitySpec, c):
-    """u'(c); always positive on the admissible domain."""
-    return eval_utility(spec, c, 1)
-
-
-def curvature(spec: UtilitySpec, c):
-    """u''(c); zero for linear, strictly negative otherwise."""
-    return eval_utility(spec, c, 2)

@@ -239,6 +239,14 @@ def test_price_non_convergence_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_price_non_finite_input_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRICE_CFG.replace("endowment_t = 10", "endowment_t = nan"), encoding="utf-8")
+    assert main(["price", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "endowment_t" in err
+
+
 def test_price_set_override(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PRICE_CFG, encoding="utf-8")

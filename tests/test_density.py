@@ -220,6 +220,45 @@ def test_damped_inversion_rejects_bad_damping():
         density_damped_inversion(ms, 0.0, (-100.0, 100.0, 101))
 
 
+def damped_quadrature(raw_moments, s, grid, n_x=4001):
+    """Trapezoid inverse transform of F_k(x) * exp(-x^2/(2 s^2)) over |x| <= 8s."""
+    xs = np.linspace(-8.0 * s, 8.0 * s, n_x)
+    charfn = sum(
+        (1j * xs) ** n * p / math.factorial(n) for n, p in enumerate(raw_moments, start=1)
+    ) + 1.0
+    integrand = charfn * np.exp(-xs * xs / (2.0 * s * s))
+    # real part of integrand * exp(-i x p), one grid chunk at a time
+    values = np.empty_like(grid)
+    for start in range(0, grid.size, 50):
+        xp = grid[start:start + 50, None] * xs[None, :]
+        real = integrand.real * np.cos(xp) + integrand.imag * np.sin(xp)
+        values[start:start + 50] = np.trapezoid(real, xs, axis=1) / (2.0 * math.pi)
+    return values / np.trapezoid(values, grid)
+
+
+DAMPED_POINTS = [0.6, 0.9, 1.0, 1.3, 1.7]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 1.0, 2.0])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_damped_inversion_matches_quadrature_oracle(order, s):
+    ms = moment_set_from_points(DAMPED_POINTS, order=order)
+    width = math.sqrt(ms.variance + 1.0 / s ** 2)
+    dens = density_damped_inversion(ms, s, (ms.mean - 8 * width, ms.mean + 8 * width, 401))
+    expect = damped_quadrature(ms.raw_moments, s, dens.grid)
+    assert np.max(np.abs(dens.values - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_damped_inversion_analytic_variance_on_wide_grid(order):
+    ms = moment_set_from_points(DAMPED_POINTS, order=order)
+    for s in (0.5, 1.0, 4.0):
+        width = math.sqrt(ms.variance + 1.0 / s ** 2)
+        dens = density_damped_inversion(ms, s, (ms.mean - 16 * width, ms.mean + 16 * width, 4001))
+        assert dens.recovered_mean == pytest.approx(ms.mean, rel=1e-9)
+        assert dens.recovered_variance == pytest.approx(ms.variance + 1.0 / s ** 2, rel=1e-9)
+
+
 def test_densities_from_random_windows(rng):
     # both realizations stay normalized on sets from real windows
     w = random_window(rng, size=100, price_lo=5.0, price_hi=15.0)

@@ -227,6 +227,21 @@ def test_scenario_validation():
         log_sample(holdings=-1.0)
 
 
+SCENARIO_FIELDS = (
+    "beta", "endowment_t", "endowment_T", "holdings", "payoff_mean", "payoff_variance",
+    "price_variance", "dividend_mean", "holdings2", "payoff_mean2", "payoff_variance2",
+    "price_variance2", "price_autocorr", "payoff_autocorr", "payoff_mean12",
+    "t1", "t2", "T1", "T2",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", SCENARIO_FIELDS)
+def test_scenario_rejects_non_finite_fields(field, value):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        two_trade_sample(**{field: value})
+
+
 def test_inadmissible_sale_consumption_raises():
     scn = log_sample(endowment_T=1.0, payoff_mean=-5.0, holdings=1.0)
     with pytest.raises(DomainError):
@@ -476,6 +491,13 @@ def test_solver_options_validation():
         SolverOptions(damping=0.0)
     with pytest.raises(DataError):
         SolverOptions(tolerance=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["max_iterations", "damping", "tolerance"])
+def test_solver_options_reject_non_finite(field, value):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        SolverOptions(**{field: value})
 
 
 def test_solution_serialization():
