@@ -2,8 +2,10 @@
 
 The package splits into small, composable layers:
 
-* ticks: tick-CSV parsing, the value = price * volume identity, windowing
-* moments: frequency vs market price moments, VWAP, autocorrelations
+* ticks: columnar tick series, tick-CSV parsing, the value = price * volume
+  identity, windowing into single windows or whole window batches
+* moments: frequency vs market price moments, VWAP, autocorrelations, as
+  batched kernels over all windows at once and their one-window forms
 * density: truncated characteristic functions and density reconstructions
 * utility / pricing: utility families and the mean-price equation solvers
 * simulate: deterministic synthetic trades for validating the moment
@@ -23,6 +25,11 @@ from .errors import ConvergenceError, DataError, DomainError, MbmError
 from .moments import (
     CorrelationDiagnostic,
     MomentSet,
+    MomentTable,
+    batch_autocorrelation,
+    batch_decorrelation,
+    batch_moments,
+    batch_vwap,
     compute_moment_set,
     decorrelation_diagnostic,
     freq_moment,
@@ -52,9 +59,11 @@ from .ticks import (
     TickSeries,
     TradeTick,
     Window,
+    WindowBatch,
     parse_ticks,
     partition_windows,
     render_ticks,
+    window_batch,
     window_from_ticks,
 )
 from .utility import UtilitySpec, eval_utility
@@ -71,6 +80,7 @@ __all__ = [
     "HoldingsOptimum",
     "MbmError",
     "MomentSet",
+    "MomentTable",
     "PriceSolution",
     "PricingScenario",
     "SimSpec",
@@ -80,6 +90,11 @@ __all__ = [
     "TwoTradeScenario",
     "UtilitySpec",
     "Window",
+    "WindowBatch",
+    "batch_autocorrelation",
+    "batch_decorrelation",
+    "batch_moments",
+    "batch_vwap",
     "charfn_eval",
     "compute_moment_set",
     "decorrelation_diagnostic",
@@ -107,5 +122,6 @@ __all__ = [
     "stream_normals",
     "trade_moments",
     "vwap",
+    "window_batch",
     "window_from_ticks",
 ]

@@ -38,7 +38,7 @@ from .pricing import (
     solve_price_two_sales,
 )
 from .simulate import gen_trades
-from .ticks import parse_ticks, partition_windows, render_ticks, window_from_ticks
+from .ticks import Window, parse_ticks, render_ticks, window_batch
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -141,10 +141,15 @@ def _write_json(path: str | None, payload):
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _windows(settings: dict, series):
+def _window_batch(settings: dict, series):
     window_len = _as_int(_require(settings, "window"), "window")
     mode = settings.get("mode") or "disjoint"
-    return partition_windows(series, window_len, mode)
+    return window_batch(series, window_len, mode)
+
+
+def _print_lines(lines):
+    if lines:
+        print("\n".join(lines))
 
 
 def _apply_overrides(file_cfg: dict, overrides):
@@ -166,33 +171,35 @@ def cmd_validate(settings: dict, file_cfg: dict) -> int:
 
 def cmd_moments(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
-    windows = _windows(settings, series)
+    batch = _window_batch(settings, series)
     order = _as_int(_require(settings, "order"), "order")
     method = _require(settings, "method")
     threshold = _as_float(settings.get("decorrelation_threshold") or 0.2, "decorrelation_threshold")
 
-    results = []
+    table = moments_mod.batch_moments(batch, order, method)
+    centers, means, variances = (a.tolist() for a in (table.center_time, table.mean, table.variance))
+    negative = table.negative_variance.tolist()
+    _print_lines([
+        f"window {i} center_time={c!r} mean={m!r} variance={v!r} "
+        f"flags={'negative_variance' if neg else '-'}"
+        for i, (c, m, v, neg) in enumerate(zip(centers, means, variances, negative))
+    ])
     violations = []
-    for idx, win in enumerate(windows):
-        ms = moments_mod.compute_moment_set(win, order, method)
-        results.append(ms.to_json_dict())
-        flags = ",".join(ms.flags) if ms.flags else "-"
-        print(
-            f"window {idx} center_time={ms.center_time!r} mean={ms.mean!r} "
-            f"variance={ms.variance!r} flags={flags}"
-        )
-        if settings["strict"]:
-            if "negative_variance" in ms.flags:
-                violations.append(f"window {idx}: negative market variance {ms.variance!r}")
-            if len(win) >= 2:
-                diag = moments_mod.decorrelation_diagnostic(win, 2, threshold)
-                if diag.flagged:
-                    violations.append(
-                        f"window {idx}: order-2 price/volume correlation "
-                        f"{diag.coefficient!r} exceeds {threshold!r}"
-                    )
+    if settings["strict"]:
+        coef, correlated = [0.0] * len(batch), [False] * len(batch)
+        if batch.window_len >= 2:
+            diag = moments_mod.batch_decorrelation(batch, 2, threshold)
+            coef, correlated = diag[0].tolist(), diag[1].tolist()
+        for i in range(len(batch)):
+            if negative[i]:
+                violations.append(f"window {i}: negative market variance {variances[i]!r}")
+            if correlated[i]:
+                violations.append(
+                    f"window {i}: order-2 price/volume correlation "
+                    f"{coef[i]!r} exceeds {threshold!r}"
+                )
     if settings.get("output"):
-        _write_json(settings["output"], results)
+        _write_text(settings["output"], table.to_json_text())
     if violations:
         raise StrictViolation("; ".join(violations))
     return EXIT_OK
@@ -200,42 +207,36 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
 
 def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
-    windows = _windows(settings, series)
-    lines = ["center_time,vwap"]
-    for idx, win in enumerate(windows):
-        value = moments_mod.vwap(win)
-        lines.append(f"{win.center_time!r},{value!r}")
-        print(f"window {idx} center_time={win.center_time!r} vwap={value!r}")
+    batch = _window_batch(settings, series)
+    centers = batch.center_time.tolist()
+    values = moments_mod.batch_vwap(batch).tolist()
+    _print_lines([f"window {i} center_time={c!r} vwap={v!r}"
+                  for i, (c, v) in enumerate(zip(centers, values))])
     if settings.get("output"):
-        _write_text(settings["output"], "\n".join(lines) + "\n")
+        rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(centers, values))
+        _write_text(settings["output"], "center_time,vwap\n" + rows)
     return EXIT_OK
 
 
 def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
-    windows = _windows(settings, series)
+    batch = _window_batch(settings, series)
     method = _require(settings, "method")
     lag = _as_int(settings.get("lag") or 1, "lag")
     if lag < 0:
         raise DataError(f"lag must be >= 0, got {lag}")
-    if len(windows) <= lag:
-        raise DataError(f"need more than {lag} windows for lag {lag}, got {len(windows)}")
-    results = []
-    for idx in range(len(windows) - lag):
-        w1, w2 = windows[idx], windows[idx + lag]
-        value = moments_mod.price_autocorrelation(w1, w2, method)
-        results.append(
-            {
-                "center_time_1": w1.center_time,
-                "center_time_2": w2.center_time,
-                "autocorrelation": value,
-            }
-        )
-        print(
-            f"window {idx} t1={w1.center_time!r} t2={w2.center_time!r} autocorr={value!r}"
-        )
+    if len(batch) <= lag:
+        raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
+    values = moments_mod.batch_autocorrelation(batch, lag, method).tolist()
+    centers = batch.center_time.tolist()
+    pairs = [(centers[i], centers[i + lag], v) for i, v in enumerate(values)]
+    _print_lines([f"window {i} t1={t1!r} t2={t2!r} autocorr={v!r}"
+                  for i, (t1, t2, v) in enumerate(pairs)])
     if settings.get("output"):
-        _write_json(settings["output"], results)
+        _write_json(settings["output"], [
+            {"center_time_1": t1, "center_time_2": t2, "autocorrelation": v}
+            for t1, t2, v in pairs
+        ])
     return EXIT_OK
 
 
@@ -248,7 +249,7 @@ def _parse_grid_setting(raw: str):
 
 def cmd_density(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
-    window = window_from_ticks(series.ticks)
+    window = Window(series, 0, len(series))
     order = _as_int(_require(settings, "order"), "order")
     method = _require(settings, "method")
     ms = moments_mod.compute_moment_set(window, order, method)

@@ -16,12 +16,13 @@ is a plain average over the window, nothing more.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .ticks import Window
+from .ticks import Window, WindowBatch
 
 METHODS = ("frequency", "market")
 
@@ -77,27 +78,224 @@ class CorrelationDiagnostic:
     undefined: bool = False
 
 
-def _arrays(window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = np.array([t.price for t in window.ticks])
-    u = np.array([t.volume for t in window.ticks])
-    c = np.array([t.value for t in window.ticks])
-    return p, u, c
+# Elements per temporary in the batch kernels: windows are processed in row
+# chunks of about this many ticks, which bounds the x**n temporaries.
+_CHUNK_ELEMENTS = 1 << 19
+
+
+def _chunks(rows: np.ndarray):
+    """Row slices of a (windows, N) view, each copied to a contiguous block.
+
+    Row reductions over a contiguous block sum exactly like np.mean over one
+    window's 1-d array, so batched results equal per-window ones bit for bit.
+    """
+    step = max(1, _CHUNK_ELEMENTS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        yield slice(lo, lo + step), np.ascontiguousarray(rows[lo:lo + step])
+
+
+def _row_means(block: np.ndarray) -> np.ndarray:
+    """np.mean(block, axis=1) without its per-call overhead: the same sum, the same division."""
+    return np.add.reduce(block, axis=1) / block.shape[1]
+
+
+def _power_means(rows: np.ndarray, orders) -> np.ndarray:
+    """(windows, len(orders)) array of the window averages (1/N) sum x_i^n."""
+    out = np.empty((len(rows), len(orders)))
+    for sl, block in _chunks(rows):
+        for j, n in enumerate(orders):
+            out[sl, j] = _row_means(block ** n)
+    return out
+
+
+def _check_order(n: int, what: str = "moment order"):
+    if n < 1:
+        raise DataError(f"{what} must be >= 1, got {n}")
+
+
+def _check_method(method: str):
+    if method not in METHODS:
+        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+# json's spelling of the floats that repr writes as nan/inf/-inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@dataclass(frozen=True, slots=True)
+class MomentTable:
+    """Moment sets of every window of a batch, as arrays; row i is window i.
+
+    Columns match MomentSet: raw_moments[:, n-1] is the n-th moment, the
+    trade value/volume moments are kept for the market method, and
+    negative_variance marks the rows whose set carries that flag.
+    """
+
+    method: str
+    order: int
+    center_time: np.ndarray
+    raw_moments: np.ndarray
+    trade_value_moments: np.ndarray | None
+    trade_volume_moments: np.ndarray | None
+    variance: np.ndarray
+    negative_variance: np.ndarray
+
+    def __len__(self):
+        return len(self.center_time)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.raw_moments[:, 0]
+
+    def moment_set(self, i: int) -> MomentSet:
+        def row(a):
+            return None if a is None else tuple(a[i].tolist())
+
+        raw = row(self.raw_moments)
+        return MomentSet(
+            method=self.method,
+            order=self.order,
+            center_time=float(self.center_time[i]),
+            raw_moments=raw,
+            trade_value_moments=row(self.trade_value_moments),
+            trade_volume_moments=row(self.trade_volume_moments),
+            mean=raw[0],
+            variance=float(self.variance[i]),
+            flags=("negative_variance",) if self.negative_variance[i] else (),
+        )
+
+    def to_json_text(self) -> str:
+        """``json.dumps([set.to_json_dict() ...], indent=2) + "\n"``, from the arrays.
+
+        json's indenting encoder runs in pure Python; filling one template
+        per window gives the same bytes several times faster.
+        """
+        if len(self) == 0:
+            return "[]\n"
+        k = self.order
+
+        def items(n_values: int) -> str:
+            return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
+
+        trade = self.trade_value_moments is not None
+        record = (
+            '  {\n    "method": ' + json.dumps(self.method) + ',\n    "order": ' + str(k)
+            + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
+            + ',\n    "value_moments": ' + (items(k) if trade else "null")
+            + ',\n    "volume_moments": ' + (items(k) if trade else "null")
+            + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
+        )
+        columns = [self.center_time[:, None], self.raw_moments]
+        if trade:
+            columns += [self.trade_value_moments, self.trade_volume_moments]
+        columns += [self.mean[:, None], self.variance[:, None]]
+        values = np.hstack(columns)
+        text = list(map(repr, values.ravel().tolist()))
+        if not np.isfinite(values).all():
+            text = [_JSON_NONFINITE.get(t, t) for t in text]
+        flags = ["[]", '[\n      "negative_variance"\n    ]']
+        width = values.shape[1]
+        records = [
+            record % (*text[i * width:(i + 1) * width], flags[neg])
+            for i, neg in enumerate(self.negative_variance.tolist())
+        ]
+        return "[\n" + ",\n".join(records) + "\n]\n"
+
+
+def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
+    """Raw moments 1..k of every window in the batch, with diagnostics.
+
+    The batched form of compute_moment_set: row i equals
+    compute_moment_set(window i, k, method) bit for bit.
+    """
+    if k < 2:
+        raise DataError(f"moment set order must be >= 2, got {k}")
+    _check_method(method)
+
+    orders = range(1, k + 1)
+    value_moms = volume_moms = None
+    if method == "frequency":
+        raw = _power_means(batch.price, orders)
+    else:
+        value_moms = _power_means(batch.value, orders)
+        volume_moms = _power_means(batch.volume, orders)
+        raw = value_moms / volume_moms
+
+    mean = raw[:, 0]
+    variance = raw[:, 1] - mean * mean
+    negative = variance < 0.0
+    if method == "frequency":
+        # rounding noise on a (near-)constant window; true value is >= 0
+        noise = negative & (np.abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean)
+        variance[noise] = 0.0
+        negative &= ~noise
+    return MomentTable(method, k, batch.center_time, raw, value_moms, volume_moms,
+                       variance, negative)
+
+
+def batch_decorrelation(
+    batch: WindowBatch, n: int, threshold: float = DEFAULT_DECORRELATION_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficient, flagged, undefined): decorrelation_diagnostic of every window, as arrays."""
+    _check_order(n, "diagnostic order")
+    if batch.window_len < 2:
+        raise DataError("decorrelation diagnostic needs at least 2 ticks")
+    coef = np.empty(len(batch))
+    undefined = np.empty(len(batch), dtype=bool)
+    for (sl, p), (_, u) in zip(_chunks(batch.price), _chunks(batch.volume)):
+        a = p ** n
+        b = u ** n
+        da = a - _row_means(a)[:, None]
+        db = b - _row_means(b)[:, None]
+        sa = np.sqrt(_row_means(da * da))
+        sb = np.sqrt(_row_means(db * db))
+        undefined[sl] = (sa == 0.0) | (sb == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef[sl] = _row_means(da * db) / (sa * sb)
+    # a NaN coefficient (overflowing powers) clips to -1, so it is flagged, not hidden
+    coef = np.where(undefined, 0.0, np.clip(np.where(np.isnan(coef), -1.0, coef), -1.0, 1.0))
+    return coef, ~undefined & (np.abs(coef) > threshold), undefined
+
+
+def batch_vwap(batch: WindowBatch) -> np.ndarray:
+    """VWAP of every window; equal bit for bit to the market first moment."""
+    return _power_means(batch.value, (1,))[:, 0] / _power_means(batch.volume, (1,))[:, 0]
+
+
+def batch_autocorrelation(batch: WindowBatch, lag: int, method: str) -> np.ndarray:
+    """price_autocorrelation of window i with window i + lag, for every i."""
+    _check_method(method)
+    if lag < 0:
+        raise DataError(f"lag must be >= 0, got {lag}")
+    if batch.window_len < 2:
+        raise DataError("autocorrelation needs at least 2 ticks per window")
+    pairs = max(0, len(batch) - lag)
+    if method == "frequency":
+        p1, p2 = batch.price[:pairs], batch.price[lag:lag + pairs]
+        out = np.empty(pairs)
+        for (sl, a), (_, b) in zip(_chunks(p1), _chunks(p2)):
+            out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
+        return out
+    cross = np.empty((pairs, 2))
+    for j, col in enumerate((batch.value, batch.volume)):
+        for (sl, a), (_, b) in zip(_chunks(col[:pairs]), _chunks(col[lag:lag + pairs])):
+            cross[sl, j] = _row_means(a * b)
+    vw = batch_vwap(batch)
+    return cross[:, 0] / cross[:, 1] - vw[:pairs] * vw[lag:lag + pairs]
 
 
 def freq_moment(window: Window, n: int) -> float:
     """Frequency-based n-th price moment: (1/N) sum p_i^n."""
-    if n < 1:
-        raise DataError(f"moment order must be >= 1, got {n}")
-    p, _, _ = _arrays(window)
-    return float(np.mean(p ** n))
+    _check_order(n)
+    return float(_power_means(window.batch().price, (n,))[0, 0])
 
 
 def trade_moments(window: Window, n: int) -> tuple[float, float]:
     """n-th moments of trade value and volume: ((1/N) sum C_i^n, (1/N) sum U_i^n)."""
-    if n < 1:
-        raise DataError(f"moment order must be >= 1, got {n}")
-    _, u, c = _arrays(window)
-    return float(np.mean(c ** n)), float(np.mean(u ** n))
+    _check_order(n)
+    batch = window.batch()
+    return (float(_power_means(batch.value, (n,))[0, 0]),
+            float(_power_means(batch.volume, (n,))[0, 0]))
 
 
 def market_price_moment(window: Window, n: int) -> float:
@@ -112,7 +310,7 @@ def market_price_moment(window: Window, n: int) -> float:
 
 def vwap(window: Window) -> float:
     """Volume weighted average price; identical to the market first moment."""
-    return market_price_moment(window, 1)
+    return float(batch_vwap(window.batch())[0])
 
 
 def compute_moment_set(window: Window, k: int, method: str) -> MomentSet:
@@ -121,42 +319,7 @@ def compute_moment_set(window: Window, k: int, method: str) -> MomentSet:
     Market variance may legitimately come out negative when the price/volume
     no-correlation assumption fails; the set is then flagged, never adjusted.
     """
-    if k < 2:
-        raise DataError(f"moment set order must be >= 2, got {k}")
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
-
-    p, u, c = _arrays(window)
-    value_moms = None
-    volume_moms = None
-    if method == "frequency":
-        raw = tuple(float(np.mean(p ** n)) for n in range(1, k + 1))
-    else:
-        value_moms = tuple(float(np.mean(c ** n)) for n in range(1, k + 1))
-        volume_moms = tuple(float(np.mean(u ** n)) for n in range(1, k + 1))
-        raw = tuple(cv / uv for cv, uv in zip(value_moms, volume_moms))
-
-    mean = raw[0]
-    variance = raw[1] - mean * mean
-    flags: tuple[str, ...] = ()
-    if variance < 0.0:
-        if method == "frequency" and abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean:
-            # rounding noise on a (near-)constant window; true value is >= 0
-            variance = 0.0
-        else:
-            flags = ("negative_variance",)
-
-    return MomentSet(
-        method=method,
-        order=k,
-        center_time=window.center_time,
-        raw_moments=raw,
-        trade_value_moments=value_moms,
-        trade_volume_moments=volume_moms,
-        mean=mean,
-        variance=variance,
-        flags=flags,
-    )
+    return batch_moments(window.batch(), k, method).moment_set(0)
 
 
 def decorrelation_diagnostic(
@@ -168,22 +331,9 @@ def decorrelation_diagnostic(
     |coefficient| means market and frequency moments will disagree and the
     market variance may misbehave.
     """
-    if n < 1:
-        raise DataError(f"diagnostic order must be >= 1, got {n}")
-    if len(window) < 2:
-        raise DataError("decorrelation diagnostic needs at least 2 ticks")
-    p, u, _ = _arrays(window)
-    a = p ** n
-    b = u ** n
-    da = a - a.mean()
-    db = b - b.mean()
-    sa = float(np.sqrt(np.mean(da * da)))
-    sb = float(np.sqrt(np.mean(db * db)))
-    if sa == 0.0 or sb == 0.0:
-        return CorrelationDiagnostic(order=n, coefficient=0.0, flagged=False, undefined=True)
-    coef = float(np.mean(da * db)) / (sa * sb)
-    coef = min(1.0, max(-1.0, coef))
-    return CorrelationDiagnostic(order=n, coefficient=coef, flagged=abs(coef) > threshold)
+    coef, flagged, undefined = batch_decorrelation(window.batch(), n, threshold)
+    return CorrelationDiagnostic(order=n, coefficient=float(coef[0]), flagged=bool(flagged[0]),
+                                 undefined=bool(undefined[0]))
 
 
 def price_autocorrelation(window1: Window, window2: Window, method: str) -> float:
@@ -194,22 +344,16 @@ def price_autocorrelation(window1: Window, window2: Window, method: str) -> floa
     the market moment construction. Applied to one window twice, either
     method reproduces that method's variance.
     """
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     if len(window1) != len(window2):
         raise DataError(
             f"windows must have equal tick counts, got {len(window1)} and {len(window2)}"
         )
-    if len(window1) < 2:
-        raise DataError("autocorrelation needs at least 2 ticks per window")
-
-    p1, u1, c1 = _arrays(window1)
-    p2, u2, c2 = _arrays(window2)
-    if method == "frequency":
-        return float(np.mean((p1 - p1.mean()) * (p2 - p2.mean())))
-    cross_value = float(np.mean(c1 * c2))
-    cross_volume = float(np.mean(u1 * u2))
-    return cross_value / cross_volume - vwap(window1) * vwap(window2)
+    b1, b2 = window1.batch(), window2.batch()
+    pair = WindowBatch(np.concatenate([b1.center_time, b2.center_time]),
+                       *(np.concatenate([x1, x2]) for x1, x2 in
+                         zip((b1.price, b1.volume, b1.value), (b2.price, b2.volume, b2.value))))
+    return float(batch_autocorrelation(pair, 1, method)[0])
 
 
 def payoff_autocorrelation(dev12, dev2) -> float:

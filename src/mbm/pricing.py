@@ -504,12 +504,13 @@ def optimize_holdings(
     if d_hi >= 0.0:
         return finish(hi, True)
 
-    # the derivative falls from d_lo > 0 to d_hi < 0: bisect its sign change
+    # the derivative falls from d_lo > 0 to d_hi < 0: bisect its sign change down
+    # to a few ulp of the bracket itself, so small optima keep full relative precision
     left, right = lo, hi
     for _ in range(200):
         mid = 0.5 * (left + right)
         d = derivative(mid)
-        if d == 0.0 or right - left <= 4.0 * math.ulp(max(abs(left), abs(right), 1.0)):
+        if d == 0.0 or right - left <= 4.0 * math.ulp(max(abs(left), abs(right))):
             left = right = mid
             break
         if d > 0.0:

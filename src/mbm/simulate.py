@@ -31,7 +31,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .errors import DataError
-from .ticks import TickSeries, TradeTick
+from .ticks import TickSeries
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -124,11 +124,8 @@ def gen_trades(spec: SimSpec) -> TickSeries:
             eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
         volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
 
-    ticks = tuple(
-        TradeTick(time=float(i), price=float(p), volume=float(u), value=float(p * u))
-        for i, (p, u) in enumerate(zip(prices, volumes))
-    )
-    return TickSeries(ticks=ticks, tick_spacing=1.0 if n >= 2 else None)
+    return TickSeries.from_columns(np.arange(n, dtype=float), prices, volumes, prices * volumes,
+                                   tick_spacing=1.0 if n >= 2 else None)
 
 
 def gen_payoff_samples(

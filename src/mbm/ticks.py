@@ -2,20 +2,91 @@
 
 A trade tick is the atom of everything downstream: (time, price, volume,
 value) with the identity value = price * volume enforced on ingestion.
-Windows are defined by tick COUNT, not wall-clock span; all averaging
-operators downstream treat a window as one averaging interval.
+A series holds its ticks as four read-only float64 columns, validated in
+one vectorized pass. Windows are defined by tick COUNT, not wall-clock
+span; all averaging operators downstream treat a window as one averaging
+interval. A Window is a (series, start, stop) view of the columns, and a
+WindowBatch lays equal-length windows out as the rows of 2-D column views
+so that moment kernels can process them all at once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
 # Relative tolerance for the value = price * volume identity.
 VALUE_IDENTITY_RTOL = 1e-9
+_INF = math.inf
+
+# Messages of the tick rules, in the order _tick_rules returns them; a tick
+# breaking several rules reports the first. {0}..{4}: time, price, volume,
+# value, price*volume.
+_RULE_MESSAGES = (
+    "time {0} is not finite",
+    "negative time {0}",
+    "price must be positive and finite, got {1}",
+    "volume must be positive and finite, got {2}",
+    "value {3} is not finite",
+    "value {3} violates price*volume={4} beyond relative " f"{VALUE_IDENTITY_RTOL:g}",
+)
+
+# A decimal number as written in tick-CSV: no inf/nan, no underscores, no hex.
+_DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
+_DECIMAL_BYTES = b"0123456789.eE+-, \t\r\n"
+
+
+def _tick_rules(time, price, volume, value):
+    """Rule outcomes (True where a tick passes) for scalars or columns.
+
+    Written with comparisons only, so one definition serves a single
+    TradeTick and whole columns alike; NaN fails every comparison.
+    """
+    expected = price * volume
+    return expected, (
+        abs(time) < _INF,
+        time >= 0.0,
+        (price > 0.0) & (price < _INF),
+        (volume > 0.0) & (volume < _INF),
+        abs(value) < _INF,
+        abs(value - expected) <= VALUE_IDENTITY_RTOL * abs(expected),
+    )
+
+
+def _rule_message(passed, fields) -> str:
+    """Message of the first rule a tick broke, given its per-rule outcomes."""
+    rule = next(r for r, ok in enumerate(passed) if not ok)
+    return _RULE_MESSAGES[rule].format(*(float(f) for f in fields))
+
+
+def _check_columns(time, price, volume, value, where) -> None:
+    """Raise DataError for the first tick that breaks a rule or goes back in time.
+
+    where(i) names tick i in the message (a CSV line, a tick index).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected, passed = _tick_rules(time, price, volume, value)
+    good = np.logical_and.reduce(passed)
+    ordered = time[1:] >= time[:-1]
+    if good.all() and ordered.all():
+        return
+    i = int(np.argmin(good)) if not good.all() else len(time)
+    j = int(np.argmin(ordered)) + 1 if not ordered.all() else len(time)
+    if i <= j:
+        fields = (time[i], price[i], volume[i], value[i], expected[i])
+        raise DataError(f"{where(i)}: {_rule_message([p[i] for p in passed], fields)}")
+    raise DataError(
+        f"{where(j)}: time {float(time[j])} decreases from previous {float(time[j - 1])} "
+        "(tick times must be non-decreasing)"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,78 +99,160 @@ class TradeTick:
     value: float
 
     def __post_init__(self):
-        if self.time < 0.0:
-            raise DataError(f"tick time must be non-negative, got {self.time}")
-        if not (self.price > 0.0):
-            raise DataError(f"tick at t={self.time}: price must be positive, got {self.price}")
-        if not (self.volume > 0.0):
-            raise DataError(f"tick at t={self.time}: volume must be positive, got {self.volume}")
-        expected = self.price * self.volume
-        if abs(self.value - expected) > VALUE_IDENTITY_RTOL * abs(expected):
-            raise DataError(
-                f"tick at t={self.time}: value {self.value} violates price*volume={expected} "
-                f"beyond relative {VALUE_IDENTITY_RTOL:g}"
-            )
+        fields = (self.time, self.price, self.volume, self.value)
+        expected, passed = _tick_rules(*fields)
+        if not all(passed):
+            raise DataError(f"tick at t={self.time}: {_rule_message(passed, (*fields, expected))}")
 
 
-@dataclass(frozen=True, slots=True)
+_TICK_FIELDS = ("time", "price", "volume", "value")
+_TICK_SETTERS = tuple(getattr(TradeTick, name).__set__ for name in _TICK_FIELDS)
+
+
+def _checked_tick(fields) -> TradeTick:
+    """A TradeTick from columns that _check_columns already passed; the rules are not re-run."""
+    tick = object.__new__(TradeTick)
+    for set_field, x in zip(_TICK_SETTERS, fields):
+        set_field(tick, x)
+    return tick
+
+
+def _frozen_column(values) -> np.ndarray:
+    col = np.array(values, dtype=float)
+    col.setflags(write=False)
+    return col
+
+
 class TickSeries:
-    """Ordered trade ticks with an optional regular spacing.
+    """Ordered trade ticks as read-only float64 columns, with an optional regular spacing.
 
     tick_spacing is the minimal time division of the series; it is inferred
     on parse when all consecutive time differences agree, else left None.
+    TickSeries(ticks=..., tick_spacing=...) builds the columns from TradeTick
+    objects; TickSeries.from_columns builds a series from arrays directly.
+    `ticks` materializes TradeTick objects only when something asks for them.
     """
 
-    ticks: tuple[TradeTick, ...]
-    tick_spacing: float | None = None
+    __slots__ = ("time", "price", "volume", "value", "tick_spacing", "_ticks")
 
-    def __post_init__(self):
-        times = [t.time for t in self.ticks]
-        for i in range(1, len(times)):
-            if times[i] < times[i - 1]:
-                raise DataError(
-                    f"tick times must be non-decreasing; tick {i} at t={times[i]} "
-                    f"follows t={times[i - 1]}"
-                )
+    def __init__(self, ticks=(), tick_spacing: float | None = None):
+        ticks = tuple(ticks)
+        rows = np.array([(t.time, t.price, t.volume, t.value) for t in ticks], dtype=float)
+        self._set(*rows.reshape(-1, 4).T, tick_spacing, lambda i: f"tick {i}")
+        self._ticks = ticks
+
+    @classmethod
+    def from_columns(cls, time, price, volume, value=None, tick_spacing: float | None = None,
+                     *, where=lambda i: f"tick {i}") -> TickSeries:
+        """A series from equal-length columns; value defaults to price*volume.
+
+        Every tick is checked in one vectorized pass; where(i) names the
+        offending tick in the DataError message.
+        """
+        series = cls.__new__(cls)
+        if value is None:
+            value = np.multiply(price, volume)
+        series._set(time, price, volume, value, tick_spacing, where)
+        series._ticks = None
+        return series
+
+    def _set(self, time, price, volume, value, tick_spacing, where):
+        columns = [_frozen_column(c) for c in (time, price, volume, value)]
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise DataError("tick columns must be 1-d and of equal length")
+        _check_columns(*columns, where)
+        self.time, self.price, self.volume, self.value = columns
+        self.tick_spacing = tick_spacing
+
+    @property
+    def ticks(self) -> tuple[TradeTick, ...]:
+        if self._ticks is None:
+            columns = (getattr(self, name).tolist() for name in _TICK_FIELDS)
+            self._ticks = tuple(map(_checked_tick, zip(*columns)))
+        return self._ticks
 
     def __len__(self):
-        return len(self.ticks)
+        return len(self.time)
+
+    def __eq__(self, other):
+        if not isinstance(other, TickSeries):
+            return NotImplemented
+        return self.tick_spacing == other.tick_spacing and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in _TICK_FIELDS
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TickSeries(<{len(self)} ticks>, tick_spacing={self.tick_spacing!r})"
+
+
+def _median_times(time: np.ndarray, starts, window_len: int):
+    """Median tick time of each window [start, start + window_len); starts is an index or an array."""
+    mid = window_len // 2
+    if window_len % 2 == 1:
+        return time[starts + mid]
+    return 0.5 * (time[starts + mid - 1] + time[starts + mid])
+
+
+@dataclass(frozen=True, slots=True)
+class WindowBatch:
+    """Equal-length windows as (windows, N) read-only views of the tick columns.
+
+    Row i of price/volume/value holds the ticks of window i; center_time[i]
+    is its median tick time. Moment kernels take a batch and return one
+    result per row.
+    """
+
+    center_time: np.ndarray
+    price: np.ndarray
+    volume: np.ndarray
+    value: np.ndarray
+
+    def __len__(self):
+        return len(self.center_time)
+
+    @property
+    def window_len(self) -> int:
+        return self.price.shape[1]
 
 
 @dataclass(frozen=True, slots=True)
 class Window:
-    """A contiguous run of ticks forming one averaging interval."""
+    """A contiguous run of ticks [start, stop) of a series, forming one averaging interval."""
 
-    center_time: float
-    ticks: tuple[TradeTick, ...]
-    count: int = field(default=0)
+    series: TickSeries
+    start: int
+    stop: int
 
     def __post_init__(self):
-        if len(self.ticks) < 1:
+        if not 0 <= self.start < self.stop <= len(self.series):
             raise DataError("window must contain at least one tick")
-        if self.count == 0:
-            object.__setattr__(self, "count", len(self.ticks))
-        elif self.count != len(self.ticks):
-            raise DataError(f"window count {self.count} != number of ticks {len(self.ticks)}")
 
     def __len__(self):
-        return self.count
+        return self.stop - self.start
 
+    @property
+    def ticks(self) -> tuple[TradeTick, ...]:
+        return self.series.ticks[self.start:self.stop]
 
-def _median_time(ticks: tuple[TradeTick, ...]) -> float:
-    n = len(ticks)
-    mid = n // 2
-    if n % 2 == 1:
-        return ticks[mid].time
-    return 0.5 * (ticks[mid - 1].time + ticks[mid].time)
+    @property
+    def center_time(self) -> float:
+        """Median tick time."""
+        return float(_median_times(self.series.time, self.start, len(self)))
+
+    def batch(self) -> WindowBatch:
+        """This window as a one-row WindowBatch."""
+        s, rows = self.series, slice(self.start, self.stop)
+        return WindowBatch(np.array([self.center_time]), s.price[None, rows],
+                           s.volume[None, rows], s.value[None, rows])
 
 
 def window_from_ticks(ticks) -> Window:
-    """Build a Window whose center is the median tick time."""
-    ticks = tuple(ticks)
-    if not ticks:
-        raise DataError("window must contain at least one tick")
-    return Window(center_time=_median_time(ticks), ticks=ticks)
+    """Build a Window over exactly these ticks; its center is the median tick time."""
+    series = TickSeries(ticks=ticks)
+    return Window(series, 0, len(series))
 
 
 def parse_ticks(text: str) -> TickSeries:
@@ -108,63 +261,79 @@ def parse_ticks(text: str) -> TickSeries:
     Expected header is ``time,price,volume`` or ``time,price,volume,value``.
     When the value column is absent it is computed as price*volume; when
     present it is validated against that identity (relative 1e-9).
+    Fields must be finite decimal numbers (no inf/nan, underscores or hex).
     Raises DataError with the offending line number on any malformed row,
-    non-positive price/volume, identity violation, or decreasing times.
+    non-finite or non-positive price/volume, identity violation, or
+    decreasing times.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: missing header") from None
-    header = [h.strip().lower() for h in header]
+    if not text:
+        raise DataError("empty input: missing header")
+    first, _, body = text.partition("\n")
+    header = [h.strip().lower() for h in next(csv.reader([first]), [])]
     if header == ["time", "price", "volume"]:
-        has_value = False
+        ncols = 3
     elif header == ["time", "price", "volume", "value"]:
-        has_value = True
+        ncols = 4
     else:
         raise DataError(
             "line 1: header must be 'time,price,volume' or 'time,price,volume,value', "
             f"got {','.join(header)!r}"
         )
 
-    ticks = []
-    expected_cols = 4 if has_value else 3
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank lines carry no tick
-        if len(row) != expected_cols:
-            raise DataError(f"line {lineno}: expected {expected_cols} fields, got {len(row)}")
+    data = _parse_body(body, ncols)
+    series = TickSeries.from_columns(*(data[:, j] for j in range(ncols)),
+                                     where=lambda i: f"line {_data_line_numbers(body)[i]}")
+    series.tick_spacing = _infer_spacing(series.time)
+    return series
+
+
+def _data_rows(body: str):
+    """(line number, fields) of each non-blank CSV row after the header."""
+    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+        if row and (len(row) > 1 or row[0].strip()):
+            yield lineno, row
+
+
+def _data_line_numbers(body: str) -> list[int]:
+    return [lineno for lineno, _ in _data_rows(body)]
+
+
+def _parse_body(body: str, ncols: int) -> np.ndarray:
+    """(rows, ncols) floats of the data rows.
+
+    numpy's C reader takes bodies that hold nothing but decimal numbers;
+    anything else is read row by row, which names the first bad line.
+    """
+    if not body.encode().translate(None, _DECIMAL_BYTES) and body.strip():
         try:
-            nums = [float(f) for f in row]
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: non-numeric field ({exc})") from None
-        if nums[0] < 0.0:
-            raise DataError(f"line {lineno}: negative time {nums[0]}")
-        value = nums[3] if has_value else nums[1] * nums[2]
-        try:
-            tick = TradeTick(time=nums[0], price=nums[1], volume=nums[2], value=value)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        if ticks and tick.time < ticks[-1].time:
-            raise DataError(
-                f"line {lineno}: time {tick.time} decreases from previous {ticks[-1].time}"
-            )
-        ticks.append(tick)
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == ncols:
+            return data
 
-    return TickSeries(ticks=tuple(ticks), tick_spacing=_infer_spacing(ticks))
+    rows = []
+    for lineno, row in _data_rows(body):
+        if len(row) != ncols:
+            raise DataError(f"line {lineno}: expected {ncols} fields, got {len(row)}")
+        for field in row:
+            if not _DECIMAL.fullmatch(field):
+                raise DataError(f"line {lineno}: non-numeric field {field!r}; "
+                                "expected a finite decimal number")
+        rows.append([float(f) for f in row])
+    return np.array(rows, dtype=float).reshape(-1, ncols)
 
 
-def _infer_spacing(ticks) -> float | None:
-    if len(ticks) < 2:
+def _infer_spacing(time: np.ndarray) -> float | None:
+    if len(time) < 2:
         return None
-    diffs = [ticks[i].time - ticks[i - 1].time for i in range(1, len(ticks))]
+    diffs = np.diff(time)
     first = diffs[0]
-    if first <= 0.0:
+    if not first > 0.0:
         return None
-    for d in diffs[1:]:
-        if abs(d - first) > 1e-9 * max(abs(first), abs(d)):
-            return None
-    return first
+    if np.any(np.abs(diffs - first) > 1e-9 * np.maximum(abs(first), np.abs(diffs))):
+        return None
+    return float(first)
 
 
 def render_ticks(series: TickSeries) -> str:
@@ -173,10 +342,24 @@ def render_ticks(series: TickSeries) -> str:
     Floats are written with repr (shortest round-trip form), so
     parse_ticks(render_ticks(s)) reproduces s bit-exactly.
     """
-    lines = ["time,price,volume,value"]
-    for t in series.ticks:
-        lines.append(f"{t.time!r},{t.price!r},{t.volume!r},{t.value!r}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([series.time, series.price, series.volume, series.value])
+    return "time,price,volume,value\n" + "%r,%r,%r,%r\n" * len(series) % tuple(rows.ravel().tolist())
+
+
+def _window_starts(series: TickSeries, window_len: int, mode: str) -> np.ndarray:
+    """First tick index of each window, after checking the windowing request."""
+    if window_len < 1:
+        raise DataError(f"window length must be >= 1, got {window_len}")
+    n = len(series)
+    if n == 0:
+        raise DataError("cannot window an empty series")
+    if window_len > n:
+        raise DataError(f"window length {window_len} exceeds series length {n}")
+    if mode == "disjoint":
+        return np.arange(n // window_len) * window_len
+    if mode == "sliding":
+        return np.arange(n - window_len + 1)
+    raise DataError(f"unknown windowing mode {mode!r}")
 
 
 def partition_windows(series: TickSeries, window_len: int, mode: str = "disjoint") -> list[Window]:
@@ -186,21 +369,22 @@ def partition_windows(series: TickSeries, window_len: int, mode: str = "disjoint
     remainder shorter than N is dropped). sliding: len-N+1 windows stepping
     one tick at a time. Window centers are median tick times.
     """
-    if window_len < 1:
-        raise DataError(f"window length must be >= 1, got {window_len}")
-    n = len(series)
-    if n == 0:
-        raise DataError("cannot window an empty series")
-    if window_len > n:
-        raise DataError(f"window length {window_len} exceeds series length {n}")
-    if mode not in ("disjoint", "sliding"):
-        raise DataError(f"unknown windowing mode {mode!r}")
+    starts = _window_starts(series, window_len, mode)
+    return [Window(series, start, start + window_len) for start in starts.tolist()]
 
-    windows = []
-    if mode == "disjoint":
-        for i in range(n // window_len):
-            windows.append(window_from_ticks(series.ticks[i * window_len:(i + 1) * window_len]))
-    else:
-        for i in range(n - window_len + 1):
-            windows.append(window_from_ticks(series.ticks[i:i + window_len]))
-    return windows
+
+def window_batch(series: TickSeries, window_len: int, mode: str = "disjoint") -> WindowBatch:
+    """The windows of partition_windows(series, window_len, mode) as one WindowBatch.
+
+    Disjoint windows reshape the columns, sliding ones are strided views;
+    nothing is copied.
+    """
+    starts = _window_starts(series, window_len, mode)
+
+    def rows(column: np.ndarray) -> np.ndarray:
+        if mode == "disjoint":
+            return column[:len(starts) * window_len].reshape(len(starts), window_len)
+        return sliding_window_view(column, window_len)
+
+    return WindowBatch(_median_times(series.time, starts, window_len),
+                       rows(series.price), rows(series.volume), rows(series.value))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mbm import pricing
 from mbm.errors import ConvergenceError, DataError, DomainError
 from mbm.pricing import (
     PricingScenario,
@@ -466,6 +467,29 @@ def test_optimize_log_matches_grid_oracle(rng):
     objective = np.log(c_t).mean(axis=1) + scn.beta * np.log(c_T).mean(axis=1)
     best = grid[int(np.argmax(objective))]
     assert abs(out.holdings - best) <= 1.5 / 10000
+
+
+def test_optimize_small_interior_optimum_keeps_relative_precision(monkeypatch):
+    # log utility: the optimum sits near 5e-5, far below 1, where a stopping
+    # width of a few ulp of 1.0 would keep only ~12 significant digits; these
+    # samples never make the sampled derivative exactly 0, so the bisection
+    # ends on its bracket
+    scn = log_sample()
+    prices, payoffs = [5.38, 4.35], [4.126279789172481, 6.116279789172481]
+    seen = []
+
+    def recording_residual(*args):
+        r = residual_basic_eq(*args)
+        seen.append((args[3], -r))  # (holdings, derivative of the objective)
+        return r
+
+    monkeypatch.setattr(pricing, "residual_basic_eq", recording_residual)
+    xi = optimize_holdings(scn, prices, payoffs, (0.0, 1.0)).holdings
+    assert 1e-5 < xi < 1e-4
+    # the last bracket: nearest evaluated holdings on each side of the optimum
+    left = max(h for h, d in seen if h < xi and d > 0.0)
+    right = min(h for h, d in seen if h > xi and d < 0.0)
+    assert right - left <= 4 * math.ulp(xi)
 
 
 def test_optimize_rejects_inadmissible_bounds():
