@@ -349,10 +349,10 @@ def price_autocorrelation(window1: Window, window2: Window, method: str) -> floa
         raise DataError(
             f"windows must have equal tick counts, got {len(window1)} and {len(window2)}"
         )
+    # the two windows as rows 0 and 1 of one batch: their pair at lag 1
     b1, b2 = window1.batch(), window2.batch()
-    pair = WindowBatch(np.concatenate([b1.center_time, b2.center_time]),
-                       *(np.concatenate([x1, x2]) for x1, x2 in
-                         zip((b1.price, b1.volume, b1.value), (b2.price, b2.volume, b2.value))))
+    pair = WindowBatch(*(np.concatenate([getattr(b1, f), getattr(b2, f)])
+                         for f in ("center_time", "price", "volume", "value")))
     return float(batch_autocorrelation(pair, 1, method)[0])
 
 
