@@ -262,26 +262,29 @@ def batch_vwap(batch: WindowBatch) -> np.ndarray:
     return _power_means(batch.value, (1,))[:, 0] / _power_means(batch.volume, (1,))[:, 0]
 
 
+def _paired_autocorrelation(first: WindowBatch, second: WindowBatch, method: str) -> np.ndarray:
+    """price_autocorrelation of row i of first with row i of second, for every i."""
+    if first.window_len < 2:
+        raise DataError("autocorrelation needs at least 2 ticks per window")
+    if method == "frequency":
+        out = np.empty(len(first))
+        for (sl, a), (_, b) in zip(_chunks(first.price), _chunks(second.price)):
+            out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
+        return out
+    cross = np.empty((len(first), 2))
+    for j, (rows1, rows2) in enumerate(((first.value, second.value), (first.volume, second.volume))):
+        for (sl, a), (_, b) in zip(_chunks(rows1), _chunks(rows2)):
+            cross[sl, j] = _row_means(a * b)
+    return cross[:, 0] / cross[:, 1] - batch_vwap(first) * batch_vwap(second)
+
+
 def batch_autocorrelation(batch: WindowBatch, lag: int, method: str) -> np.ndarray:
     """price_autocorrelation of window i with window i + lag, for every i."""
     _check_method(method)
     if lag < 0:
         raise DataError(f"lag must be >= 0, got {lag}")
-    if batch.window_len < 2:
-        raise DataError("autocorrelation needs at least 2 ticks per window")
     pairs = max(0, len(batch) - lag)
-    if method == "frequency":
-        p1, p2 = batch.price[:pairs], batch.price[lag:lag + pairs]
-        out = np.empty(pairs)
-        for (sl, a), (_, b) in zip(_chunks(p1), _chunks(p2)):
-            out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
-        return out
-    cross = np.empty((pairs, 2))
-    for j, col in enumerate((batch.value, batch.volume)):
-        for (sl, a), (_, b) in zip(_chunks(col[:pairs]), _chunks(col[lag:lag + pairs])):
-            cross[sl, j] = _row_means(a * b)
-    vw = batch_vwap(batch)
-    return cross[:, 0] / cross[:, 1] - vw[:pairs] * vw[lag:lag + pairs]
+    return _paired_autocorrelation(batch[:pairs], batch[lag:lag + pairs], method)
 
 
 def freq_moment(window: Window, n: int) -> float:
@@ -349,11 +352,7 @@ def price_autocorrelation(window1: Window, window2: Window, method: str) -> floa
         raise DataError(
             f"windows must have equal tick counts, got {len(window1)} and {len(window2)}"
         )
-    # the two windows as rows 0 and 1 of one batch: their pair at lag 1
-    b1, b2 = window1.batch(), window2.batch()
-    pair = WindowBatch(*(np.concatenate([getattr(b1, f), getattr(b2, f)])
-                         for f in ("center_time", "price", "volume", "value")))
-    return float(batch_autocorrelation(pair, 1, method)[0])
+    return float(_paired_autocorrelation(window1.batch(), window2.batch(), method)[0])
 
 
 def payoff_autocorrelation(dev12, dev2) -> float:

@@ -505,12 +505,14 @@ def optimize_holdings(
         return finish(hi, True)
 
     # the derivative falls from d_lo > 0 to d_hi < 0: bisect its sign change down
-    # to a few ulp of the bracket itself, so small optima keep full relative precision
+    # to a few ulp of the bracket itself, so small optima keep full relative
+    # precision; an optimum at or next to 0 stops at a few ulp of eps*(hi - lo)
     left, right = lo, hi
+    floor = 2.0 ** -52 * (hi - lo)
     for _ in range(200):
         mid = 0.5 * (left + right)
         d = derivative(mid)
-        if d == 0.0 or right - left <= 4.0 * math.ulp(max(abs(left), abs(right))):
+        if d == 0.0 or right - left <= 4.0 * math.ulp(max(abs(left), abs(right), floor)):
             left = right = mid
             break
         if d > 0.0:

@@ -106,15 +106,6 @@ class TradeTick:
 
 
 _TICK_FIELDS = ("time", "price", "volume", "value")
-_TICK_SETTERS = tuple(getattr(TradeTick, name).__set__ for name in _TICK_FIELDS)
-
-
-def _checked_tick(fields) -> TradeTick:
-    """A TradeTick from columns that _check_columns already passed; the rules are not re-run."""
-    tick = object.__new__(TradeTick)
-    for set_field, x in zip(_TICK_SETTERS, fields):
-        set_field(tick, x)
-    return tick
 
 
 def _frozen_column(values) -> np.ndarray:
@@ -168,7 +159,7 @@ class TickSeries:
     def ticks(self) -> tuple[TradeTick, ...]:
         if self._ticks is None:
             columns = (getattr(self, name).tolist() for name in _TICK_FIELDS)
-            self._ticks = tuple(map(_checked_tick, zip(*columns)))
+            self._ticks = tuple(TradeTick(*row) for row in zip(*columns))
         return self._ticks
 
     def __len__(self):
@@ -212,6 +203,11 @@ class WindowBatch:
 
     def __len__(self):
         return len(self.center_time)
+
+    def __getitem__(self, rows: slice) -> WindowBatch:
+        """The windows in a slice of rows, as a batch of views."""
+        return WindowBatch(self.center_time[rows], self.price[rows], self.volume[rows],
+                           self.value[rows])
 
     @property
     def window_len(self) -> int:

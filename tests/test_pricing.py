@@ -492,6 +492,25 @@ def test_optimize_small_interior_optimum_keeps_relative_precision(monkeypatch):
     assert right - left <= 4 * math.ulp(xi)
 
 
+def test_optimize_optimum_at_zero_stops_at_a_bracket_scaled_floor(monkeypatch):
+    # a derivative that falls through 0 exactly at xi = 0 and nowhere else:
+    # without a floor the stop width shrinks with the bracket ends into the
+    # subnormals and the bisection runs to its 200-step cap
+    calls = []
+
+    def linear_residual(scn, p, x, xi):
+        calls.append(xi)
+        return xi  # the objective's derivative is -xi
+
+    monkeypatch.setattr(pricing, "residual_basic_eq", linear_residual)
+    out = optimize_holdings(log_sample(), [5.0], [5.0], (-1.0, 2.0))
+    assert not out.at_boundary
+    assert abs(out.holdings) <= 2.0 ** -100
+    # 9 grid points and the final first-order residual; 3 * 2**-j reaches
+    # 4 ulp of 3 * 2**-52 after about 104 bisection steps
+    assert len(calls) - 10 <= 110
+
+
 def test_optimize_rejects_inadmissible_bounds():
     scn = log_sample()
     with pytest.raises(DomainError):
