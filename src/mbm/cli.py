@@ -178,11 +178,11 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
 
     table = moments_mod.batch_moments(batch, order, method)
     centers, means, variances = (a.tolist() for a in (table.center_time, table.mean, table.variance))
-    negative = table.negative_variance.tolist()
+    negative, non_finite = table.negative_variance.tolist(), table.non_finite.tolist()
+    flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
     _print_lines([
-        f"window {i} center_time={c!r} mean={m!r} variance={v!r} "
-        f"flags={'negative_variance' if neg else '-'}"
-        for i, (c, m, v, neg) in enumerate(zip(centers, means, variances, negative))
+        f"window {i} center_time={c!r} mean={m!r} variance={v!r} flags={flags[code]}"
+        for i, (c, m, v, code) in enumerate(zip(centers, means, variances, table.flag_codes()))
     ])
     violations = []
     if settings["strict"]:
@@ -193,7 +193,10 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         for i in range(len(batch)):
             if negative[i]:
                 violations.append(f"window {i}: negative market variance {variances[i]!r}")
-            if correlated[i]:
+            if non_finite[i]:
+                # the set itself is unusable; its correlation is usually a NaN clipped to -1
+                violations.append(f"window {i}: non-finite moments")
+            elif correlated[i]:
                 violations.append(
                     f"window {i}: order-2 price/volume correlation "
                     f"{coef[i]!r} exceeds {threshold!r}"

@@ -9,6 +9,7 @@ command-line flag > MBM_* environment variable > config file > default.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 from .errors import DataError
@@ -77,6 +78,13 @@ def _float(section: dict[str, str], key: str, where: str):
         raise DataError(f"[{where}] {key}={raw!r} is not a number") from None
 
 
+def _int(section: dict[str, str], key: str, where: str) -> int:
+    value = _float(section, key, where)
+    if not math.isfinite(value):
+        raise DataError(f"[{where}] {key}={section[key]!r} is not a finite number")
+    return int(value)
+
+
 def build_utility(section: dict[str, str]) -> UtilitySpec:
     if "family" not in section:
         raise DataError("[utility] section needs a 'family' key")
@@ -128,7 +136,7 @@ def build_solver_options(section: dict[str, str] | None) -> SolverOptions:
         return SolverOptions()
     kwargs = {}
     if "max_iter" in section:
-        kwargs["max_iterations"] = int(_float(section, "max_iter", "solver"))
+        kwargs["max_iterations"] = _int(section, "max_iter", "solver")
     if "damping" in section:
         kwargs["damping"] = _float(section, "damping", "solver")
     if "tol" in section:
@@ -145,7 +153,7 @@ def build_sim_spec(section: dict[str, str]) -> SimSpec:
     for key in ("length", "seed"):
         if key not in section:
             raise DataError(f"[simulate] missing required key {key!r}")
-        kwargs[key] = int(_float(section, key, "simulate"))
+        kwargs[key] = _int(section, key, "simulate")
     for key in ("base_price", "phi", "sigma", "median_volume", "log_sigma", "pv_correlation"):
         if key in section:
             kwargs[key] = _float(section, key, "simulate")

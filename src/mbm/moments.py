@@ -38,6 +38,7 @@ class MomentSet:
     trade value/volume moments that produced them are kept alongside.
     variance is always raw_moments[1] - mean**2; under the market method it
     may be negative, in which case "negative_variance" appears in flags.
+    "non_finite" appears when a moment overflowed to inf or nan.
     """
 
     method: str
@@ -121,6 +122,9 @@ def _check_method(method: str):
 # json's spelling of the floats that repr writes as nan/inf/-inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: Flags of a moment set, indexed by negative_variance + 2 * non_finite.
+FLAG_SETS = ((), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite"))
+
 
 @dataclass(frozen=True, slots=True)
 class MomentTable:
@@ -128,7 +132,7 @@ class MomentTable:
 
     Columns match MomentSet: raw_moments[:, n-1] is the n-th moment, the
     trade value/volume moments are kept for the market method, and
-    negative_variance marks the rows whose set carries that flag.
+    negative_variance and non_finite mark the rows whose set carries that flag.
     """
 
     method: str
@@ -139,6 +143,7 @@ class MomentTable:
     trade_volume_moments: np.ndarray | None
     variance: np.ndarray
     negative_variance: np.ndarray
+    non_finite: np.ndarray
 
     def __len__(self):
         return len(self.center_time)
@@ -146,6 +151,10 @@ class MomentTable:
     @property
     def mean(self) -> np.ndarray:
         return self.raw_moments[:, 0]
+
+    def flag_codes(self) -> list[int]:
+        """Per row, the index into FLAG_SETS of that row's flags."""
+        return (self.negative_variance + 2 * self.non_finite).tolist()
 
     def moment_set(self, i: int) -> MomentSet:
         def row(a):
@@ -161,7 +170,7 @@ class MomentTable:
             trade_volume_moments=row(self.trade_volume_moments),
             mean=raw[0],
             variance=float(self.variance[i]),
-            flags=("negative_variance",) if self.negative_variance[i] else (),
+            flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
 
     def to_json_text(self) -> str:
@@ -193,11 +202,12 @@ class MomentTable:
         text = list(map(repr, values.ravel().tolist()))
         if not np.isfinite(values).all():
             text = [_JSON_NONFINITE.get(t, t) for t in text]
-        flags = ["[]", '[\n      "negative_variance"\n    ]']
+        flags = ["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]" if names
+                 else "[]" for names in FLAG_SETS]
         width = values.shape[1]
         records = [
-            record % (*text[i * width:(i + 1) * width], flags[neg])
-            for i, neg in enumerate(self.negative_variance.tolist())
+            record % (*text[i * width:(i + 1) * width], flags[code])
+            for i, code in enumerate(self.flag_codes())
         ]
         return "[\n" + ",\n".join(records) + "\n]\n"
 
@@ -214,15 +224,18 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
 
     orders = range(1, k + 1)
     value_moms = volume_moms = None
-    if method == "frequency":
-        raw = _power_means(batch.price, orders)
-    else:
-        value_moms = _power_means(batch.value, orders)
-        volume_moms = _power_means(batch.volume, orders)
-        raw = value_moms / volume_moms
-
-    mean = raw[:, 0]
-    variance = raw[:, 1] - mean * mean
+    # overflowing powers are flagged non_finite below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "frequency":
+            raw = _power_means(batch.price, orders)
+        else:
+            value_moms = _power_means(batch.value, orders)
+            volume_moms = _power_means(batch.volume, orders)
+            raw = value_moms / volume_moms
+        mean = raw[:, 0]
+        variance = raw[:, 1] - mean * mean
+    computed = [raw, variance[:, None]] + ([] if value_moms is None else [value_moms, volume_moms])
+    non_finite = ~np.isfinite(np.hstack(computed)).all(axis=1)
     negative = variance < 0.0
     if method == "frequency":
         # rounding noise on a (near-)constant window; true value is >= 0
@@ -230,7 +243,7 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
         variance[noise] = 0.0
         negative &= ~noise
     return MomentTable(method, k, batch.center_time, raw, value_moms, volume_moms,
-                       variance, negative)
+                       variance, negative, non_finite)
 
 
 def batch_decorrelation(
@@ -243,15 +256,15 @@ def batch_decorrelation(
     coef = np.empty(len(batch))
     undefined = np.empty(len(batch), dtype=bool)
     for (sl, p), (_, u) in zip(_chunks(batch.price), _chunks(batch.volume)):
-        a = p ** n
-        b = u ** n
-        da = a - _row_means(a)[:, None]
-        db = b - _row_means(b)[:, None]
-        sa = np.sqrt(_row_means(da * da))
-        sb = np.sqrt(_row_means(db * db))
-        undefined[sl] = (sa == 0.0) | (sb == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a = p ** n
+            b = u ** n
+            da = a - _row_means(a)[:, None]
+            db = b - _row_means(b)[:, None]
+            sa = np.sqrt(_row_means(da * da))
+            sb = np.sqrt(_row_means(db * db))
             coef[sl] = _row_means(da * db) / (sa * sb)
+        undefined[sl] = (sa == 0.0) | (sb == 0.0)
     # a NaN coefficient (overflowing powers) clips to -1, so it is flagged, not hidden
     coef = np.where(undefined, 0.0, np.clip(np.where(np.isnan(coef), -1.0, coef), -1.0, 1.0))
     return coef, ~undefined & (np.abs(coef) > threshold), undefined

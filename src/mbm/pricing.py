@@ -23,23 +23,26 @@ when iteration stalls. Converged solutions honor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DataError, DomainError
+from .errors import ConvergenceError, DataError, DomainError, require_finite
 from .utility import UtilitySpec, admissible, eval_utility
 
 RESIDUAL_RTOL = 1e-10
 
 
-def _require_finite(obj, skip=()):
-    # optional fields left as None stay allowed
-    for field in fields(obj):
-        value = getattr(obj, field.name)
-        if field.name not in skip and value is not None and not math.isfinite(value):
-            raise DataError(f"{field.name} must be finite, got {value}")
+def __getattr__(name):
+    # scipy.optimize takes ~0.7 s to import and only the bracketed fallback
+    # needs it, so ``brentq`` is bound on first access and then cached here
+    if name == "brentq":
+        from scipy.optimize import brentq
+
+        globals()["brentq"] = brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -49,7 +52,7 @@ class SolverOptions:
     tolerance: float = RESIDUAL_RTOL
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
         if not (0.0 < self.damping <= 1.0):
@@ -81,7 +84,7 @@ class PricingScenario:
     dividend_mean: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, skip=("utility",))
+        require_finite(self, skip=("utility",))
         if not (0.0 < self.beta <= 1.0):
             raise DataError(f"beta must be in (0, 1], got {self.beta}")
         if self.payoff_variance < 0.0 or self.price_variance < 0.0:
@@ -300,7 +303,10 @@ def _solve_linearized(
             return PriceSolution(mean_price=p, residual=0.0, iterations=iterations, converged=True)
         if flips.size:
             a, b = float(grid[flips[0]]), float(grid[flips[0] + 1])
-            root, info = brentq(residual, a, b, xtol=1e-14, rtol=8.9e-16, full_output=True)
+            # looked up on the module so that a rebinding of ``brentq`` is honored
+            root, info = sys.modules[__name__].brentq(
+                residual, a, b, xtol=1e-14, rtol=8.9e-16, full_output=True
+            )
             r = residual(root)
             iterations += info.iterations
             if abs(r) <= tol * max(1.0, abs(root)):

@@ -24,13 +24,12 @@ Changing any of this is a breaking change to the output format.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtri
 
-from .errors import DataError
+from .errors import DataError, require_finite
 from .ticks import TickSeries
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -51,12 +50,24 @@ def stream_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """Standard normal draws from the documented counter-based generator."""
     if count < 0:
         raise DataError(f"count must be non-negative, got {count}")
+    from scipy.special import ndtri  # here, so that commands drawing no normals never load scipy
+
     with np.errstate(over="ignore"):  # modular 2^64 arithmetic is intended
         sub = _mix64(np.uint64(seed % 2**64) + np.uint64((stream + 1)) * _GAMMA)
         idx = np.arange(1, count + 1, dtype=np.uint64)
         raw = _mix64(sub + idx * _GAMMA)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     return ndtri(u)
+
+
+def _ar1(x: np.ndarray, phi: float) -> np.ndarray:
+    """y[i] = x[i] + phi * y[i-1] with y[-1] = 0, evaluated in that order.
+
+    The same operations, in the same order, as
+    ``scipy.signal.lfilter([1.0], [1.0, -phi], x)``, so the result is
+    bit-identical to it.
+    """
+    return np.fromiter(itertools.accumulate(x.tolist(), lambda y, e: e + phi * y), float, x.size)
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -81,6 +92,7 @@ class SimSpec:
     pv_correlation: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, skip=("length", "seed", "price_model", "volume_model"))
         if self.length < 1:
             raise DataError(f"length must be >= 1, got {self.length}")
         if self.price_model not in ("constant", "ar1"):
@@ -110,7 +122,7 @@ def gen_trades(spec: SimSpec) -> TickSeries:
         eps_p = None
     else:
         eps_p = stream_normals(spec.seed, PRICE_STREAM, n)
-        log_dev = lfilter([1.0], [1.0, -spec.phi], spec.sigma * eps_p)
+        log_dev = _ar1(spec.sigma * eps_p, spec.phi)
         prices = spec.base_price * np.exp(log_dev)
 
     if spec.volume_model == "constant" or not needs_volume_noise:

@@ -171,3 +171,15 @@ def test_moment_json_text_matches_json_dumps_with_non_finite_values():
 
     empty = WindowBatch(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
     assert batch_moments(empty, 2, "market").to_json_text() == json.dumps([], indent=2) + "\n"
+
+
+def test_moment_json_text_writes_every_flag_combination():
+    # windows: plain, negative variance, overflowing, both (values near 1e78)
+    price = [10.0, 11.0, 10.0, 1.0, 1e160, 3e160, 1e78, 1e77]
+    volume = [1.0, 2.0, 1.0, 10.0, 1.0, 2.0, 1.0, 10.0]
+    series = TickSeries.from_columns(np.arange(8.0), price, volume)
+    table = batch_moments(window_batch(series, 2, "disjoint"), 4, "market")
+    flags = [table.moment_set(i).flags for i in range(len(table))]
+    assert flags == [(), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite")]
+    payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
+    assert table.to_json_text() == json.dumps(payload, indent=2) + "\n"

@@ -328,3 +328,32 @@ def test_config_run_section_supplies_settings(ticks_path, tmp_path, capsys):
 def test_missing_required_setting_is_input_error(capsys):
     assert main(["moments", "--order", "2", "--method", "market"]) == 1
     assert "input" in capsys.readouterr().err
+
+
+def test_moments_strict_reports_non_finite_moments(tmp_path, capsys):
+    # p**2 overflows at these prices; volumes vary so the order-2 correlation is defined
+    path = tmp_path / "huge.csv"
+    path.write_text("time,price,volume\n0,1e160,1\n1,2e160,2\n2,3e160,1\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = main([
+        "moments", "--input", str(path), "--window", "3", "--order", "4",
+        "--method", "market", "--strict", "--output", str(out),
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "flags=non_finite" in captured.out
+    assert "window 0: non-finite moments" in captured.err
+    assert "exceeds" not in captured.err and "RuntimeWarning" not in captured.err
+    assert json.loads(out.read_text(encoding="utf-8"))[0]["flags"] == ["non_finite"]
+
+
+@pytest.mark.parametrize("line", ["sigma = nan", "log_sigma = inf", "length = nan", "seed = inf"])
+def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, line):
+    key = line.split(" =")[0]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("".join(line + "\n" if row.split(" =")[0] == key else row + "\n"
+                           for row in SIM_CFG.splitlines()), encoding="utf-8")
+    assert line in cfg.read_text(encoding="utf-8")
+    code = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert key in capsys.readouterr().err

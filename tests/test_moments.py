@@ -262,3 +262,29 @@ def test_payoff_autocorrelation_rejects_uncentered():
 def test_payoff_autocorrelation_needs_two_pairs():
     with pytest.raises(DataError):
         payoff_autocorrelation([1.0], [1.0])
+
+
+# ---------------------------------------------------------------------------
+# overflowing moments are flagged, not reported as plain numbers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["frequency", "market"])
+def test_overflowing_moments_are_flagged_non_finite(method, recwarn):
+    # p**2 overflows: the variance comes out nan or inf
+    window = make_window([1e160, 2e160, 3e160], [1.0, 2.0, 1.0])
+    ms = compute_moment_set(window, 4, method)
+    assert not math.isfinite(ms.variance)
+    assert ms.flags == ("non_finite",)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_non_finite_flag_keeps_a_finite_negative_variance():
+    # anticorrelated values near 1e78: value**4 overflows, value**2 does not
+    ms = compute_moment_set(make_window([1e78, 1e77], [1.0, 10.0]), 4, "market")
+    assert ms.variance < 0.0 and math.isinf(ms.raw_moments[3])
+    assert ms.flags == ("negative_variance", "non_finite")
+
+
+def test_finite_moments_carry_no_non_finite_flag(rng):
+    for method in ("frequency", "market"):
+        assert "non_finite" not in compute_moment_set(random_window(rng), 4, method).flags

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mbm.errors import DataError
 from mbm.moments import (
@@ -188,3 +190,30 @@ def test_payoff_samples_validation():
         gen_payoff_samples(0.0, -1.0, 0.0, 10, 1)
     with pytest.raises(DataError):
         gen_payoff_samples(0.0, 1.0, 0.0, 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+    phi=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    sigma=st.one_of(st.sampled_from([1e-6, 0.01, 0.3, 2.0]), st.floats(1e-8, 3.0)),
+)
+def test_ar1_prices_bit_identical_to_lfilter(length, seed, phi, sigma):
+    from scipy.signal import lfilter  # here, so collecting the suite imports no scipy
+
+    s = spec(length=length, seed=seed, phi=phi, sigma=sigma, base_price=7.5)
+    with np.errstate(over="ignore"):
+        want = 7.5 * np.exp(lfilter([1.0], [1.0, -phi], sigma * stream_normals(seed, 0, length)))
+    assume(np.isfinite(want).all())  # an overflowing path is rejected by the tick checks
+    got = gen_trades(s).price
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", ["base_price", "phi", "sigma", "median_volume", "log_sigma", "pv_correlation"]
+)
+def test_simspec_rejects_non_finite_fields(field, value):
+    with pytest.raises(DataError, match=f"^{field} must be finite"):
+        spec(**{field: value})
