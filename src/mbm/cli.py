@@ -1,9 +1,10 @@
 """Command-line front end for batch runs over tick files and scenarios.
 
 Subcommands: validate, moments, vwap, autocorr, density, price, optimize,
-simulate. Every flag can also be set in the config file ([run] section for
-top-level settings) or through an MBM_* environment variable; flags win
-over the environment, which wins over the file.
+simulate. Every flag can also be set under its dest name in the [run]
+config section or through the MBM_<DEST> environment variable (dest
+upper-cased, e.g. MBM_DECORRELATION_THRESHOLD); flags win over the
+environment, which wins over the file. Numbers are read by config.number.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
 violation under --strict. Diagnostics go to stderr, summaries to stdout,
@@ -27,6 +28,7 @@ from .config import (
     build_solver_options,
     build_utility,
     load_config,
+    number,
 )
 from .errors import ConvergenceError, DataError, DomainError
 from .pricing import (
@@ -38,7 +40,7 @@ from .pricing import (
     solve_price_two_sales,
 )
 from .simulate import gen_trades
-from .ticks import Window, parse_ticks, render_ticks, window_batch
+from .ticks import Window, _data_rows, parse_ticks, render_ticks, window_batch
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -50,25 +52,8 @@ class StrictViolation(Exception):
     """An assumption violation promoted to an error by --strict."""
 
 
-# (flag dest, [run] config key, MBM_ env suffix)
-_RUN_KEYS = [
-    ("input", "input", "INPUT"),
-    ("output", "output", "OUTPUT"),
-    ("window", "window", "WINDOW"),
-    ("order", "order", "ORDER"),
-    ("method", "method", "METHOD"),
-    ("strict", "strict", "STRICT"),
-    ("seed", "seed", "SEED"),
-    ("mode", "mode", "MODE"),
-    ("lag", "lag", "LAG"),
-    ("density_method", "density_method", "DENSITY_METHOD"),
-    ("damping_sigma", "damping_sigma", "DAMPING_SIGMA"),
-    ("grid", "grid", "GRID"),
-    ("lo", "lo", "LO"),
-    ("hi", "hi", "HI"),
-    ("decorrelation_threshold", "decorrelation_threshold", "DECORRELATION_THRESHOLD"),
-    ("samples", "samples", "SAMPLES"),
-]
+# parser dests that pick the command and its config rather than name a setting
+_NOT_SETTINGS = ("command", "config", "overrides")
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -84,18 +69,14 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _resolve_settings(args: argparse.Namespace, file_cfg: dict) -> dict:
-    """flag > environment > config file > parser default."""
+    """flag > MBM_<DEST> environment variable > [run] <dest> config key > parser default."""
     run_section = file_cfg.get("run", {})
     settings = {}
-    for dest, cfg_key, env_key in _RUN_KEYS:
-        value = getattr(args, dest, None)
-        if value is None:
-            env = os.environ.get(ENV_PREFIX + env_key)
-            if env is not None:
-                value = env
-            elif cfg_key in run_section:
-                value = run_section[cfg_key]
-        settings[dest] = value
+    for dest, value in vars(args).items():
+        if dest not in _NOT_SETTINGS:
+            if value is None:
+                value = os.environ.get(ENV_PREFIX + dest.upper(), run_section.get(dest))
+            settings[dest] = value
     if isinstance(settings["strict"], str):
         settings["strict"] = _parse_bool(settings["strict"])
     settings["strict"] = bool(settings["strict"])
@@ -106,20 +87,6 @@ def _require(settings: dict, key: str) -> str:
     if settings.get(key) is None:
         raise DataError(f"missing required setting {key!r} (flag, MBM_ env, or [run] config)")
     return settings[key]
-
-
-def _as_int(value, name: str) -> int:
-    try:
-        return int(str(value))
-    except ValueError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(value, name: str) -> float:
-    try:
-        return float(str(value))
-    except ValueError:
-        raise DataError(f"{name} must be a number, got {value!r}") from None
 
 
 def _read_series(settings: dict):
@@ -142,7 +109,7 @@ def _write_json(path: str | None, payload):
 
 
 def _window_batch(settings: dict, series):
-    window_len = _as_int(_require(settings, "window"), "window")
+    window_len = number(_require(settings, "window"), "window", integer=True)
     mode = settings.get("mode") or "disjoint"
     return window_batch(series, window_len, mode)
 
@@ -172,9 +139,9 @@ def cmd_validate(settings: dict, file_cfg: dict) -> int:
 def cmd_moments(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
-    order = _as_int(_require(settings, "order"), "order")
+    order = number(_require(settings, "order"), "order", integer=True)
     method = _require(settings, "method")
-    threshold = _as_float(settings.get("decorrelation_threshold") or 0.2, "decorrelation_threshold")
+    threshold = number(settings.get("decorrelation_threshold") or "0.2", "decorrelation_threshold")
 
     table = moments_mod.batch_moments(batch, order, method)
     centers, means, variances = (a.tolist() for a in (table.center_time, table.mean, table.variance))
@@ -225,9 +192,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     method = _require(settings, "method")
-    lag = _as_int(settings.get("lag") or 1, "lag")
-    if lag < 0:
-        raise DataError(f"lag must be >= 0, got {lag}")
+    lag = number(settings.get("lag") or "1", "lag", integer=True)
     if len(batch) <= lag:
         raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
     values = moments_mod.batch_autocorrelation(batch, lag, method).tolist()
@@ -247,13 +212,14 @@ def _parse_grid_setting(raw: str):
     parts = raw.split(":")
     if len(parts) != 3:
         raise DataError(f"grid must be LO:HI:POINTS, got {raw!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, points = parts
+    return number(lo, "grid LO"), number(hi, "grid HI"), number(points, "grid POINTS", integer=True)
 
 
 def cmd_density(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     window = Window(series, 0, len(series))
-    order = _as_int(_require(settings, "order"), "order")
+    order = number(_require(settings, "order"), "order", integer=True)
     method = _require(settings, "method")
     ms = moments_mod.compute_moment_set(window, order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
@@ -265,7 +231,7 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
     if density_method == "gram_charlier":
         approx = density_mod.density_gram_charlier(ms, grid_spec)
     elif density_method == "damped":
-        damping = _as_float(_require(settings, "damping_sigma"), "damping_sigma")
+        damping = number(_require(settings, "damping_sigma"), "damping_sigma")
         approx = density_mod.density_damped_inversion(ms, damping, grid_spec)
     else:
         raise DataError(f"density_method must be gram_charlier or damped, got {density_method!r}")
@@ -321,19 +287,15 @@ def _read_samples(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read samples {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip().lower() != "price,payoff":
-        raise DataError("samples file needs header 'price,payoff'")
+    header, _, body = text.partition("\n")
+    if header.strip().lower() != "price,payoff":
+        raise DataError("samples file needs header 'price,payoff' on line 1")
     prices, payoffs = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"samples line {lineno}: expected 2 fields")
-        try:
-            prices.append(float(parts[0]))
-            payoffs.append(float(parts[1]))
-        except ValueError:
-            raise DataError(f"samples line {lineno}: non-numeric field") from None
+    for lineno, row in _data_rows(body):
+        if len(row) != 2:
+            raise DataError(f"samples line {lineno}: expected 2 fields, got {len(row)}")
+        prices.append(number(row[0], f"samples line {lineno}: price"))
+        payoffs.append(number(row[1], f"samples line {lineno}: payoff"))
     if not prices:
         raise DataError("samples file has no rows")
     return prices, payoffs
@@ -342,11 +304,11 @@ def _read_samples(path: str):
 def cmd_optimize(settings: dict, file_cfg: dict) -> int:
     scenario, _ = _scenario_from_cfg(file_cfg)
     prices, payoffs = _read_samples(_require(settings, "samples"))
-    lo = _as_float(settings.get("lo") or 0.0, "lo")
+    lo = number(settings.get("lo") or "0", "lo")
     hi_raw = settings.get("hi")
     if hi_raw is None:
         raise DataError("optimize needs an upper holdings bound (--hi or [run] hi)")
-    hi = _as_float(hi_raw, "hi")
+    hi = number(hi_raw, "hi")
     result = optimize_holdings(scenario, prices, payoffs, (lo, hi))
     print(
         f"holdings={result.holdings!r} at_boundary={result.at_boundary} "
@@ -362,7 +324,7 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
         raise DataError("simulate needs a [simulate] config section")
     section = dict(file_cfg["simulate"])
     if settings.get("seed") is not None:
-        section["seed"] = str(settings["seed"])
+        section["seed"] = settings["seed"]
     spec = build_sim_spec(section)
     series = gen_trades(spec)
     _write_text(_require(settings, "output"), render_ticks(series))

@@ -4,56 +4,53 @@ Sections: [run] for top-level command settings, [utility], [scenario],
 [solver], [simulate]. Keys are case-sensitive (endowment_t and endowment_T
 are different keys). Resolution order for a run setting is
 command-line flag > MBM_* environment variable > config file > default.
+Every number read from outside the program goes through ``number``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import DataError
 from .pricing import PricingScenario, SolverOptions, TwoTradeScenario
 from .simulate import SimSpec
+from .ticks import _DECIMAL
 from .utility import UtilitySpec
 
 ENV_PREFIX = "MBM_"
 
-_SCENARIO_FLOATS = (
-    "beta",
-    "endowment_t",
-    "endowment_T",
-    "holdings",
-    "payoff_mean",
-    "payoff_variance",
-    "price_variance",
-    "dividend_mean",
-    "holdings2",
-    "payoff_mean2",
-    "payoff_variance2",
-    "price_variance2",
-    "price_autocorr",
-    "payoff_autocorr",
-    "payoff_mean12",
-    "t1",
-    "t2",
-    "T1",
-    "T2",
-)
+# An integer as written in a setting: plain digits, so int() reads it exactly.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
-_TWO_TRADE_ONLY = (
-    "holdings2",
-    "payoff_mean2",
-    "payoff_variance2",
-    "price_variance2",
-    "price_autocorr",
-    "payoff_autocorr",
-    "payoff_mean12",
-    "t1",
-    "t2",
-    "T1",
-    "T2",
-)
+# [scenario] keys are the scenario fields; utility comes from [utility]
+_SCENARIO_KEYS = {f.name: f.name for f in fields(TwoTradeScenario) if f.name != "utility"}
+_TWO_TRADE_ONLY = _SCENARIO_KEYS.keys() - {f.name for f in fields(PricingScenario)}
+
+# [solver] key -> SolverOptions field
+_SOLVER_KEYS = {"max_iter": "max_iterations", "damping": "damping", "tol": "tolerance"}
+
+
+def number(raw: str, name: str, *, integer: bool = False):
+    """The number a setting's text spells; DataError naming the setting otherwise.
+
+    A float must be a finite decimal, as a tick-CSV field: no nan/inf,
+    underscores, hex or overflow (1e400). An integer must be plain digits
+    and is read exactly, so a seed above 2**53 keeps every digit and 2.7 is
+    an error, not 2.
+    """
+    if integer:
+        if _INTEGER.fullmatch(raw):
+            return int(raw)
+        raise DataError(f"{name} must be an integer (plain digits), got {raw!r}")
+    if _DECIMAL.fullmatch(raw):
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    raise DataError(f"{name} must be a finite decimal number, got {raw!r}")
 
 
 def load_config(path: str | Path) -> dict[str, dict[str, str]]:
@@ -70,26 +67,35 @@ def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _float(section: dict[str, str], key: str, where: str):
-    raw = section[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"[{where}] {key}={raw!r} is not a number") from None
+def _read_fields(cls, section: dict[str, str], where: str, keys: dict[str, str] | None = None):
+    """Keyword arguments for dataclass cls from a config section.
 
-
-def _int(section: dict[str, str], key: str, where: str) -> int:
-    value = _float(section, key, where)
-    if not math.isfinite(value):
-        raise DataError(f"[{where}] {key}={section[key]!r} is not a finite number")
-    return int(value)
+    keys maps each allowed config key to the field it sets (default: every
+    field, under its own name). A value is read by its field's declared
+    type, and a field without a default must be set.
+    """
+    keys = keys or {f.name: f.name for f in fields(cls)}
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise DataError(f"[{where}] unknown keys {unknown}")
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    kwargs = {}
+    for key, name in keys.items():
+        if key in section:
+            raw = section[key]
+            kwargs[name] = raw.strip() if types[name] == "str" else number(
+                raw, f"[{where}] {key}", integer=types[name] == "int")
+        elif name in required:
+            raise DataError(f"[{where}] missing required key {key!r}")
+    return kwargs
 
 
 def build_utility(section: dict[str, str]) -> UtilitySpec:
     if "family" not in section:
         raise DataError("[utility] section needs a 'family' key")
     family = section["family"].strip()
-    parameter = _float(section, "parameter", "utility") if "parameter" in section else 0.0
+    parameter = number(section.get("parameter", "0"), "[utility] parameter")
     return UtilitySpec(family=family, parameter=parameter)
 
 
@@ -103,18 +109,8 @@ def build_scenario(
     kind = scenario.get("kind", "single").strip()
     if kind not in ("single", "two_purchase", "two_sales"):
         raise DataError(f"[scenario] kind must be single, two_purchase, or two_sales, got {kind!r}")
-
-    values: dict[str, float] = {}
-    for key in scenario:
-        if key == "kind":
-            continue
-        if key not in _SCENARIO_FLOATS:
-            raise DataError(f"[scenario] unknown key {key!r}")
-        values[key] = _float(scenario, key, "scenario")
-
-    for key in ("beta", "endowment_t", "endowment_T", "holdings", "payoff_mean"):
-        if key not in values:
-            raise DataError(f"[scenario] missing required key {key!r}")
+    section = {key: raw for key, raw in scenario.items() if key != "kind"}
+    values = _read_fields(TwoTradeScenario, section, "scenario", _SCENARIO_KEYS)
 
     if kind == "single":
         extra = [k for k in values if k in _TWO_TRADE_ONLY]
@@ -132,39 +128,8 @@ def build_scenario(
 
 
 def build_solver_options(section: dict[str, str] | None) -> SolverOptions:
-    if not section:
-        return SolverOptions()
-    kwargs = {}
-    if "max_iter" in section:
-        kwargs["max_iterations"] = _int(section, "max_iter", "solver")
-    if "damping" in section:
-        kwargs["damping"] = _float(section, "damping", "solver")
-    if "tol" in section:
-        kwargs["tolerance"] = _float(section, "tol", "solver")
-    known = {"max_iter", "damping", "tol"}
-    unknown = set(section) - known
-    if unknown:
-        raise DataError(f"[solver] unknown keys {sorted(unknown)}")
-    return SolverOptions(**kwargs)
+    return SolverOptions(**_read_fields(SolverOptions, section or {}, "solver", _SOLVER_KEYS))
 
 
 def build_sim_spec(section: dict[str, str]) -> SimSpec:
-    kwargs: dict = {}
-    for key in ("length", "seed"):
-        if key not in section:
-            raise DataError(f"[simulate] missing required key {key!r}")
-        kwargs[key] = _int(section, key, "simulate")
-    for key in ("base_price", "phi", "sigma", "median_volume", "log_sigma", "pv_correlation"):
-        if key in section:
-            kwargs[key] = _float(section, key, "simulate")
-    for key in ("price_model", "volume_model"):
-        if key in section:
-            kwargs[key] = section[key].strip()
-    known = {
-        "length", "seed", "base_price", "phi", "sigma", "median_volume",
-        "log_sigma", "pv_correlation", "price_model", "volume_model",
-    }
-    unknown = set(section) - known
-    if unknown:
-        raise DataError(f"[simulate] unknown keys {sorted(unknown)}")
-    return SimSpec(**kwargs)
+    return SimSpec(**_read_fields(SimSpec, section, "simulate"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 from .ticks import Window, WindowBatch
 
 METHODS = ("frequency", "market")
@@ -279,16 +279,25 @@ def _paired_autocorrelation(first: WindowBatch, second: WindowBatch, method: str
     """price_autocorrelation of row i of first with row i of second, for every i."""
     if first.window_len < 2:
         raise DataError("autocorrelation needs at least 2 ticks per window")
-    if method == "frequency":
-        out = np.empty(len(first))
-        for (sl, a), (_, b) in zip(_chunks(first.price), _chunks(second.price)):
-            out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
-        return out
-    cross = np.empty((len(first), 2))
-    for j, (rows1, rows2) in enumerate(((first.value, second.value), (first.volume, second.volume))):
-        for (sl, a), (_, b) in zip(_chunks(rows1), _chunks(rows2)):
-            cross[sl, j] = _row_means(a * b)
-    return cross[:, 0] / cross[:, 1] - batch_vwap(first) * batch_vwap(second)
+    # an overflow is reported below, naming the window, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "frequency":
+            out = np.empty(len(first))
+            for (sl, a), (_, b) in zip(_chunks(first.price), _chunks(second.price)):
+                out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
+        else:
+            cross = np.empty((len(first), 2))
+            for j, (rows1, rows2) in enumerate(((first.value, second.value),
+                                                (first.volume, second.volume))):
+                for (sl, a), (_, b) in zip(_chunks(rows1), _chunks(rows2)):
+                    cross[sl, j] = _row_means(a * b)
+            out = cross[:, 0] / cross[:, 1] - batch_vwap(first) * batch_vwap(second)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"window {i}: {method} price autocorrelation {float(out[i])!r} "
+                          "is not finite")
+    return out
 
 
 def batch_autocorrelation(batch: WindowBatch, lag: int, method: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,17 +93,7 @@ class PricingScenario:
             raise DataError(f"holdings must be non-negative, got {self.holdings}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "utility": {"family": self.utility.family, "parameter": self.utility.parameter},
-            "beta": self.beta,
-            "endowment_t": self.endowment_t,
-            "endowment_T": self.endowment_T,
-            "holdings": self.holdings,
-            "payoff_mean": self.payoff_mean,
-            "payoff_variance": self.payoff_variance,
-            "price_variance": self.price_variance,
-            "dividend_mean": self.dividend_mean,
-        }
+        return asdict(self)
 
 
 def _check_cauchy_schwarz(name: str, cov: float, var1: float, var2: float):
@@ -172,25 +162,6 @@ class TwoTradeScenario(PricingScenario):
     def first_lot_payoff_mean(self) -> float:
         return self.payoff_mean2 if self.payoff_mean12 is None else self.payoff_mean12
 
-    def to_json_dict(self) -> dict:
-        out = PricingScenario.to_json_dict(self)
-        out.update(
-            {
-                "holdings2": self.holdings2,
-                "payoff_mean2": self.payoff_mean2,
-                "payoff_variance2": self.payoff_variance2,
-                "price_variance2": self.price_variance2,
-                "price_autocorr": self.price_autocorr,
-                "payoff_autocorr": self.payoff_autocorr,
-                "payoff_mean12": self.payoff_mean12,
-                "t1": self.t1,
-                "t2": self.t2,
-                "T1": self.T1,
-                "T2": self.T2,
-            }
-        )
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class PriceSolution:
@@ -200,12 +171,7 @@ class PriceSolution:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_price": self.mean_price,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def sdf(utility: UtilitySpec, beta: float, c_t: float, c_T: float) -> float:
@@ -451,12 +417,7 @@ class HoldingsOptimum:
     foc_residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "holdings": self.holdings,
-            "at_boundary": self.at_boundary,
-            "objective": self.objective,
-            "foc_residual": self.foc_residual,
-        }
+        return asdict(self)
 
 
 def optimize_holdings(

@@ -33,7 +33,7 @@ from mbm.pricing import (
     solve_price_two_sales,
 )
 from mbm.simulate import SimSpec, gen_trades
-from mbm.ticks import partition_windows, window_from_ticks
+from mbm.ticks import Window, partition_windows
 from mbm.utility import UtilitySpec, eval_utility
 
 from conftest import make_window
@@ -395,7 +395,8 @@ def test_c13_statistical_convergence():
                 length=n, seed=1300 + seed, phi=0.3, sigma=0.1,
                 median_volume=50.0, log_sigma=0.4, pv_correlation=0.0,
             )
-            w = window_from_ticks(gen_trades(spec).ticks)
+            series = gen_trades(spec)
+            w = Window(series, 0, len(series))
             errors.append(abs(vwap(w) - freq_moment(w, 1)))
         mean_errors.append(float(np.mean(errors)))
     slope = float(np.polyfit(np.log(lengths), np.log(mean_errors), 1)[0])

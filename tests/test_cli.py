@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -357,3 +358,65 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, line):
     code = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "s.csv")])
     assert code == 1
     assert key in capsys.readouterr().err
+
+
+def test_autocorr_overflow_is_numerical_failure(tmp_path, capsys):
+    # the C1*C2 products overflow at these prices
+    path = tmp_path / "huge.csv"
+    path.write_text("time,price,volume\n" + "".join(
+        f"{i},{p},{u}\n" for i, (p, u) in enumerate(zip(["1e160", "2e160", "3e160"] * 2, [1, 2, 1, 2, 1, 2]))
+    ), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["autocorr", "--input", str(path), "--window", "3", "--method", "market"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "numerical failure: window 0: " in captured.err and "not finite" in captured.err
+    assert "autocorr=" not in captured.out
+
+
+SAMPLES = "price,payoff\n" + "".join(f"{4 + 0.01 * i},{5 + 0.01 * i}\n" for i in range(20))
+MOMENTS = ["moments", "--input", "{tmp}/ticks.csv", "--window", "4", "--order", "2",
+           "--method", "market", "--strict"]
+DENSITY = ["density", "--input", "{tmp}/ticks.csv", "--order", "2", "--method", "frequency",
+           "--output", "{tmp}/d.csv", "--grid"]
+OPTIMIZE = ["optimize", "--config", "{tmp}/price.cfg", "--lo", "0", "--samples"]
+SIMULATE = ["simulate", "--output", "{tmp}/s.csv", "--config"]
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (MOMENTS + ["--decorrelation-threshold", "nan"], 1, "decorrelation_threshold"),
+    (DENSITY + ["0:20:1e3"], 1, "'1e3'"),
+    (DENSITY + ["0:20:abc"], 1, "'abc'"),
+    (DENSITY + ["0:inf:100"], 1, "'inf'"),
+    (OPTIMIZE + ["{tmp}/good.csv", "--hi", "inf"], 1, "hi must be a finite decimal"),
+    (OPTIMIZE + ["{tmp}/nan.csv", "--hi", "1.5"], 1, "samples line 22: price"),
+    (OPTIMIZE + ["{tmp}/underscore.csv", "--hi", "1.5"], 1, "'1_0'"),
+    (OPTIMIZE + ["{tmp}/blank.csv", "--hi", "1.5"], 1, "samples line 5: price"),
+    (SIMULATE + ["{tmp}/length.cfg"], 1, "[simulate] length"),
+    (SIMULATE + ["{tmp}/seed.cfg"], 0, "seed=12345678901234567890"),
+], ids=["threshold-nan", "grid-points-1e3", "grid-points-abc", "grid-hi-inf", "hi-inf",
+        "sample-nan", "sample-underscore", "sample-line-after-blanks", "length-fraction",
+        "seed-beyond-2**53"])
+def test_outside_numbers_are_finite_decimals_or_plain_integers(
+        tmp_path, capsys, argv, code, expected):
+    files = {
+        "ticks.csv": "time,price,volume\n0,10,1\n1,20,3\n2,12,2\n3,18,1\n",
+        "price.cfg": PRICE_CFG,
+        "good.csv": SAMPLES,
+        "nan.csv": SAMPLES + "nan,5\n",
+        "underscore.csv": SAMPLES + "1_0,5\n",
+        "blank.csv": "price,payoff\n4,5\n\n\nabc,5\n",
+        "length.cfg": SIM_CFG.replace("length = 500", "length = 2.7"),
+        "seed.cfg": SIM_CFG.replace("seed = 3", "seed = 12345678901234567890"),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "input error" in captured.err and expected in captured.err
+    else:
+        assert expected in captured.out
