@@ -11,117 +11,55 @@ The package splits into small, composable layers:
 * simulate: deterministic synthetic trades for validating the moment
   machinery's independence assumptions
 * cli: batch front end (also exposed as the `mbm` console script)
+
+``import mbm`` loads errors, ticks and moments, which every tick command
+uses. The density, utility, pricing and simulate layers load on first
+access to one of their names (or to the layer itself, as ``mbm.pricing``),
+so a process pays only for the layers it computes with.
 """
 
-from .density import (
-    CharFnApprox,
-    DensityApprox,
-    charfn_eval,
-    density_damped_inversion,
-    density_gram_charlier,
-    recover_moment,
-)
-from .errors import ConvergenceError, DataError, DomainError, MbmError
-from .moments import (
-    CorrelationDiagnostic,
-    MomentSet,
-    MomentTable,
-    batch_autocorrelation,
-    batch_decorrelation,
-    batch_moments,
-    batch_vwap,
-    compute_moment_set,
-    decorrelation_diagnostic,
-    freq_moment,
-    market_price_moment,
-    payoff_autocorrelation,
-    price_autocorrelation,
-    trade_moments,
-    vwap,
-)
-from .pricing import (
-    HoldingsOptimum,
-    PriceSolution,
-    PricingScenario,
-    SolverOptions,
-    TwoTradeScenario,
-    linearized_marginal_expectation,
-    optimize_holdings,
-    residual_basic_eq,
-    sdf,
-    solve_price_first_purchase,
-    solve_price_second_purchase,
-    solve_price_single,
-    solve_price_two_sales,
-)
-from .simulate import SimSpec, gen_payoff_samples, gen_trades, stream_normals
-from .ticks import (
-    TickSeries,
-    TradeTick,
-    Window,
-    WindowBatch,
-    parse_ticks,
-    partition_windows,
-    render_ticks,
-    window_batch,
-    window_from_ticks,
-)
-from .utility import UtilitySpec, eval_utility
+from importlib import import_module
+
+#: Layer module -> the public names it exports; the table yields __all__.
+_EXPORTS = {
+    "errors": ("ConvergenceError", "DataError", "DomainError", "MbmError"),
+    "ticks": ("TickSeries", "TradeTick", "Window", "WindowBatch", "parse_ticks",
+              "partition_windows", "render_ticks", "window_batch", "window_from_ticks"),
+    "moments": ("CorrelationDiagnostic", "MomentSet", "MomentTable", "batch_autocorrelation",
+                "batch_decorrelation", "batch_moments", "batch_vwap", "compute_moment_set",
+                "decorrelation_diagnostic", "freq_moment", "market_price_moment",
+                "payoff_autocorrelation", "price_autocorrelation", "trade_moments", "vwap"),
+    "density": ("CharFnApprox", "DensityApprox", "charfn_eval", "density_damped_inversion",
+                "density_gram_charlier", "recover_moment"),
+    "utility": ("UtilitySpec", "eval_utility"),
+    "pricing": ("HoldingsOptimum", "PriceSolution", "PricingScenario", "SolverOptions",
+                "TwoTradeScenario", "linearized_marginal_expectation", "optimize_holdings",
+                "residual_basic_eq", "sdf", "solve_price_first_purchase",
+                "solve_price_second_purchase", "solve_price_single", "solve_price_two_sales"),
+    "simulate": ("SimSpec", "gen_payoff_samples", "gen_trades", "stream_normals"),
+}
+_EAGER = ("errors", "ticks", "moments")
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_LAYER_OF)
 
-__all__ = [
-    "CharFnApprox",
-    "ConvergenceError",
-    "CorrelationDiagnostic",
-    "DataError",
-    "DensityApprox",
-    "DomainError",
-    "HoldingsOptimum",
-    "MbmError",
-    "MomentSet",
-    "MomentTable",
-    "PriceSolution",
-    "PricingScenario",
-    "SimSpec",
-    "SolverOptions",
-    "TickSeries",
-    "TradeTick",
-    "TwoTradeScenario",
-    "UtilitySpec",
-    "Window",
-    "WindowBatch",
-    "batch_autocorrelation",
-    "batch_decorrelation",
-    "batch_moments",
-    "batch_vwap",
-    "charfn_eval",
-    "compute_moment_set",
-    "decorrelation_diagnostic",
-    "density_damped_inversion",
-    "density_gram_charlier",
-    "eval_utility",
-    "freq_moment",
-    "gen_payoff_samples",
-    "gen_trades",
-    "linearized_marginal_expectation",
-    "market_price_moment",
-    "optimize_holdings",
-    "parse_ticks",
-    "partition_windows",
-    "payoff_autocorrelation",
-    "price_autocorrelation",
-    "recover_moment",
-    "render_ticks",
-    "residual_basic_eq",
-    "sdf",
-    "solve_price_first_purchase",
-    "solve_price_second_purchase",
-    "solve_price_single",
-    "solve_price_two_sales",
-    "stream_normals",
-    "trade_moments",
-    "vwap",
-    "window_batch",
-    "window_from_ticks",
-]
+for _layer in _EAGER:
+    _module = import_module(f".{_layer}", __name__)
+    globals().update({name: getattr(_module, name) for name in _EXPORTS[_layer]})
+del _layer, _module
+
+
+def __getattr__(name: str):
+    # Not cached: mbm.<name> always reads the layer's current binding, so a
+    # wrapper installed on the layer's attribute shows here too.
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{layer}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,10 @@ config section or through the MBM_<DEST> environment variable (dest
 upper-cased, e.g. MBM_DECORRELATION_THRESHOLD); flags win over the
 environment, which wins over the file. Numbers are read by config.number.
 
+The density, utility, pricing and simulate layers are imported inside
+the commands that compute with them, so a tick command loads only ticks
+and moments.
+
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
 violation under --strict. Diagnostics go to stderr, summaries to stdout,
 results to the output files.
@@ -19,7 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import density as density_mod
 from . import moments as moments_mod
 from .config import (
     ENV_PREFIX,
@@ -31,15 +34,6 @@ from .config import (
     number,
 )
 from .errors import ConvergenceError, DataError, DomainError
-from .pricing import (
-    TwoTradeScenario,
-    optimize_holdings,
-    solve_price_first_purchase,
-    solve_price_second_purchase,
-    solve_price_single,
-    solve_price_two_sales,
-)
-from .simulate import gen_trades
 from .ticks import Window, _data_rows, parse_ticks, render_ticks, window_batch
 
 EXIT_OK = 0
@@ -83,6 +77,12 @@ def _resolve_settings(args: argparse.Namespace, file_cfg: dict) -> dict:
     return settings
 
 
+def _setting(settings: dict, key: str, default: str) -> str:
+    """The setting's value, or default when no source sets it; an empty value is set."""
+    value = settings.get(key)
+    return default if value is None else value
+
+
 def _require(settings: dict, key: str) -> str:
     if settings.get(key) is None:
         raise DataError(f"missing required setting {key!r} (flag, MBM_ env, or [run] config)")
@@ -110,7 +110,7 @@ def _write_json(path: str | None, payload):
 
 def _window_batch(settings: dict, series):
     window_len = number(_require(settings, "window"), "window", integer=True)
-    mode = settings.get("mode") or "disjoint"
+    mode = _setting(settings, "mode", "disjoint")
     return window_batch(series, window_len, mode)
 
 
@@ -141,7 +141,10 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
     batch = _window_batch(settings, series)
     order = number(_require(settings, "order"), "order", integer=True)
     method = _require(settings, "method")
-    threshold = number(settings.get("decorrelation_threshold") or "0.2", "decorrelation_threshold")
+    threshold = number(_setting(settings, "decorrelation_threshold", "0.2"),
+                       "decorrelation_threshold")
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
 
     table = moments_mod.batch_moments(batch, order, method)
     centers, means, variances = (a.tolist() for a in (table.center_time, table.mean, table.variance))
@@ -192,7 +195,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     method = _require(settings, "method")
-    lag = number(settings.get("lag") or "1", "lag", integer=True)
+    lag = number(_setting(settings, "lag", "1"), "lag", integer=True)
     if len(batch) <= lag:
         raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
     values = moments_mod.batch_autocorrelation(batch, lag, method).tolist()
@@ -217,6 +220,8 @@ def _parse_grid_setting(raw: str):
 
 
 def cmd_density(settings: dict, file_cfg: dict) -> int:
+    from . import density as density_mod
+
     series = _read_series(settings)
     window = Window(series, 0, len(series))
     order = number(_require(settings, "order"), "order", integer=True)
@@ -227,7 +232,7 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
             f"moment set has negative market variance {ms.variance!r}; density undefined"
         )
     grid_spec = _parse_grid_setting(_require(settings, "grid"))
-    density_method = settings.get("density_method") or "gram_charlier"
+    density_method = _setting(settings, "density_method", "gram_charlier")
     if density_method == "gram_charlier":
         approx = density_mod.density_gram_charlier(ms, grid_spec)
     elif density_method == "damped":
@@ -257,6 +262,14 @@ def _scenario_from_cfg(file_cfg: dict):
 
 
 def cmd_price(settings: dict, file_cfg: dict) -> int:
+    from .pricing import (
+        TwoTradeScenario,
+        solve_price_first_purchase,
+        solve_price_second_purchase,
+        solve_price_single,
+        solve_price_two_sales,
+    )
+
     scenario, options = _scenario_from_cfg(file_cfg)
     kind = file_cfg["scenario"].get("kind", "single")
     payload: dict = {"kind": kind}
@@ -302,9 +315,11 @@ def _read_samples(path: str):
 
 
 def cmd_optimize(settings: dict, file_cfg: dict) -> int:
+    from .pricing import optimize_holdings
+
     scenario, _ = _scenario_from_cfg(file_cfg)
     prices, payoffs = _read_samples(_require(settings, "samples"))
-    lo = number(settings.get("lo") or "0", "lo")
+    lo = number(_setting(settings, "lo", "0"), "lo")
     hi_raw = settings.get("hi")
     if hi_raw is None:
         raise DataError("optimize needs an upper holdings bound (--hi or [run] hi)")
@@ -320,6 +335,8 @@ def cmd_optimize(settings: dict, file_cfg: dict) -> int:
 
 
 def cmd_simulate(settings: dict, file_cfg: dict) -> int:
+    from .simulate import gen_trades
+
     if "simulate" not in file_cfg:
         raise DataError("simulate needs a [simulate] config section")
     section = dict(file_cfg["simulate"])

@@ -4,7 +4,9 @@ Sections: [run] for top-level command settings, [utility], [scenario],
 [solver], [simulate]. Keys are case-sensitive (endowment_t and endowment_T
 are different keys). Resolution order for a run setting is
 command-line flag > MBM_* environment variable > config file > default.
-Every number read from outside the program goes through ``number``.
+Every number read from outside the program goes through ``number``. Each
+builder imports the layer whose dataclass it fills, so reading settings
+loads no model layer.
 """
 
 from __future__ import annotations
@@ -14,24 +16,20 @@ import math
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .pricing import PricingScenario, SolverOptions, TwoTradeScenario
-from .simulate import SimSpec
 from .ticks import _DECIMAL
-from .utility import UtilitySpec
+
+if TYPE_CHECKING:
+    from .pricing import PricingScenario, SolverOptions, TwoTradeScenario
+    from .simulate import SimSpec
+    from .utility import UtilitySpec
 
 ENV_PREFIX = "MBM_"
 
 # An integer as written in a setting: plain digits, so int() reads it exactly.
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-# [scenario] keys are the scenario fields; utility comes from [utility]
-_SCENARIO_KEYS = {f.name: f.name for f in fields(TwoTradeScenario) if f.name != "utility"}
-_TWO_TRADE_ONLY = _SCENARIO_KEYS.keys() - {f.name for f in fields(PricingScenario)}
-
-# [solver] key -> SolverOptions field
-_SOLVER_KEYS = {"max_iter": "max_iterations", "damping": "damping", "tol": "tolerance"}
 
 
 def number(raw: str, name: str, *, integer: bool = False):
@@ -92,6 +90,8 @@ def _read_fields(cls, section: dict[str, str], where: str, keys: dict[str, str] 
 
 
 def build_utility(section: dict[str, str]) -> UtilitySpec:
+    from .utility import UtilitySpec
+
     if "family" not in section:
         raise DataError("[utility] section needs a 'family' key")
     family = section["family"].strip()
@@ -106,14 +106,19 @@ def build_scenario(
 
     kind selects the shape: single (default), two_purchase, or two_sales.
     """
+    from .pricing import PricingScenario, TwoTradeScenario
+
+    # [scenario] keys are the scenario fields; utility comes from [utility]
+    keys = {f.name: f.name for f in fields(TwoTradeScenario) if f.name != "utility"}
+    two_trade_only = keys.keys() - {f.name for f in fields(PricingScenario)}
     kind = scenario.get("kind", "single").strip()
     if kind not in ("single", "two_purchase", "two_sales"):
         raise DataError(f"[scenario] kind must be single, two_purchase, or two_sales, got {kind!r}")
     section = {key: raw for key, raw in scenario.items() if key != "kind"}
-    values = _read_fields(TwoTradeScenario, section, "scenario", _SCENARIO_KEYS)
+    values = _read_fields(TwoTradeScenario, section, "scenario", keys)
 
     if kind == "single":
-        extra = [k for k in values if k in _TWO_TRADE_ONLY]
+        extra = [k for k in values if k in two_trade_only]
         if extra:
             raise DataError(f"[scenario] keys {extra} need kind=two_purchase or two_sales")
         return PricingScenario(utility=utility, **values)
@@ -128,8 +133,14 @@ def build_scenario(
 
 
 def build_solver_options(section: dict[str, str] | None) -> SolverOptions:
-    return SolverOptions(**_read_fields(SolverOptions, section or {}, "solver", _SOLVER_KEYS))
+    from .pricing import SolverOptions
+
+    # [solver] key -> SolverOptions field
+    keys = {"max_iter": "max_iterations", "damping": "damping", "tol": "tolerance"}
+    return SolverOptions(**_read_fields(SolverOptions, section or {}, "solver", keys))
 
 
 def build_sim_spec(section: dict[str, str]) -> SimSpec:
+    from .simulate import SimSpec
+
     return SimSpec(**_read_fields(SimSpec, section, "simulate"))

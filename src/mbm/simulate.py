@@ -12,8 +12,22 @@ internals:
   and mix64 is the SplitMix64 finalizer
   (xorshift 30, * 0xBF58476D1CE4E5B9, xorshift 27, * 0x94D049BB133111EB,
   xorshift 31);
-* the draw maps to a uniform ((raw >> 11) + 0.5) * 2^-53 in (0, 1) and to a
-  standard normal through the inverse normal CDF;
+* the draw maps to a uniform u = ((raw >> 11) + 0.5) * 2^-53 in (0, 1],
+  rounded to double: raw >> 11 = 2^53 - 1 gives 2^53 - 0.5, which rounds
+  to 2^53, so u is exactly 1.0 (and the normal +inf) with probability
+  2^-53 per draw;
+* u maps to a standard normal through Cephes ``ndtri`` (S. L. Moshier,
+  *Methods and Programs for Mathematical Functions*, 1989), the code
+  scipy.special.ndtri compiles. With y = 1 - u if u > 1 - e^-2 (folded)
+  and y = u otherwise:
+  - y > e^-2: ``(t + t * (t^2 * P0(t^2) / Q0(t^2))) * sqrt(2 pi)`` with
+    t = y - 0.5;
+  - else: ``(x - ln(x) / x) - z * P(z) / Q(z)`` with x = sqrt(-2 ln y) and
+    z = 1 / x, P1/Q1 for x < 8 and P2/Q2 beyond, negated unless folded;
+  - u = 0 and u = 1 give -inf and +inf.
+  The coefficients (below), the branch points, this evaluation order and
+  the Horner order of ``polevl``/``p1evl`` are pinned; ``ln`` is the C
+  library's ``log`` and every other step one IEEE double operation;
 * stream 0 always feeds price innovations, stream 1 volume innovations
   (gen_payoff_samples: stream 0 the first deviation, stream 1 the
   independent component of the second). Skipping an unused stream does not
@@ -25,6 +39,7 @@ Changing any of this is a breaking change to the output format.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +61,77 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def stream_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """Standard normal draws from the documented counter-based generator."""
-    if count < 0:
-        raise DataError(f"count must be non-negative, got {count}")
-    from scipy.special import ndtri  # here, so that commands drawing no normals never load scipy
+# Cephes ndtri: sqrt(2 pi), e^-2, and the rational coefficients, highest
+# power first. Q* are monic: the leading 1.0 gives 1.0 * x + c, which rounds
+# as Cephes p1evl's x + c.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
+
+def _polevl(x, coef):
+    """Horner's rule from the highest power, as Cephes polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, as in the compiled Cephes code;
+    # numpy's vectorized log may round differently
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of u in [0, 1], bit for bit Cephes ndtri."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(y)
+    central = y > _EXP_M2  # unsigned result: y - 0.5 carries the sign
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~central & (y > 0.0)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    out[y == 0.0] = np.where(upper[y == 0.0], np.inf, -np.inf)
+    return out
+
+
+def _stream_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # modular 2^64 arithmetic is intended
         sub = _mix64(np.uint64(seed % 2**64) + np.uint64((stream + 1)) * _GAMMA)
         idx = np.arange(1, count + 1, dtype=np.uint64)
         raw = _mix64(sub + idx * _GAMMA)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def stream_normals(seed: int, stream: int, count: int) -> np.ndarray:
+    """Standard normal draws from the documented counter-based generator."""
+    if count < 0:
+        raise DataError(f"count must be non-negative, got {count}")
+    return ndtri(_stream_uniforms(seed, stream, count))
 
 
 def _ar1(x: np.ndarray, phi: float) -> np.ndarray:

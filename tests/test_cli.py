@@ -420,3 +420,67 @@ def test_outside_numbers_are_finite_decimals_or_plain_integers(
         assert "input error" in captured.err and expected in captured.err
     else:
         assert expected in captured.out
+
+
+@pytest.mark.parametrize("threshold", ["-1", "1.5", "-0.0001"])
+def test_decorrelation_threshold_outside_unit_interval_is_input_error(
+        ticks_path, capsys, threshold):
+    # a negative threshold used to flag every window and exit 3
+    code = main(["moments", "--input", str(ticks_path), "--window", "2", "--order", "2",
+                 "--method", "market", "--strict", "--decorrelation-threshold", threshold])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "input error" in err and "decorrelation_threshold must be in [0, 1]" in err
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_decorrelation_threshold_bounds_are_accepted(ticks_path, capsys, threshold):
+    code = main(["moments", "--input", str(ticks_path), "--window", "2", "--order", "2",
+                 "--method", "frequency", "--strict", "--decorrelation-threshold", threshold])
+    assert code in (0, 3)
+    assert "input error" not in capsys.readouterr().err
+
+
+EMPTY_SETTING_RUNS = {
+    "lag": ["autocorr", "--input", "{tmp}/ticks.csv", "--window", "2", "--method", "market"],
+    "lo": ["optimize", "--config", "{tmp}/price.cfg", "--samples", "{tmp}/s.csv", "--hi", "1.5"],
+    "decorrelation_threshold": ["moments", "--input", "{tmp}/ticks.csv", "--window", "2",
+                                "--order", "2", "--method", "market", "--strict"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "run"])
+@pytest.mark.parametrize("name", list(EMPTY_SETTING_RUNS))
+def test_empty_optional_number_is_input_error(tmp_path, capsys, monkeypatch, name, source):
+    # only an unset setting takes the default; an empty one is no number
+    (tmp_path / "ticks.csv").write_text("time,price,volume\n0,10,1\n1,20,3\n2,12,2\n3,18,1\n",
+                                        encoding="utf-8")
+    (tmp_path / "s.csv").write_text(SAMPLES, encoding="utf-8")
+    run_section = f"[run]\n{name} =\n" if source == "run" else ""
+    (tmp_path / "price.cfg").write_text(PRICE_CFG + "\n" + run_section, encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in EMPTY_SETTING_RUNS[name]]
+    if source == "flag":
+        argv += ["--" + name.replace("_", "-"), ""]
+    elif source == "env":
+        monkeypatch.setenv("MBM_" + name.upper(), "")
+    elif name != "lo":
+        (tmp_path / "run.cfg").write_text(run_section, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{name} must be" in err and "got ''" in err
+
+
+@pytest.mark.parametrize("name, argv, expected", [
+    ("mode", ["vwap", "--input", "{tmp}/ticks.csv", "--window", "2"],
+     "unknown windowing mode ''"),
+    ("density_method", ["density", "--input", "{tmp}/ticks.csv", "--order", "2",
+                        "--method", "frequency", "--grid=0:30:31", "--output", "{tmp}/d.csv"],
+     "density_method must be gram_charlier or damped, got ''"),
+])
+def test_empty_optional_choice_is_input_error(tmp_path, capsys, monkeypatch, name, argv, expected):
+    (tmp_path / "ticks.csv").write_text("time,price,volume\n0,10,1\n1,20,3\n2,12,2\n3,18,1\n",
+                                        encoding="utf-8")
+    monkeypatch.setenv("MBM_" + name.upper(), "")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert expected in capsys.readouterr().err

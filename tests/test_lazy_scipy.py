@@ -1,8 +1,9 @@
-"""scipy loads only where it computes.
+"""scipy and the model layers load only where they compute.
 
-The moment, VWAP and autocorrelation paths need numpy alone; scipy.special
-(ndtri) loads with the first simulation draw and scipy.optimize (brentq)
-with the first bracketed pricing fallback.
+The moment, VWAP, autocorrelation and simulation paths need numpy alone
+(the simulator carries its own inverse normal CDF); scipy.optimize
+(brentq) loads with the first bracketed pricing fallback. The tick
+commands load none of the density, pricing or simulate layers.
 """
 
 import json
@@ -26,8 +27,11 @@ PROBE = textwrap.dedent("""
     def scipy_modules():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+    def model_layers():
+        return sorted(m for m in ("mbm.density", "mbm.pricing", "mbm.simulate") if m in sys.modules)
+
     ticks, work = sys.argv[1], sys.argv[2]
-    steps = {}
+    steps, layers = {}, {}
     import mbm
     steps["import mbm"] = scipy_modules()
     import mbm.cli
@@ -46,8 +50,10 @@ PROBE = textwrap.dedent("""
         with contextlib.redirect_stdout(io.StringIO()):
             code = mbm.cli.main(argv)
         steps[name] = [code, scipy_modules()]
+        layers[name] = model_layers()
     brentq = mbm.pricing.brentq
     steps["mbm.pricing.brentq"] = [brentq.__module__, "scipy.optimize" in sys.modules]
+    steps["layers"] = layers
     print(json.dumps(steps))
 """)
 
@@ -74,26 +80,36 @@ def test_numpy_only_commands_load_no_scipy(probe_steps, command):
     assert probe_steps[command] == [0, []]
 
 
+@pytest.mark.parametrize("command", ["validate", "moments", "vwap", "autocorr"])
+def test_tick_commands_load_no_model_layer(probe_steps, command):
+    assert probe_steps["layers"][command] == []
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(mbm)
+    for name in mbm.__all__:
+        assert getattr(mbm, name).__module__.startswith("mbm.")
+        assert name in listed
+
+
 def test_brentq_attribute_imports_scipy_optimize_on_first_access(probe_steps):
     module, loaded = probe_steps["mbm.pricing.brentq"]
     assert module.startswith("scipy.optimize") and loaded
 
 
-def test_simulate_loads_only_scipy_special(tmp_path):
+def test_simulate_loads_no_scipy(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("[simulate]\nlength = 50\nseed = 7\nphi = 0.5\nsigma = 0.1\nlog_sigma = 0.2\n",
                    encoding="utf-8")
     script = ("import json, sys, mbm.cli\n"
               f"assert mbm.cli.main(['simulate', '--config', {str(cfg)!r}, '--output', "
               f"{str(tmp_path / 's.csv')!r}]) == 0\n"
-              "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules"
-              " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
+              "print(json.dumps(sorted(m for m in sys.modules"
+              " if m == 'scipy' or m.startswith('scipy.'))))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert "special" in loaded
-    assert "signal" not in loaded and "optimize" not in loaded
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_bracketed_fallback_calls_the_module_brentq(monkeypatch):

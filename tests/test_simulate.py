@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mbm.errors import DataError
@@ -10,8 +12,15 @@ from mbm.moments import (
     market_price_moment,
     payoff_autocorrelation,
 )
-from mbm.simulate import SimSpec, gen_payoff_samples, gen_trades, stream_normals
-from mbm.ticks import render_ticks, window_from_ticks
+from mbm.simulate import (
+    SimSpec,
+    _stream_uniforms,
+    gen_payoff_samples,
+    gen_trades,
+    ndtri,
+    stream_normals,
+)
+from mbm.ticks import parse_ticks, render_ticks, window_from_ticks
 
 
 def spec(**overrides):
@@ -217,3 +226,75 @@ def test_ar1_prices_bit_identical_to_lfilter(length, seed, phi, sigma):
 def test_simspec_rejects_non_finite_fields(field, value):
     with pytest.raises(DataError, match=f"^{field} must be finite"):
         spec(**{field: value})
+
+
+def _scipy_ndtri(u):
+    from scipy.special import ndtri as scipy_ndtri  # here, so collecting the suite imports no scipy
+
+    return scipy_ndtri(u)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+def test_ndtri_matches_scipy_bitwise_on_generator_draws(stream):
+    u = _stream_uniforms(2024, stream, 1_000_000)
+    np.testing.assert_array_equal(_bits(stream_normals(2024, stream, 1_000_000)),
+                                  _bits(_scipy_ndtri(u)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=64))
+def test_ndtri_matches_scipy_bitwise(values):
+    u = np.array(values)
+    u = np.concatenate([u, 1.0 - u, u * 2.0**-40])  # reach both tails
+    np.testing.assert_array_equal(_bits(ndtri(u)), _bits(_scipy_ndtri(u)))
+
+
+def _neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+
+
+def test_ndtri_matches_scipy_bitwise_at_branch_edges():
+    e2 = 0.13533528323661269189  # the central branch's bound, e^-2
+    y8 = math.exp(-32.0)  # sqrt(-2 ln y) = 8, the P1/Q1 to P2/Q2 switch
+    edges = [*_neighbours(e2), *_neighbours(math.exp(-2.0)), *_neighbours(1.0 - e2),
+             *_neighbours(1.0 - math.exp(-2.0)), *_neighbours(y8), *_neighbours(1.0 - y8),
+             0.5 * 2.0**-53, 1.0 - 2.0**-53, 0.5, 5e-324, 0.0, 1.0]
+    x = np.array(edges)
+    np.testing.assert_array_equal(_bits(ndtri(x)), _bits(_scipy_ndtri(x)))
+    assert ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+
+def test_top_raw_draw_maps_to_one_and_infinity():
+    # raw >> 11 = 2^53 - 1 gives 2^53 - 0.5, which rounds to 2^53: u is exactly 1
+    u = (np.array([2**53 - 1], dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+    assert u.tolist() == [1.0]
+    assert ndtri(u).tolist() == [math.inf]
+
+
+SIM_SPECS = st.builds(
+    SimSpec,
+    length=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    price_model=st.sampled_from(["constant", "ar1"]),
+    base_price=st.floats(1e-3, 1e4),
+    phi=st.floats(0.0, 1.0, exclude_max=True),
+    sigma=st.floats(0.0, 2.0),
+    volume_model=st.sampled_from(["constant", "lognormal"]),
+    median_volume=st.floats(1e-3, 1e6),
+    log_sigma=st.floats(0.0, 3.0),
+    pv_correlation=st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIM_SPECS)
+def test_rendered_series_parses_back_exactly(sim_spec):
+    try:
+        series = gen_trades(sim_spec)
+    except DataError:  # an overflowing path is rejected by the tick checks
+        reject()
+    assert parse_ticks(render_ticks(series)) == series
