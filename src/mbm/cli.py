@@ -101,6 +101,8 @@ def _read_series(settings: dict):
 def _write_text(path: str | None, text: str):
     if path is None:
         raise DataError("missing required setting 'output'")
+    if not path:
+        raise DataError("output must be a file path, got ''")
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -171,7 +173,7 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
                     f"window {i}: order-2 price/volume correlation "
                     f"{coef[i]!r} exceeds {threshold!r}"
                 )
-    if settings.get("output"):
+    if settings.get("output") is not None:
         _write_text(settings["output"], table.to_json_text())
     if violations:
         raise StrictViolation("; ".join(violations))
@@ -185,7 +187,7 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     values = moments_mod.batch_vwap(batch).tolist()
     _print_lines([f"window {i} center_time={c!r} vwap={v!r}"
                   for i, (c, v) in enumerate(zip(centers, values))])
-    if settings.get("output"):
+    if settings.get("output") is not None:
         rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(centers, values))
         _write_text(settings["output"], "center_time,vwap\n" + rows)
     return EXIT_OK
@@ -203,7 +205,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     pairs = [(centers[i], centers[i + lag], v) for i, v in enumerate(values)]
     _print_lines([f"window {i} t1={t1!r} t2={t2!r} autocorr={v!r}"
                   for i, (t1, t2, v) in enumerate(pairs)])
-    if settings.get("output"):
+    if settings.get("output") is not None:
         _write_json(settings["output"], [
             {"center_time_1": t1, "center_time_2": t2, "autocorrelation": v}
             for t1, t2, v in pairs
@@ -290,7 +292,7 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
             f"p0(t1)={first.mean_price!r} p0(t2)={second.mean_price!r} "
             f"residuals=({first.residual!r}, {second.residual!r})"
         )
-    if settings.get("output"):
+    if settings.get("output") is not None:
         _write_json(settings["output"], payload)
     return EXIT_OK
 
@@ -329,7 +331,7 @@ def cmd_optimize(settings: dict, file_cfg: dict) -> int:
         f"holdings={result.holdings!r} at_boundary={result.at_boundary} "
         f"foc_residual={result.foc_residual!r}"
     )
-    if settings.get("output"):
+    if settings.get("output") is not None:
         _write_json(settings["output"], result.to_json_dict())
     return EXIT_OK
 

@@ -15,15 +15,17 @@ sold separately (payoff autocorrelation enters as well). Since u'' <= 0,
 every variance or positive autocorrelation term drags the mean price down.
 
 Solver strategy: damped fixed-point iteration seeded at beta * x0 (exact
-for linear utility), with a bracketed root-finding fallback on the residual
-when iteration stalls. Converged solutions honor
+for linear utility), with a bracketed fallback when iteration stalls: a
+grid scan finds a sign change of the residual and ``brentq``, this
+module's port of scipy's Brent solver, refines it. The fallback calls
+whatever the module attribute ``mbm.pricing.brentq`` holds, so it can be
+wrapped or replaced. Converged solutions honor
 |residual| <= 1e-10 * max(1, |p0|).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,15 +36,85 @@ from .utility import UtilitySpec, admissible, eval_utility
 RESIDUAL_RTOL = 1e-10
 
 
-def __getattr__(name):
-    # scipy.optimize takes ~0.7 s to import and only the bracketed fallback
-    # needs it, so ``brentq`` is bound on first access and then cached here
-    if name == "brentq":
-        from scipy.optimize import brentq
+@dataclass(frozen=True, slots=True)
+class RootInfo:
+    """Counts of a brentq solve, named as scipy's RootResults names them."""
 
-        globals()["brentq"] = brentq
-        return brentq
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    iterations: int
+    function_calls: int
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100, full_output=False):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A line-for-line port of the C ``brentq`` that ``scipy.optimize.brentq``
+    runs (scipy/optimize/Zeros/brentq.c, after Brent 1973, ch. 4): it uses
+    only + - * /, abs and comparisons, so on Python floats it returns
+    scipy's root bits and iteration counts. With full_output it returns
+    (root, RootInfo). A NaN value of f or an exhausted iteration limit
+    raises ConvergenceError; ends of one sign raise DataError.
+    """
+    calls = 0
+
+    def value(x: float) -> float:
+        nonlocal calls
+        calls += 1
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"function value at x={x!r} is NaN")
+        return fx
+
+    def done(x: float, iterations: int):
+        return (x, RootInfo(iterations, calls)) if full_output else x
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return done(xpre, 0)
+    if fcur == 0.0:
+        return done(xcur, 0)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DataError(f"f(a) and f(b) must differ in sign, got {fpre!r} and {fcur!r}")
+    for i in range(1, maxiter + 1):
+        # f values are never NaN here, so on nonzero ones "< 0" is C's signbit
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return done(xcur, i)
+
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN, which fails the short-step test
+        if good:  # short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"brentq did not converge in {maxiter} iterations (last x={xcur!r})")
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -269,8 +341,8 @@ def _solve_linearized(
             return PriceSolution(mean_price=p, residual=0.0, iterations=iterations, converged=True)
         if flips.size:
             a, b = float(grid[flips[0]]), float(grid[flips[0] + 1])
-            # looked up on the module so that a rebinding of ``brentq`` is honored
-            root, info = sys.modules[__name__].brentq(
+            # a global lookup, so that a rebinding of ``mbm.pricing.brentq`` is honored
+            root, info = brentq(
                 residual, a, b, xtol=1e-14, rtol=8.9e-16, full_output=True
             )
             r = residual(root)

@@ -14,6 +14,7 @@ rejected, not blended into log; select log explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,22 @@ import numpy as np
 from .errors import DataError, DomainError
 
 FAMILIES = ("linear", "log", "power", "exponential")
+#: Families defined for c > 0 only; the others take any finite c.
+_POSITIVE = ("log", "power")
+
+#: (u, u', u'') of each family at consumption c with parameter g. Scalars and
+#: arrays run the same formulas; transcendental steps always go through the
+#: numpy ufuncs, so a float gives the bits of the array loops (math.exp/log/pow
+#: and np.float64.__pow__ round differently on some inputs).
+_FORMULAS = {
+    "linear": (lambda c, g: c, lambda c, g: np.ones_like(c), lambda c, g: np.zeros_like(c)),
+    # np.divide, because c*c may underflow to 0, where float division raises
+    "log": (lambda c, g: np.log(c), lambda c, g: 1.0 / c, lambda c, g: np.divide(-1.0, c * c)),
+    "power": (lambda c, g: np.power(c, 1.0 - g) / (1.0 - g), lambda c, g: np.power(c, -g),
+              lambda c, g: -g * np.power(c, -g - 1.0)),
+    "exponential": (lambda c, g: -np.exp(-g * c) / g, lambda c, g: np.exp(-g * c),
+                    lambda c, g: -g * np.exp(-g * c)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,11 +60,14 @@ class UtilitySpec:
 
 def admissible(spec: UtilitySpec, c) -> bool:
     """True when every consumption value lies in the family's domain."""
-    if spec.family in ("log", "power"):
+    if isinstance(c, float):  # Python and numpy floats skip the array round trip
+        return c > 0.0 if spec.family in _POSITIVE else math.isfinite(c)
+    if spec.family in _POSITIVE:
         return bool(np.all(np.asarray(c) > 0.0))
     return bool(np.all(np.isfinite(np.asarray(c, dtype=float))))
 
 
+@np.errstate(over="ignore", under="ignore")  # extreme c maps to inf/0
 def eval_utility(spec: UtilitySpec, c, order: int = 0):
     """Evaluate u, u', or u'' (order 0, 1, 2) at consumption c.
 
@@ -56,30 +76,13 @@ def eval_utility(spec: UtilitySpec, c, order: int = 0):
     """
     if order not in (0, 1, 2):
         raise DataError(f"derivative order must be 0, 1, or 2, got {order}")
-    arr = np.asarray(c, dtype=float)
-    scalar = arr.ndim == 0
-    if not admissible(spec, arr):
+    scalar = isinstance(c, float)
+    if not scalar:
+        c = np.asarray(c, dtype=float)
+        scalar = c.ndim == 0
+    if not admissible(spec, c):
         raise DomainError(
             f"consumption outside admissible domain for {spec.family} utility"
         )
-
-    fam = spec.family
-    g = spec.parameter
-    with np.errstate(over="ignore", under="ignore"):  # extreme c maps to inf/0
-        if fam == "linear":
-            out = {0: arr, 1: np.ones_like(arr), 2: np.zeros_like(arr)}[order]
-        elif fam == "log":
-            out = {0: np.log(arr), 1: 1.0 / arr, 2: -1.0 / (arr * arr)}[order]
-        elif fam == "power":
-            if order == 0:
-                out = arr ** (1.0 - g) / (1.0 - g)
-            elif order == 1:
-                out = arr ** (-g)
-            else:
-                out = -g * arr ** (-g - 1.0)
-        else:  # exponential
-            e = np.exp(-g * arr)
-            out = {0: -e / g, 1: e, 2: -g * e}[order]
-
+    out = _FORMULAS[spec.family][order](c, spec.parameter)
     return float(out) if scalar else out
-

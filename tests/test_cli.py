@@ -484,3 +484,34 @@ def test_empty_optional_choice_is_input_error(tmp_path, capsys, monkeypatch, nam
     monkeypatch.setenv("MBM_" + name.upper(), "")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert expected in capsys.readouterr().err
+
+
+EMPTY_OUTPUT_RUNS = {
+    "moments": ["moments", "--input", "{tmp}/ticks.csv", "--window", "2", "--order", "2",
+                "--method", "market"],
+    "vwap": ["vwap", "--input", "{tmp}/ticks.csv", "--window", "2"],
+    "autocorr": ["autocorr", "--input", "{tmp}/ticks.csv", "--window", "2", "--method", "market"],
+    "price": ["price", "--config", "{tmp}/price.cfg"],
+    "optimize": ["optimize", "--config", "{tmp}/price.cfg", "--samples", "{tmp}/s.csv",
+                 "--lo", "0", "--hi", "1.5"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", list(EMPTY_OUTPUT_RUNS))
+def test_empty_output_path_is_input_error(tmp_path, capsys, monkeypatch, command, source):
+    # an empty path used to write nothing and exit 0
+    files = {"ticks.csv": "time,price,volume\n0,10,1\n1,20,3\n2,12,2\n3,18,1\n",
+             "price.cfg": PRICE_CFG, "s.csv": SAMPLES}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(tmp=tmp_path) for arg in EMPTY_OUTPUT_RUNS[command]]
+    if source == "flag":
+        argv += ["--output", ""]
+    else:
+        monkeypatch.setenv("MBM_OUTPUT", "")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "output must be a file path, got ''" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbm.errors import DataError, DomainError
 from mbm.utility import FAMILIES, UtilitySpec, eval_utility
@@ -111,3 +115,34 @@ def test_vectorized_evaluation():
 def test_bad_order_rejected():
     with pytest.raises(DataError):
         eval_utility(UtilitySpec("log"), 1.0, 3)
+
+
+FAMILY_SPECS = st.one_of(
+    st.sampled_from([UtilitySpec("linear"), UtilitySpec("log")]),
+    st.floats(0.05, 8.0).filter(lambda g: g != 1.0).map(lambda g: UtilitySpec("power", g)),
+    st.floats(0.01, 5.0).map(lambda a: UtilitySpec("exponential", a)),
+)
+
+
+def _bits_or_error(spec, c, order):
+    try:
+        out = eval_utility(spec, c, order)
+    except DomainError:
+        return "DomainError"
+    kind = "array" if isinstance(out, np.ndarray) else type(out).__name__
+    return kind, np.asarray(out, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=FAMILY_SPECS, c=st.one_of(st.floats(-50.0, 50.0), st.floats()),
+       order=st.sampled_from([0, 1, 2]))
+def test_float_numpy_float_and_array_give_the_same_bits(spec, c, order):
+    # scalars skip the array round trip, so they must still run the array formulas
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 1/(c*c) of a tiny c divides by 0
+        py, np64, arr = (_bits_or_error(spec, x, order) for x in (c, np.float64(c), np.array([c])))
+    if py == "DomainError":
+        assert np64 == arr == "DomainError"
+    else:
+        assert py[0] == np64[0] == "float" and arr[0] == "array"
+        assert py[1] == np64[1] == arr[1]
