@@ -10,20 +10,21 @@
 
 from mbm import (
     SimSpec,
+    Window,
     compute_moment_set,
     decorrelation_diagnostic,
     freq_moment,
     gen_trades,
     market_price_moment,
     vwap,
-    window_from_ticks,
 )
 
 # --- 1. constant volume: the two conventions collide -----------------------
 
 spec = SimSpec(length=2000, seed=1, phi=0.3, sigma=0.05,
                volume_model="constant", median_volume=5.0)
-window = window_from_ticks(gen_trades(spec).ticks)
+series = gen_trades(spec)
+window = Window(series, 0, len(series))
 
 print("constant volume, n = 1..4:")
 for n in range(1, 5):
@@ -35,7 +36,8 @@ for n in range(1, 5):
 
 spec = SimSpec(length=2000, seed=1, phi=0.3, sigma=0.05,
                median_volume=5.0, log_sigma=0.5, pv_correlation=0.0)
-window = window_from_ticks(gen_trades(spec).ticks)
+series = gen_trades(spec)
+window = Window(series, 0, len(series))
 
 print("\nindependent lognormal volume:")
 print(f"  frequency mean = {freq_moment(window, 1):.6f}")
@@ -52,7 +54,8 @@ print(f"  price/volume correlation = {diag.coefficient:+.4f} (flagged: {diag.fla
 
 spec = SimSpec(length=2000, seed=1, phi=0.0, sigma=0.3,
                median_volume=5.0, log_sigma=0.5, pv_correlation=-0.9)
-window = window_from_ticks(gen_trades(spec).ticks)
+series = gen_trades(spec)
+window = Window(series, 0, len(series))
 
 for method in ("frequency", "market"):
     ms = compute_moment_set(window, 2, method)

@@ -12,18 +12,19 @@ import math
 from mbm import (
     CharFnApprox,
     SimSpec,
+    Window,
     charfn_eval,
     compute_moment_set,
     density_damped_inversion,
     density_gram_charlier,
     gen_trades,
     recover_moment,
-    window_from_ticks,
 )
 
 spec = SimSpec(length=5000, seed=11, phi=0.0, sigma=0.12,
                median_volume=30.0, log_sigma=0.3)
-window = window_from_ticks(gen_trades(spec).ticks)
+series = gen_trades(spec)
+window = Window(series, 0, len(series))
 ms = compute_moment_set(window, 4, "market")
 print(f"market moment set: mean={ms.mean:.4f} variance={ms.variance:.4f}")
 

@@ -11,13 +11,13 @@ from mbm import (
     PricingScenario,
     SimSpec,
     UtilitySpec,
+    Window,
     freq_moment,
     gen_payoff_samples,
     gen_trades,
     optimize_holdings,
     payoff_autocorrelation,
     vwap,
-    window_from_ticks,
 )
 
 LOG = UtilitySpec("log")
@@ -63,7 +63,8 @@ for n in lengths:
     for seed in range(10):
         spec = SimSpec(length=n, seed=600 + seed, phi=0.3, sigma=0.1,
                        median_volume=50.0, log_sigma=0.4)
-        w = window_from_ticks(gen_trades(spec).ticks)
+        series = gen_trades(spec)
+        w = Window(series, 0, len(series))
         errs.append(abs(vwap(w) - freq_moment(w, 1)))
     gaps.append(np.mean(errs))
     print(f"{n:<8d} {gaps[-1]:.6f}")

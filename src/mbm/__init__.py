@@ -41,7 +41,7 @@ _EXPORTS = {
 _EAGER = ("errors", "ticks", "moments")
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 __all__ = sorted(_LAYER_OF)
 
 for _layer in _EAGER:

@@ -103,7 +103,10 @@ def _write_text(path: str | None, text: str):
         raise DataError("missing required setting 'output'")
     if not path:
         raise DataError("output must be a file path, got ''")
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: str | None, payload):

@@ -210,8 +210,8 @@ def gen_trades(spec: SimSpec) -> TickSeries:
             eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
         volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
 
-    return TickSeries.from_columns(np.arange(n, dtype=float), prices, volumes, prices * volumes,
-                                   tick_spacing=1.0 if n >= 2 else None)
+    return TickSeries(np.arange(n, dtype=float), prices, volumes, prices * volumes,
+                      tick_spacing=1.0 if n >= 2 else None)
 
 
 def gen_payoff_samples(

@@ -2,21 +2,23 @@
 
 A trade tick is the atom of everything downstream: (time, price, volume,
 value) with the identity value = price * volume enforced on ingestion.
-A series holds its ticks as four read-only float64 columns, validated in
-one vectorized pass. Windows are defined by tick COUNT, not wall-clock
-span; all averaging operators downstream treat a window as one averaging
-interval. A Window is a (series, start, stop) view of the columns, and a
-WindowBatch lays equal-length windows out as the rows of 2-D column views
-so that moment kernels can process them all at once.
+A TickSeries holds its ticks as four read-only float64 columns, built by
+its one constructor and validated there in one vectorized pass. Windows
+are defined by tick COUNT, not wall-clock span; all averaging operators
+downstream treat a window as one averaging interval. A Window is a
+(series, start, stop) view of the columns, and a WindowBatch lays
+equal-length windows out as the rows of 2-D column views so that moment
+kernels can process them all at once. TradeTick is a plain record that
+window_from_ticks reads into a series.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,11 +27,10 @@ from .errors import DataError
 
 # Relative tolerance for the value = price * volume identity.
 VALUE_IDENTITY_RTOL = 1e-9
-_INF = math.inf
 
-# Messages of the tick rules, in the order _tick_rules returns them; a tick
-# breaking several rules reports the first. {0}..{4}: time, price, volume,
-# value, price*volume.
+# Messages of the tick rules, in the order _check_columns checks them; a
+# tick breaking several rules reports the first. {0}..{4}: time, price,
+# volume, value, price*volume.
 _RULE_MESSAGES = (
     "time {0} is not finite",
     "negative time {0}",
@@ -44,36 +45,21 @@ _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*"
 _DECIMAL_BYTES = b"0123456789.eE+-, \t\r\n"
 
 
-def _tick_rules(time, price, volume, value):
-    """Rule outcomes (True where a tick passes) for scalars or columns.
-
-    Written with comparisons only, so one definition serves a single
-    TradeTick and whole columns alike; NaN fails every comparison.
-    """
-    expected = price * volume
-    return expected, (
-        abs(time) < _INF,
-        time >= 0.0,
-        (price > 0.0) & (price < _INF),
-        (volume > 0.0) & (volume < _INF),
-        abs(value) < _INF,
-        abs(value - expected) <= VALUE_IDENTITY_RTOL * abs(expected),
-    )
-
-
-def _rule_message(passed, fields) -> str:
-    """Message of the first rule a tick broke, given its per-rule outcomes."""
-    rule = next(r for r, ok in enumerate(passed) if not ok)
-    return _RULE_MESSAGES[rule].format(*(float(f) for f in fields))
-
-
 def _check_columns(time, price, volume, value, where) -> None:
     """Raise DataError for the first tick that breaks a rule or goes back in time.
 
     where(i) names tick i in the message (a CSV line, a tick index).
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        expected, passed = _tick_rules(time, price, volume, value)
+        expected = price * volume
+        passed = (
+            np.isfinite(time),
+            time >= 0.0,
+            (price > 0.0) & np.isfinite(price),
+            (volume > 0.0) & np.isfinite(volume),
+            np.isfinite(value),
+            np.abs(value - expected) <= VALUE_IDENTITY_RTOL * np.abs(expected),
+        )
     good = np.logical_and.reduce(passed)
     ordered = time[1:] >= time[:-1]
     if good.all() and ordered.all():
@@ -81,31 +67,27 @@ def _check_columns(time, price, volume, value, where) -> None:
     i = int(np.argmin(good)) if not good.all() else len(time)
     j = int(np.argmin(ordered)) + 1 if not ordered.all() else len(time)
     if i <= j:
-        fields = (time[i], price[i], volume[i], value[i], expected[i])
-        raise DataError(f"{where(i)}: {_rule_message([p[i] for p in passed], fields)}")
+        rule = next(r for r, ok in enumerate(passed) if not ok[i])
+        fields = (float(c[i]) for c in (time, price, volume, value, expected))
+        raise DataError(f"{where(i)}: {_RULE_MESSAGES[rule].format(*fields)}")
     raise DataError(
         f"{where(j)}: time {float(time[j])} decreases from previous {float(time[j - 1])} "
         "(tick times must be non-decreasing)"
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TradeTick:
-    """One market trade."""
+# TradeTick, window_from_ticks and partition_windows stay because the
+# benchmark in perfbench/ calls them; the package itself works on columns.
+class TradeTick(NamedTuple):
+    """One market trade as a plain record; window_from_ticks checks it through TickSeries."""
 
     time: float
     price: float
     volume: float
     value: float
 
-    def __post_init__(self):
-        fields = (self.time, self.price, self.volume, self.value)
-        expected, passed = _tick_rules(*fields)
-        if not all(passed):
-            raise DataError(f"tick at t={self.time}: {_rule_message(passed, (*fields, expected))}")
 
-
-_TICK_FIELDS = ("time", "price", "volume", "value")
+_TICK_FIELDS = TradeTick._fields
 
 
 def _frozen_column(values) -> np.ndarray:
@@ -117,50 +99,25 @@ def _frozen_column(values) -> np.ndarray:
 class TickSeries:
     """Ordered trade ticks as read-only float64 columns, with an optional regular spacing.
 
-    tick_spacing is the minimal time division of the series; it is inferred
-    on parse when all consecutive time differences agree, else left None.
-    TickSeries(ticks=..., tick_spacing=...) builds the columns from TradeTick
-    objects; TickSeries.from_columns builds a series from arrays directly.
-    `ticks` materializes TradeTick objects only when something asks for them.
+    The columns are equal-length 1-d arrays; value defaults to
+    price*volume. Every tick is checked in one vectorized pass, and where(i)
+    names the offending tick in the DataError message. tick_spacing is the
+    minimal time division of the series; it is inferred on parse when all
+    consecutive time differences agree, else left None.
     """
 
-    __slots__ = ("time", "price", "volume", "value", "tick_spacing", "_ticks")
+    __slots__ = ("time", "price", "volume", "value", "tick_spacing")
 
-    def __init__(self, ticks=(), tick_spacing: float | None = None):
-        ticks = tuple(ticks)
-        rows = np.array([(t.time, t.price, t.volume, t.value) for t in ticks], dtype=float)
-        self._set(*rows.reshape(-1, 4).T, tick_spacing, lambda i: f"tick {i}")
-        self._ticks = ticks
-
-    @classmethod
-    def from_columns(cls, time, price, volume, value=None, tick_spacing: float | None = None,
-                     *, where=lambda i: f"tick {i}") -> TickSeries:
-        """A series from equal-length columns; value defaults to price*volume.
-
-        Every tick is checked in one vectorized pass; where(i) names the
-        offending tick in the DataError message.
-        """
-        series = cls.__new__(cls)
+    def __init__(self, time, price, volume, value=None, tick_spacing: float | None = None,
+                 *, where=lambda i: f"tick {i}"):
         if value is None:
             value = np.multiply(price, volume)
-        series._set(time, price, volume, value, tick_spacing, where)
-        series._ticks = None
-        return series
-
-    def _set(self, time, price, volume, value, tick_spacing, where):
         columns = [_frozen_column(c) for c in (time, price, volume, value)]
         if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
             raise DataError("tick columns must be 1-d and of equal length")
         _check_columns(*columns, where)
         self.time, self.price, self.volume, self.value = columns
         self.tick_spacing = tick_spacing
-
-    @property
-    def ticks(self) -> tuple[TradeTick, ...]:
-        if self._ticks is None:
-            columns = (getattr(self, name).tolist() for name in _TICK_FIELDS)
-            self._ticks = tuple(TradeTick(*row) for row in zip(*columns))
-        return self._ticks
 
     def __len__(self):
         return len(self.time)
@@ -230,10 +187,6 @@ class Window:
         return self.stop - self.start
 
     @property
-    def ticks(self) -> tuple[TradeTick, ...]:
-        return self.series.ticks[self.start:self.stop]
-
-    @property
     def center_time(self) -> float:
         """Median tick time."""
         return float(_median_times(self.series.time, self.start, len(self)))
@@ -246,8 +199,8 @@ class Window:
 
 
 def window_from_ticks(ticks) -> Window:
-    """Build a Window over exactly these ticks; its center is the median tick time."""
-    series = TickSeries(ticks=ticks)
+    """Build a Window over exactly these TradeTick records; its center is the median tick time."""
+    series = TickSeries(*np.array(list(ticks), dtype=float).reshape(-1, 4).T)
     return Window(series, 0, len(series))
 
 
@@ -277,8 +230,8 @@ def parse_ticks(text: str) -> TickSeries:
         )
 
     data = _parse_body(body, ncols)
-    series = TickSeries.from_columns(*(data[:, j] for j in range(ncols)),
-                                     where=lambda i: f"line {_data_line_numbers(body)[i]}")
+    series = TickSeries(*(data[:, j] for j in range(ncols)),
+                        where=lambda i: f"line {_data_line_numbers(body)[i]}")
     series.tick_spacing = _infer_spacing(series.time)
     return series
 

@@ -3,27 +3,19 @@
 import numpy as np
 import pytest
 
-from mbm.ticks import TickSeries, TradeTick, window_from_ticks
-
-
-def make_ticks(prices, volumes=None, times=None):
-    prices = list(prices)
-    if volumes is None:
-        volumes = [1.0] * len(prices)
-    if times is None:
-        times = [float(i) for i in range(len(prices))]
-    return tuple(
-        TradeTick(time=float(t), price=float(p), volume=float(u), value=float(p) * float(u))
-        for t, p, u in zip(times, prices, volumes)
-    )
-
-
-def make_window(prices, volumes=None, times=None):
-    return window_from_ticks(make_ticks(prices, volumes, times))
+from mbm.ticks import TickSeries, Window
 
 
 def make_series(prices, volumes=None, times=None, spacing=None):
-    return TickSeries(ticks=make_ticks(prices, volumes, times), tick_spacing=spacing)
+    prices = np.asarray(prices, dtype=float)
+    volumes = np.ones(len(prices)) if volumes is None else volumes
+    times = np.arange(len(prices), dtype=float) if times is None else times
+    return TickSeries(times, prices, volumes, tick_spacing=spacing)
+
+
+def make_window(prices, volumes=None, times=None):
+    series = make_series(prices, volumes, times)
+    return Window(series, 0, len(series))
 
 
 def random_window(rng, size=None, price_lo=1.0, price_hi=50.0, vol_sigma=0.5):

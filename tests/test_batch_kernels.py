@@ -82,7 +82,7 @@ def make_series(seed, n_ticks, discrete):
     else:
         price = rng.uniform(0.5, 50.0, size=n_ticks)
         volume = 10.0 * np.exp(rng.standard_normal(n_ticks))
-    return TickSeries.from_columns(np.arange(n_ticks, dtype=float), price, volume)
+    return TickSeries(np.arange(n_ticks, dtype=float), price, volume)
 
 
 def check_against_reference(series, window_len, mode, k, method, lag, corr_order):
@@ -159,7 +159,7 @@ def test_moment_json_text_matches_json_dumps_with_non_finite_values():
     # prices near 1e80: c**4 and u**4 overflow, so moments come out inf/nan
     price = [10.0, 1.0, 12.0, 1e80, 2e80, 3e80, 1e80, 3e80, 2e80, 5.0, 5.0, 5.0]
     volume = [1.0, 10.0, 2.0, 1.0, 2.0, 1.0, 1e80, 1e80, 2e80, 1.0, 2.0, 3.0]
-    series = TickSeries.from_columns(np.arange(12.0), price, volume)
+    series = TickSeries(np.arange(12.0), price, volume)
     for method in ("frequency", "market"):
         with np.errstate(over="ignore", invalid="ignore"):
             table = batch_moments(window_batch(series, 3, "disjoint"), 4, method)
@@ -177,7 +177,7 @@ def test_moment_json_text_writes_every_flag_combination():
     # windows: plain, negative variance, overflowing, both (values near 1e78)
     price = [10.0, 11.0, 10.0, 1.0, 1e160, 3e160, 1e78, 1e77]
     volume = [1.0, 2.0, 1.0, 10.0, 1.0, 2.0, 1.0, 10.0]
-    series = TickSeries.from_columns(np.arange(8.0), price, volume)
+    series = TickSeries(np.arange(8.0), price, volume)
     table = batch_moments(window_batch(series, 2, "disjoint"), 4, "market")
     flags = [table.moment_set(i).flags for i in range(len(table))]
     assert flags == [(), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite")]

@@ -515,3 +515,19 @@ def test_empty_output_path_is_input_error(tmp_path, capsys, monkeypatch, command
     err = capsys.readouterr().err
     assert "input error" in err and "output must be a file path, got ''" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command", ["vwap", "density"])
+def test_unwritable_output_is_input_error(ticks_path, tmp_path, capsys, command):
+    # a write error used to escape as an OSError traceback
+    if command == "vwap":
+        argv = ["vwap", "--input", str(ticks_path), "--window", "2",
+                "--output", str(tmp_path / "missing" / "v.csv")]
+    else:
+        (tmp_path / "d.json").mkdir()  # the CSV is written, the JSON beside it cannot be
+        argv = ["density", "--input", str(ticks_path), "--order", "2", "--method", "market",
+                "--grid=-40:70:111", "--output", str(tmp_path / "d.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "input error: cannot write" in err and "Traceback" not in err
+    assert (command == "vwap") != (tmp_path / "d.csv").is_file()

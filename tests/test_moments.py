@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbm.errors import DataError
 from mbm.moments import (
@@ -14,6 +16,7 @@ from mbm.moments import (
     trade_moments,
     vwap,
 )
+from mbm.ticks import TickSeries, Window
 
 from conftest import make_window, random_window
 
@@ -22,22 +25,28 @@ from conftest import make_window, random_window
 # brute-force re-summation oracle, deliberately separate from the numpy paths
 # ---------------------------------------------------------------------------
 
+def rows(window):
+    """The window's price, volume and value rows as lists of Python floats."""
+    batch = window.batch()
+    return batch.price[0].tolist(), batch.volume[0].tolist(), batch.value[0].tolist()
+
+
 def oracle_freq(window, n):
-    return math.fsum(t.price ** n for t in window.ticks) / len(window)
+    return math.fsum(p ** n for p in rows(window)[0]) / len(window)
 
 
 def oracle_trade(window, n):
-    c = math.fsum(t.value ** n for t in window.ticks) / len(window)
-    u = math.fsum(t.volume ** n for t in window.ticks) / len(window)
+    _, volumes, values = rows(window)
+    c = math.fsum(x ** n for x in values) / len(window)
+    u = math.fsum(x ** n for x in volumes) / len(window)
     return c, u
 
 
 def oracle_price_cov(w1, w2):
-    m1 = math.fsum(t.price for t in w1.ticks) / len(w1)
-    m2 = math.fsum(t.price for t in w2.ticks) / len(w2)
-    return math.fsum(
-        (a.price - m1) * (b.price - m2) for a, b in zip(w1.ticks, w2.ticks)
-    ) / len(w1)
+    p1, p2 = rows(w1)[0], rows(w2)[0]
+    m1 = math.fsum(p1) / len(w1)
+    m2 = math.fsum(p2) / len(w2)
+    return math.fsum((a - m1) * (b - m2) for a, b in zip(p1, p2)) / len(w1)
 
 
 def test_freq_moment_hand_values():
@@ -89,7 +98,7 @@ def test_market_equals_freq_for_constant_volume(rng):
 def test_moment_convexity_bound_both_methods(rng):
     for _ in range(200):
         w = random_window(rng)
-        prices = np.array([t.price for t in w.ticks])
+        prices = w.batch().price[0]
         for n in range(1, 7):
             powers = prices ** n
             assert powers.min() <= market_price_moment(w, n) <= powers.max()
@@ -227,8 +236,9 @@ def test_price_autocorrelation_market_matches_definition(rng):
     w1 = random_window(rng, size=10)
     w2 = random_window(rng, size=10)
     got = price_autocorrelation(w1, w2, "market")
-    num = math.fsum(a.value * b.value for a, b in zip(w1.ticks, w2.ticks))
-    den = math.fsum(a.volume * b.volume for a, b in zip(w1.ticks, w2.ticks))
+    (_, u1, c1), (_, u2, c2) = rows(w1), rows(w2)
+    num = math.fsum(a * b for a, b in zip(c1, c2))
+    den = math.fsum(a * b for a, b in zip(u1, u2))
     expect = num / den - vwap(w1) * vwap(w2)
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -288,3 +298,49 @@ def test_non_finite_flag_keeps_a_finite_negative_variance():
 def test_finite_moments_carry_no_non_finite_flag(rng):
     for method in ("frequency", "market"):
         assert "non_finite" not in compute_moment_set(random_window(rng), 4, method).flags
+
+
+# ---------------------------------------------------------------------------
+# the paper's identities as properties of windows built from drawn columns
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+POSITIVE = st.floats(0.01, 1e3)
+
+
+@st.composite
+def windows(draw, min_len=1, max_len=30):
+    n = draw(st.integers(min_len, max_len))
+    prices = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    volumes = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    return Window(TickSeries(np.arange(n, dtype=float), prices, volumes), 0, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=windows())
+def test_vwap_is_the_market_first_moment_bitwise(w):
+    assert vwap(w) == market_price_moment(w, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=windows(), n=st.integers(1, 6))
+def test_market_moment_obeys_the_convexity_bound(w, n):
+    # exact in real arithmetic; in floats C_i = p_i*U_i, the powers, sums and
+    # the division each round, so the bound holds to (n + 2N + 4) eps relative
+    powers = w.batch().price[0] ** n
+    slack = (n + 2 * len(w) + 4) * EPS
+    m = market_price_moment(w, n)
+    assert powers.min() * (1.0 - slack) <= m <= powers.max() * (1.0 + slack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=windows(min_len=2), method=st.sampled_from(["frequency", "market"]))
+def test_self_autocorrelation_is_the_variance(w, method):
+    b = price_autocorrelation(w, w, method)
+    ms = compute_moment_set(w, 2, method)
+    if method == "market":
+        assert b == ms.variance
+    else:
+        # two-pass covariance against the one-pass E[p^2] - E[p]^2, whose
+        # cancellation error scales with E[p^2] (the kernel's noise scale)
+        assert abs(b - ms.variance) <= 64.0 * EPS * ms.raw_moments[1]

@@ -20,7 +20,7 @@ from mbm.simulate import (
     ndtri,
     stream_normals,
 )
-from mbm.ticks import parse_ticks, render_ticks, window_from_ticks
+from mbm.ticks import Window, parse_ticks, render_ticks
 
 
 def spec(**overrides):
@@ -62,19 +62,18 @@ def test_streams_are_independent_of_draw_counts():
 
 def test_prices_and_volumes_positive():
     series = gen_trades(spec(sigma=0.5, log_sigma=1.5, seed=3))
-    assert all(t.price > 0 and t.volume > 0 for t in series.ticks)
+    assert (series.price > 0).all() and (series.volume > 0).all()
 
 
 def test_value_identity_holds():
     series = gen_trades(spec(seed=5))
-    for t in series.ticks:
-        assert t.value == t.price * t.volume
+    np.testing.assert_array_equal(series.value, series.price * series.volume)
 
 
 def test_constant_volume_collapses_market_to_frequency():
     series = gen_trades(spec(volume_model="constant", median_volume=7.0, seed=11))
-    w = window_from_ticks(series.ticks)
-    assert all(t.volume == 7.0 for t in series.ticks)
+    w = Window(series, 0, len(series))
+    assert (series.volume == 7.0).all()
     for n in range(1, 5):
         m = market_price_moment(w, n)
         f = freq_moment(w, n)
@@ -83,20 +82,20 @@ def test_constant_volume_collapses_market_to_frequency():
 
 def test_constant_price_model():
     series = gen_trades(spec(price_model="constant", seed=13))
-    assert all(t.price == 10.0 for t in series.ticks)
+    assert (series.price == 10.0).all()
 
 
 def test_uncorrelated_streams_pass_decorrelation_diagnostic():
     series = gen_trades(spec(length=10000, seed=21))
-    w = window_from_ticks(series.ticks)
+    w = Window(series, 0, len(series))
     d = decorrelation_diagnostic(w, 1)
     assert abs(d.coefficient) < 0.05
 
 
 def test_requested_correlation_is_realized():
     series = gen_trades(spec(length=20000, pv_correlation=0.7, phi=0.0, seed=31))
-    logp = np.log([t.price for t in series.ticks]) - np.log(10.0)
-    logu = np.log([t.volume for t in series.ticks]) - np.log(50.0)
+    logp = np.log(series.price) - np.log(10.0)
+    logu = np.log(series.volume) - np.log(50.0)
     got = np.corrcoef(logp, logu)[0, 1]
     assert got == pytest.approx(0.7, abs=0.03)
 
@@ -106,8 +105,8 @@ def test_sample_moments_converge_at_root_n():
     n = 10000
     s = spec(length=n, phi=0.0, sigma=0.2, log_sigma=0.5, seed=17)
     series = gen_trades(s)
-    logp = np.log([t.price for t in series.ticks]) - np.log(s.base_price)
-    logu = np.log([t.volume for t in series.ticks]) - np.log(s.median_volume)
+    logp = np.log(series.price) - np.log(s.base_price)
+    logu = np.log(series.volume) - np.log(s.median_volume)
     assert abs(logp.mean()) <= 5 * s.sigma / np.sqrt(n)
     assert abs(logu.mean()) <= 5 * s.log_sigma / np.sqrt(n)
     assert abs(logp.std() - s.sigma) <= 5 * s.sigma / np.sqrt(2 * n)
@@ -117,7 +116,7 @@ def test_sample_moments_converge_at_root_n():
 def test_ar1_persistence_is_realized():
     s = spec(length=50000, phi=0.6, sigma=0.1, seed=23)
     series = gen_trades(s)
-    y = np.log([t.price for t in series.ticks]) - np.log(10.0)
+    y = np.log(series.price) - np.log(10.0)
     rho1 = np.corrcoef(y[:-1], y[1:])[0, 1]
     assert rho1 == pytest.approx(0.6, abs=0.02)
 

@@ -5,7 +5,7 @@ import pytest
 
 from mbm.cli import main
 from mbm.errors import DataError
-from mbm.ticks import TickSeries, TradeTick, parse_ticks
+from mbm.ticks import TickSeries, TradeTick, parse_ticks, window_from_ticks
 
 
 @pytest.mark.parametrize(
@@ -37,9 +37,9 @@ def test_line_numbers_count_blank_lines():
 
 def test_columns_are_checked_like_ticks():
     with pytest.raises(DataError, match="tick 1: time nan is not finite"):
-        TickSeries.from_columns([0.0, np.nan], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(DataError, match="is not finite"):
-        TradeTick(time=0.0, price=1e200, volume=1e200, value=float("inf"))
+        TickSeries([0.0, np.nan], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DataError, match="tick 0: value inf is not finite"):
+        window_from_ticks([TradeTick(time=0.0, price=1e200, volume=1e200, value=float("inf"))])
 
 
 def test_fast_and_row_by_row_parse_agree():

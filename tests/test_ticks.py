@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+import mbm
 from mbm.errors import DataError
-from mbm.ticks import TradeTick, parse_ticks, partition_windows, render_ticks, window_from_ticks
+from mbm.ticks import (TickSeries, TradeTick, Window, parse_ticks, partition_windows, render_ticks,
+                       window_from_ticks)
 
-from conftest import make_series, make_ticks
+from conftest import make_series, make_window
 
 
 def test_parse_computes_missing_value():
     series = parse_ticks("time,price,volume\n0,10,2\n")
     assert len(series) == 1
-    assert series.ticks[0].value == 20.0
+    assert series.value[0] == 20.0
 
 
 def test_parse_rejects_value_mismatch():
@@ -20,7 +22,7 @@ def test_parse_rejects_value_mismatch():
 
 def test_parse_accepts_consistent_value_column():
     series = parse_ticks("time,price,volume,value\n0,10,2,20\n")
-    assert series.ticks[0].value == 20.0
+    assert series.value[0] == 20.0
 
 
 def test_parse_three_rows_infers_spacing():
@@ -59,9 +61,9 @@ def test_parse_errors_report_location(text, fragment):
 
 def test_tick_identity_tolerance_is_relative():
     # one part in 1e10 passes, one part in 1e8 does not
-    TradeTick(time=0.0, price=10.0, volume=2.0, value=20.0 * (1 + 1e-10))
-    with pytest.raises(DataError):
-        TradeTick(time=0.0, price=10.0, volume=2.0, value=20.0 * (1 + 1e-8))
+    window_from_ticks([TradeTick(time=0.0, price=10.0, volume=2.0, value=20.0 * (1 + 1e-10))])
+    with pytest.raises(DataError, match="tick 0: value"):
+        window_from_ticks([TradeTick(time=0.0, price=10.0, volume=2.0, value=20.0 * (1 + 1e-8))])
 
 
 def test_render_parse_round_trip_exact(rng):
@@ -81,7 +83,7 @@ def test_partition_disjoint_counts():
     series = make_series(range(1, 7))
     windows = partition_windows(series, 3, "disjoint")
     assert [len(w) for w in windows] == [3, 3]
-    seen = [t.time for w in windows for t in w.ticks]
+    seen = [t for w in windows for t in series.time[w.start:w.stop].tolist()]
     assert seen == sorted(set(seen))  # no tick shared
 
 
@@ -95,7 +97,7 @@ def test_partition_sliding_counts_and_overlap():
     windows = partition_windows(series, 3, "sliding")
     assert len(windows) == 4
     for w1, w2 in zip(windows, windows[1:]):
-        assert w1.ticks[1:] == w2.ticks[:-1]  # N-1 shared ticks
+        assert (w2.start, w2.stop) == (w1.start + 1, w1.stop + 1)  # N-1 shared ticks
 
 
 def test_partition_window_longer_than_series():
@@ -113,18 +115,17 @@ def test_partition_rejects_bad_window_len_and_mode():
 
 
 def test_window_center_is_median_time():
-    odd = window_from_ticks(make_ticks([1, 2, 3], times=[0.0, 4.0, 10.0]))
+    odd = make_window([1, 2, 3], times=[0.0, 4.0, 10.0])
     assert odd.center_time == 4.0
-    even = window_from_ticks(make_ticks([1, 2, 3, 4], times=[0.0, 2.0, 6.0, 8.0]))
+    even = make_window([1, 2, 3, 4], times=[0.0, 2.0, 6.0, 8.0])
     assert even.center_time == 4.0
 
 
 def test_window_times_lie_in_centered_span():
-    w = window_from_ticks(make_ticks([1, 2, 3, 4, 5]))
-    half = max(abs(t.time - w.center_time) for t in w.ticks)
-    assert all(
-        w.center_time - half <= t.time <= w.center_time + half for t in w.ticks
-    )
+    w = make_window([1, 2, 3, 4, 5])
+    times = w.series.time[w.start:w.stop]
+    half = np.abs(times - w.center_time).max()
+    assert ((w.center_time - half <= times) & (times <= w.center_time + half)).all()
 
 
 def test_empty_window_rejected():
@@ -135,3 +136,17 @@ def test_empty_window_rejected():
 def test_series_requires_sorted_times():
     with pytest.raises(DataError, match="non-decreasing"):
         make_series([10.0, 11.0], times=[1.0, 0.0])
+
+
+def test_benchmark_tick_api_matches_the_columns(rng):
+    # perfbench builds keyword TradeTick records, windows them with
+    # window_from_ticks, and traces two functions of mbm.ticks by name
+    time = np.arange(50.0)
+    price = rng.uniform(5.0, 15.0, size=50)
+    volume = np.exp(rng.normal(3.0, 0.5, size=50))
+    ticks = [mbm.TradeTick(time=t, price=p, volume=u, value=p * u)
+             for t, p, u in zip(time.tolist(), price.tolist(), volume.tolist())]
+    got = mbm.compute_moment_set(mbm.window_from_ticks(ticks), 4, "market")
+    want = mbm.compute_moment_set(Window(TickSeries(time, price, volume), 0, 50), 4, "market")
+    assert repr(got) == repr(want)  # float repr round-trips: equal bits
+    assert callable(mbm.ticks.partition_windows) and callable(mbm.ticks.window_from_ticks)
