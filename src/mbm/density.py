@@ -140,15 +140,22 @@ def recover_moment(charfn: CharFnApprox, n: int) -> RecoveredMoment:
 
 @dataclass(frozen=True, slots=True)
 class DensityApprox:
-    """Tabulated approximate price density with normalization diagnostics."""
+    """Tabulated approximate price density with normalization diagnostics.
 
-    grid: np.ndarray
+    grid_spec is the grid's (lo, hi, points); .grid rebuilds np.linspace(*grid_spec)
+    on each access instead of storing it, so a kept result holds half the floats."""
+
+    grid_spec: tuple[float, float, int]
     values: np.ndarray
     total_mass: float
     recovered_mean: float
     recovered_variance: float
     negative_mass_fraction: float
     method: str
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(*self.grid_spec)
 
     def to_csv_text(self) -> str:
         lines = ["price,density"]
@@ -179,7 +186,7 @@ def _central_moments(raw: tuple[float, ...]):
     return mu, var, m3, m4
 
 
-def _parse_grid(grid_spec) -> np.ndarray:
+def _parse_grid(grid_spec) -> tuple[tuple[float, float, int], np.ndarray]:
     try:
         lo, hi, points = grid_spec
     except (TypeError, ValueError):
@@ -187,7 +194,8 @@ def _parse_grid(grid_spec) -> np.ndarray:
     points = int(points)
     if not (hi > lo) or points < 2:
         raise DataError(f"grid needs hi > lo and points >= 2, got ({lo}, {hi}, {points})")
-    return np.linspace(float(lo), float(hi), points)
+    spec = float(lo), float(hi), points
+    return spec, np.linspace(*spec)
 
 
 def _hermite_density(grid: np.ndarray, center: float, scale: float, coeffs) -> np.ndarray:
@@ -197,7 +205,7 @@ def _hermite_density(grid: np.ndarray, center: float, scale: float, coeffs) -> n
     return base * hermeval(z, coeffs)
 
 
-def _finalize(grid: np.ndarray, values_raw: np.ndarray, method: str) -> DensityApprox:
+def _finalize(spec, grid: np.ndarray, values_raw: np.ndarray, method: str) -> DensityApprox:
     if not np.all(np.isfinite(values_raw)):
         raise DomainError(f"{method}: non-finite density values on the grid")
     raw_mass = float(np.trapezoid(values_raw, grid))
@@ -209,7 +217,7 @@ def _finalize(grid: np.ndarray, values_raw: np.ndarray, method: str) -> DensityA
     mean = float(np.trapezoid(grid * values, grid))
     second = float(np.trapezoid(grid * grid * values, grid))
     return DensityApprox(
-        grid=grid,
+        grid_spec=spec,
         values=values,
         total_mass=float(np.trapezoid(values, grid)),
         recovered_mean=mean,
@@ -236,7 +244,7 @@ def density_gram_charlier(moments: MomentSet, grid_spec) -> DensityApprox:
         )
     mu, var, m3, m4 = _central_moments(moments.raw_moments[:GC_MAX_ORDER])
     sigma = math.sqrt(var)
-    grid = _parse_grid(grid_spec)
+    spec, grid = _parse_grid(grid_spec)
     if grid[0] > mu - 6.0 * sigma or grid[-1] < mu + 6.0 * sigma:
         raise DataError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] too narrow; needs to cover "
@@ -248,7 +256,7 @@ def density_gram_charlier(moments: MomentSet, grid_spec) -> DensityApprox:
         coeffs += [0.0, 0.0, m3 / sigma ** 3 / 6.0]
     if m4 is not None:
         coeffs.append((m4 / sigma ** 4 - 3.0) / 24.0)
-    return _finalize(grid, _hermite_density(grid, mu, sigma, coeffs), "gram_charlier")
+    return _finalize(spec, grid, _hermite_density(grid, mu, sigma, coeffs), "gram_charlier")
 
 
 def density_damped_inversion(
@@ -266,10 +274,10 @@ def density_damped_inversion(
         raise DataError(f"density needs order >= 2, got {moments.order}")
     if not (damping_sigma > 0.0):
         raise DataError(f"damping_sigma must be positive, got {damping_sigma}")
-    grid = _parse_grid(grid_spec)
+    spec, grid = _parse_grid(grid_spec)
     coeffs = [1.0] + [
         p * damping_sigma ** n / math.factorial(n)
         for n, p in enumerate(moments.raw_moments, start=1)
     ]
     values = _hermite_density(grid, 0.0, 1.0 / damping_sigma, coeffs)
-    return _finalize(grid, values, "damped_inversion")
+    return _finalize(spec, grid, values, "damped_inversion")

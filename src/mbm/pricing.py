@@ -20,7 +20,8 @@ grid scan finds a sign change of the residual and ``brentq``, this
 module's port of scipy's Brent solver, refines it. The fallback calls
 whatever the module attribute ``mbm.pricing.brentq`` holds, so it can be
 wrapped or replaced. Converged solutions honor
-|residual| <= 1e-10 * max(1, |p0|).
+|residual| <= 1e-10 * max(1, |p0|). A solve or sampled residual resolves
+the utility's formulas, domain test and error state once, not per trial.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DomainError, require_finite
-from .utility import UtilitySpec, admissible, eval_utility
+from .utility import UtilitySpec, eval_utility, resolve
 
 RESIDUAL_RTOL = 1e-10
 
@@ -251,6 +252,7 @@ def sdf(utility: UtilitySpec, beta: float, c_t: float, c_T: float) -> float:
     return beta * eval_utility(utility, c_T, 1) / eval_utility(utility, c_t, 1)
 
 
+@np.errstate(over="ignore", under="ignore")  # extreme consumption maps u', u'' to inf/0
 def _solve_linearized(
     scn: PricingScenario, options: SolverOptions, *,
     spent: float, xi: float, c_T0: float, x: float, A: float, B: float,
@@ -269,21 +271,22 @@ def _solve_linearized(
     the contract is still accepted if the tighter target proves unreachable.
     """
     u = scn.utility
-    if not admissible(u, c_T0):
+    (_, d1, d2), inside = resolve(u)
+    g = u.parameter
+    if not inside(c_T0):
         raise DomainError(f"sale-date mean consumption {c_T0:g} inadmissible")
-    up_T = eval_utility(u, c_T0, 1)
-    upp_T = eval_utility(u, c_T0, 2)
+    up_T, upp_T = float(d1(c_T0, g)), float(d2(c_T0, g))  # Python floats, as eval_utility gives
 
     def residual(p0: float) -> float:
         c_t0 = scn.endowment_t - spent - p0 * xi
-        if not admissible(u, c_t0):
+        if not inside(c_t0):
             raise DomainError(
                 f"purchase-date mean consumption {c_t0:g} inadmissible at trial p0={p0:g}"
             )
-        up_t = eval_utility(u, c_t0, 1)
+        up_t = float(d1(c_t0, g))
         if not (up_t > 0.0) or not math.isfinite(up_t):
             raise DomainError(f"marginal utility unusable at mean consumption {c_t0:g}")
-        upp_t = eval_utility(u, c_t0, 2)
+        upp_t = float(d2(c_t0, g))
         rhs = scn.beta * (up_T / up_t) * x + scn.beta * (upp_T / up_t) * A + (upp_t / up_t) * B
         return rhs - p0
 
@@ -454,8 +457,8 @@ def linearized_marginal_expectation(
 
 
 def _consumptions(scn: PricingScenario, samples, holdings: float, endowment: float, sign: float):
-    c = endowment + sign * np.asarray(samples, dtype=float) * holdings
-    if not admissible(scn.utility, c):
+    c = endowment + sign * samples * holdings
+    if not resolve(scn.utility)[1](c):
         raise DomainError(
             f"consumption inadmissible for some sample at holdings {holdings:g}"
         )
@@ -476,8 +479,12 @@ def residual_basic_eq(
         raise DataError("need non-empty price and payoff samples")
     c_t = _consumptions(scn, p, holdings, scn.endowment_t, -1.0)
     c_T = _consumptions(scn, x, holdings, scn.endowment_T, +1.0)
-    lhs = float(np.mean(eval_utility(scn.utility, c_t, 1) * p))
-    rhs = scn.beta * float(np.mean(eval_utility(scn.utility, c_T, 1) * x))
+    d1, g = resolve(scn.utility)[0][1], scn.utility.parameter
+    with np.errstate(over="ignore", under="ignore"):  # extreme consumption maps u' to inf/0
+        up_t, up_T = d1(c_t, g), d1(c_T, g)
+    # np.mean's own pairwise sum and division by the count, without its wrapper
+    lhs = float(np.add.reduce(up_t * p, axis=None) / p.size)
+    rhs = scn.beta * float(np.add.reduce(up_T * x, axis=None) / x.size)
     return lhs - rhs
 
 

@@ -58,7 +58,9 @@ def _check_columns(time, price, volume, value, where) -> None:
             (price > 0.0) & np.isfinite(price),
             (volume > 0.0) & np.isfinite(volume),
             np.isfinite(value),
-            np.abs(value - expected) <= VALUE_IDENTITY_RTOL * np.abs(expected),
+            # an overflowing price*volume fails: |value - inf| <= inf would pass
+            np.isfinite(expected)
+            & (np.abs(value - expected) <= VALUE_IDENTITY_RTOL * np.abs(expected)),
         )
     good = np.logical_and.reduce(passed)
     ordered = time[1:] >= time[:-1]
@@ -111,7 +113,8 @@ class TickSeries:
     def __init__(self, time, price, volume, value=None, tick_spacing: float | None = None,
                  *, where=lambda i: f"tick {i}"):
         if value is None:
-            value = np.multiply(price, volume)
+            with np.errstate(over="ignore"):  # an overflowing product fails _check_columns
+                value = np.multiply(price, volume)
         columns = [_frozen_column(c) for c in (time, price, volume, value)]
         if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
             raise DataError("tick columns must be 1-d and of equal length")

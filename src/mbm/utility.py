@@ -58,13 +58,19 @@ class UtilitySpec:
                 raise DataError(f"exponential utility needs parameter > 0, got {self.parameter}")
 
 
-def admissible(spec: UtilitySpec, c) -> bool:
-    """True when every consumption value lies in the family's domain."""
-    if isinstance(c, float):  # Python and numpy floats skip the array round trip
-        return c > 0.0 if spec.family in _POSITIVE else math.isfinite(c)
-    if spec.family in _POSITIVE:
-        return bool(np.all(np.asarray(c) > 0.0))
-    return bool(np.all(np.isfinite(np.asarray(c, dtype=float))))
+def _positive(c) -> bool:
+    return bool((c > 0.0).all()) if isinstance(c, np.ndarray) else c > 0.0
+
+
+def _finite(c) -> bool:
+    return bool(np.isfinite(c).all()) if isinstance(c, np.ndarray) else math.isfinite(c)
+
+
+def resolve(spec: UtilitySpec):
+    """((u, u', u''), inside) of spec's family: each formula is f(c, spec.parameter) on
+    admissible c under the caller's error state; inside(c) is True when every value
+    of a real number or float array lies in the family's domain."""
+    return _FORMULAS[spec.family], _positive if spec.family in _POSITIVE else _finite
 
 
 @np.errstate(over="ignore", under="ignore")  # extreme c maps to inf/0
@@ -80,9 +86,10 @@ def eval_utility(spec: UtilitySpec, c, order: int = 0):
     if not scalar:
         c = np.asarray(c, dtype=float)
         scalar = c.ndim == 0
-    if not admissible(spec, c):
+    formulas, inside = resolve(spec)
+    if not inside(c):
         raise DomainError(
             f"consumption outside admissible domain for {spec.family} utility"
         )
-    out = _FORMULAS[spec.family][order](c, spec.parameter)
+    out = formulas[order](c, spec.parameter)
     return float(out) if scalar else out

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mbm import pricing
 from mbm.errors import ConvergenceError, DataError, DomainError
 from mbm.pricing import (
+    DEFAULT_OPTIONS,
     PricingScenario,
     SolverOptions,
     TwoTradeScenario,
@@ -548,3 +552,128 @@ def test_solution_serialization():
     d = sol.to_json_dict()
     assert set(d) == {"mean_price", "residual", "iterations", "converged"}
     assert d["converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# the kernels resolve the utility once per call: properties against the
+# generic eval_utility path, over all four families
+# ---------------------------------------------------------------------------
+
+ALL_FAMILIES = st.one_of(
+    st.just(LINEAR),
+    st.just(LOG),
+    st.floats(0.3, 5.0).filter(lambda g: abs(g - 1.0) > 1e-3).map(lambda g: UtilitySpec("power", g)),
+    st.floats(0.05, 2.5).map(lambda a: UtilitySpec("exponential", a)),
+)
+
+
+@st.composite
+def two_sale_scenarios(draw):
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    pv, pv2, xv, xv2 = (real(0.0, 2.0) for _ in range(4))
+    return TwoTradeScenario(
+        utility=draw(ALL_FAMILIES), beta=real(0.85, 1.0),
+        endowment_t=real(6.0, 14.0), endowment_T=real(2.5, 14.0),
+        holdings=real(0.2, 1.5), payoff_mean=real(0.5, 6.0),
+        payoff_variance=xv, price_variance=pv,
+        holdings2=real(0.2, 1.5), payoff_mean2=real(0.5, 6.0),
+        payoff_variance2=xv2, price_variance2=pv2,
+        price_autocorr=real(-0.99, 0.99) * math.sqrt(pv * pv2),
+        payoff_autocorr=real(-0.99, 0.99) * math.sqrt(xv * xv2), T2=3.0,
+    )
+
+
+def kernel_residual(scn, p0, *, spent, xi, c_T0, x, A, B):
+    """The linearized residual through eval_utility, in the kernel's operation order."""
+    u = scn.utility
+    c_t0 = scn.endowment_t - spent - p0 * xi
+    up_T, upp_T = eval_utility(u, c_T0, 1), eval_utility(u, c_T0, 2)
+    up_t, upp_t = eval_utility(u, c_t0, 1), eval_utility(u, c_t0, 2)
+    return scn.beta * (up_T / up_t) * x + scn.beta * (upp_T / up_t) * A + (upp_t / up_t) * B - p0
+
+
+def check_solution(scn, sol, x, **coefficients):
+    p0 = sol.mean_price
+    assert sol.converged
+    assert sol.residual.hex() == kernel_residual(scn, p0, x=x, **coefficients).hex()
+    assert abs(sol.residual) <= 1e-10 * max(1.0, abs(p0))
+    if scn.utility.family == "linear":
+        assert p0 == scn.beta * x
+
+
+AVERSE_TWO_SALES = TwoTradeScenario(
+    utility=UtilitySpec("exponential", 2.0), beta=0.95, endowment_t=10.0, endowment_T=3.0,
+    holdings=1.0, payoff_mean=5.0, payoff_variance=1.0, price_variance=1.0,
+    holdings2=0.5, payoff_mean2=5.0, payoff_variance2=1.0, price_variance2=1.0,
+    payoff_autocorr=0.0, T2=3.0,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scn=two_sale_scenarios())
+@example(scn=AVERSE_TWO_SALES)  # the first purchase takes the bracketed fallback
+def test_solutions_carry_the_eval_utility_residual_bit_for_bit(scn):
+    xi1, xi2 = scn.holdings, scn.holdings2
+    try:
+        first = solve_price_first_purchase(scn)
+    except (ConvergenceError, DomainError):
+        return
+    check_solution(scn, first, scn.payoff_mean, spent=0.0, xi=xi1,
+                   c_T0=scn.endowment_T + scn.payoff_mean * xi1,
+                   A=xi1 * scn.payoff_variance, B=xi1 * scn.price_variance)
+    try:
+        second = solve_price_two_sales(scn, first=first)
+    except (ConvergenceError, DomainError):
+        return
+    check_solution(scn, second, scn.payoff_mean2, spent=first.mean_price * xi1, xi=xi2,
+                   c_T0=scn.endowment_T + scn.first_lot_payoff_mean * xi1 + scn.payoff_mean2 * xi2,
+                   A=xi1 * scn.payoff_autocorr + xi2 * scn.payoff_variance2,
+                   B=xi1 * scn.price_autocorr + xi2 * scn.price_variance2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=ALL_FAMILIES, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+       e_t=st.floats(2.0, 12.0), e_T=st.floats(2.0, 12.0), xi=st.floats(0.0, 1.2))
+def test_residual_basic_eq_is_the_eval_utility_mean_form_bit_for_bit(u, seed, n, e_t, e_T, xi):
+    rng = np.random.default_rng(seed)
+    prices, payoffs = rng.uniform(0.5, 8.0, n), rng.uniform(0.5, 8.0, n)
+    scn = PricingScenario(utility=u, beta=0.95, endowment_t=e_t, endowment_T=e_T,
+                          holdings=1.0, payoff_mean=6.0)
+    c_t, c_T = e_t - prices * xi, e_T + payoffs * xi
+    try:
+        want = (float(np.mean(eval_utility(u, c_t, 1) * prices))
+                - scn.beta * float(np.mean(eval_utility(u, c_T, 1) * payoffs)))
+    except DomainError:
+        with pytest.raises(DomainError):
+            residual_basic_eq(scn, prices, payoffs, xi)
+        return
+    assert residual_basic_eq(scn, prices, payoffs, xi).hex() == want.hex()
+
+
+def test_averse_bracketed_solves_and_edge_optimize_do_not_warn():
+    rng = np.random.default_rng(9)
+    prices, payoffs = rng.uniform(3.5, 5.5, 500), rng.uniform(5.5, 7.5, 500)
+
+    def averse(alpha, e_T, holdings=1.0, price_variance=1.0):
+        return PricingScenario(
+            utility=UtilitySpec("exponential", alpha), beta=0.95, endowment_t=10.0,
+            endowment_T=e_T, holdings=holdings, payoff_mean=5.0, payoff_variance=1.0,
+            price_variance=price_variance)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the benchmark's strongly averse scenarios stall the fixed point
+        for alpha, e_T in [(1.8, 2.8), (2.0, 3.0), (2.2, 3.2)]:
+            sol = solve_price_single(averse(alpha, e_T))
+            assert sol.iterations > DEFAULT_OPTIONS.max_iterations  # bracketed
+        # more price risk sends trial prices where exp(-alpha * c_t) overflows
+        assert solve_price_single(averse(1.8, 2.8, holdings=1.2, price_variance=3.0)).converged
+        # hi leaves ~1e-14 of consumption at the highest price; power 30's
+        # u' = c^-30 overflows there
+        hi = 10.0 / prices.max() * (1.0 - 1e-15)
+        for u in (LOG, UtilitySpec("power", 30.0)):
+            scn = log_sample(utility=u)
+            assert 10.0 - prices.max() * hi < 1e-13
+            assert not optimize_holdings(scn, prices, payoffs, (0.0, hi)).at_boundary

@@ -1,5 +1,7 @@
 """Tick input that is not a finite decimal number is rejected at the boundary."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,23 @@ def test_fast_and_row_by_row_parse_agree():
     quoted = parse_ticks('time,price,volume\n"0","10.5",2\n1,11,3e0\n')  # csv quoting: row path
     assert fast == quoted
     assert fast.value.tolist() == [21.0, 33.0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # |value - inf| <= 1e-9 * inf held for any value, so vwap read 3e-200
+        ("time,price,volume,value\n0,1e200,1e200,1\n1,1e200,1e200,5\n",
+         "line 2: value 1.0 violates price*volume=inf beyond relative 1e-09"),
+        ("time,price,volume\n0,1e200,1e200\n", "line 2: value inf is not finite"),
+    ],
+    ids=["explicit_value", "default_value"],
+)
+def test_overflowing_price_times_volume_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "ticks.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: {message}\n"
