@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import moments as moments_mod
 from .config import (
     ENV_PREFIX,
@@ -152,32 +154,32 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
 
     table = moments_mod.batch_moments(batch, order, method)
-    centers, means, variances = (a.tolist() for a in (table.center_time, table.mean, table.variance))
-    negative, non_finite = table.negative_variance.tolist(), table.non_finite.tolist()
+    text = table.value_text()
+    centers, means, variances = (text[:, j].tolist() for j in (0, 1, -1))
     flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
     _print_lines([
-        f"window {i} center_time={c!r} mean={m!r} variance={v!r} flags={flags[code]}"
+        f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
         for i, (c, m, v, code) in enumerate(zip(centers, means, variances, table.flag_codes()))
     ])
     violations = []
     if settings["strict"]:
-        coef, correlated = [0.0] * len(batch), [False] * len(batch)
+        negative, non_finite = table.negative_variance, table.non_finite
+        coef, correlated = np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
         if batch.window_len >= 2:
-            diag = moments_mod.batch_decorrelation(batch, 2, threshold)
-            coef, correlated = diag[0].tolist(), diag[1].tolist()
-        for i in range(len(batch)):
+            coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
+        for i in np.flatnonzero(negative | non_finite | correlated).tolist():
             if negative[i]:
-                violations.append(f"window {i}: negative market variance {variances[i]!r}")
+                violations.append(f"window {i}: negative market variance {variances[i]}")
             if non_finite[i]:
                 # the set itself is unusable; its correlation is usually a NaN clipped to -1
                 violations.append(f"window {i}: non-finite moments")
             elif correlated[i]:
                 violations.append(
                     f"window {i}: order-2 price/volume correlation "
-                    f"{coef[i]!r} exceeds {threshold!r}"
+                    f"{float(coef[i])!r} exceeds {threshold!r}"
                 )
     if settings.get("output") is not None:
-        _write_text(settings["output"], table.to_json_text())
+        _write_text(settings["output"], table.to_json_text(text))
     if violations:
         raise StrictViolation("; ".join(violations))
     return EXIT_OK

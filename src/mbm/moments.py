@@ -80,7 +80,7 @@ class CorrelationDiagnostic:
 
 
 # Elements per temporary in the batch kernels: windows are processed in row
-# chunks of about this many ticks, which bounds the x**n temporaries.
+# chunks of about this many ticks, which bounds their contiguous copies.
 _CHUNK_ELEMENTS = 1 << 19
 
 
@@ -100,12 +100,14 @@ def _row_means(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=1) / block.shape[1]
 
 
-def _power_means(rows: np.ndarray, orders) -> np.ndarray:
-    """(windows, len(orders)) array of the window averages (1/N) sum x_i^n."""
-    out = np.empty((len(rows), len(orders)))
-    for sl, block in _chunks(rows):
-        for j, n in enumerate(orders):
-            out[sl, j] = _row_means(block ** n)
+def _power_means(batch: WindowBatch, name: str, orders) -> np.ndarray:
+    """(windows, len(orders)) window averages (1/N) sum x_i^n of a tick column, each tick
+    raised to each power once (pow is elementwise: the bits of each window's own x ** n)."""
+    ticks = batch.ticks(name)
+    out = np.empty((len(batch), len(orders)))
+    for j, n in enumerate(orders):
+        for sl, block in _chunks(batch.rows(ticks ** n)):
+            out[sl, j] = _row_means(block)
     return out
 
 
@@ -173,11 +175,22 @@ class MomentTable:
             flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
 
-    def to_json_text(self) -> str:
+    def value_text(self) -> np.ndarray:
+        """repr of each float the outputs write, once, as a (windows, columns) object array:
+        center_time, raw moments, [trade value, volume moments,] variance (the
+        mean is the first raw moment). JSON, stdout and --strict messages share it."""
+        columns = [self.center_time[:, None], self.raw_moments]
+        if self.trade_value_moments is not None:
+            columns += [self.trade_value_moments, self.trade_volume_moments]
+        values = np.hstack(columns + [self.variance[:, None]])
+        return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
+
+    def to_json_text(self, text: np.ndarray | None = None) -> str:
         """``json.dumps([set.to_json_dict() ...], indent=2) + "\n"``, from the arrays.
 
         json's indenting encoder runs in pure Python; filling one template
-        per window gives the same bytes several times faster.
+        per window gives the same bytes several times faster. text is this
+        table's value_text(), for a caller that has it already.
         """
         if len(self) == 0:
             return "[]\n"
@@ -194,22 +207,17 @@ class MomentTable:
             + ',\n    "volume_moments": ' + (items(k) if trade else "null")
             + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
         )
-        columns = [self.center_time[:, None], self.raw_moments]
-        if trade:
-            columns += [self.trade_value_moments, self.trade_volume_moments]
-        columns += [self.mean[:, None], self.variance[:, None]]
-        values = np.hstack(columns)
-        text = list(map(repr, values.ravel().tolist()))
-        if not np.isfinite(values).all():
-            text = [_JSON_NONFINITE.get(t, t) for t in text]
-        flags = ["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]" if names
-                 else "[]" for names in FLAG_SETS]
-        width = values.shape[1]
-        records = [
-            record % (*text[i * width:(i + 1) * width], flags[code])
-            for i, code in enumerate(self.flag_codes())
-        ]
-        return "[\n" + ",\n".join(records) + "\n]\n"
+        text = self.value_text() if text is None else text
+        if self.non_finite.any() or not np.isfinite(self.center_time).all():
+            text = text.copy()
+            for spelled, json_spelling in _JSON_NONFINITE.items():
+                text[text == spelled] = json_spelling
+        flags = np.array(["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]"
+                          if names else "[]" for names in FLAG_SETS], dtype=object)
+        # per record: center_time and the moments, then the mean, variance and flags
+        cells = np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:],
+                           flags[self.negative_variance + 2 * self.non_finite, None]])
+        return "[\n" + ",\n".join([record] * len(self)) % tuple(cells.ravel().tolist()) + "\n]\n"
 
 
 def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
@@ -227,10 +235,10 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
     # overflowing powers are flagged non_finite below, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "frequency":
-            raw = _power_means(batch.price, orders)
+            raw = _power_means(batch, "price", orders)
         else:
-            value_moms = _power_means(batch.value, orders)
-            volume_moms = _power_means(batch.volume, orders)
+            value_moms = _power_means(batch, "value", orders)
+            volume_moms = _power_means(batch, "volume", orders)
             raw = value_moms / volume_moms
         mean = raw[:, 0]
         variance = raw[:, 1] - mean * mean
@@ -255,16 +263,15 @@ def batch_decorrelation(
         raise DataError("decorrelation diagnostic needs at least 2 ticks")
     coef = np.empty(len(batch))
     undefined = np.empty(len(batch), dtype=bool)
-    for (sl, p), (_, u) in zip(_chunks(batch.price), _chunks(batch.volume)):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = p ** n
-            b = u ** n
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powers = [batch.rows(batch.ticks(name) ** n) for name in ("price", "volume")]
+        for (sl, a), (_, b) in zip(*map(_chunks, powers)):
             da = a - _row_means(a)[:, None]
             db = b - _row_means(b)[:, None]
             sa = np.sqrt(_row_means(da * da))
             sb = np.sqrt(_row_means(db * db))
             coef[sl] = _row_means(da * db) / (sa * sb)
-        undefined[sl] = (sa == 0.0) | (sb == 0.0)
+            undefined[sl] = (sa == 0.0) | (sb == 0.0)
     # a NaN coefficient (overflowing powers) clips to -1, so it is flagged, not hidden
     coef = np.where(undefined, 0.0, np.clip(np.where(np.isnan(coef), -1.0, coef), -1.0, 1.0))
     return coef, ~undefined & (np.abs(coef) > threshold), undefined
@@ -272,7 +279,7 @@ def batch_decorrelation(
 
 def batch_vwap(batch: WindowBatch) -> np.ndarray:
     """VWAP of every window; equal bit for bit to the market first moment."""
-    return _power_means(batch.value, (1,))[:, 0] / _power_means(batch.volume, (1,))[:, 0]
+    return _power_means(batch, "value", (1,))[:, 0] / _power_means(batch, "volume", (1,))[:, 0]
 
 
 def _paired_autocorrelation(first: WindowBatch, second: WindowBatch, method: str) -> np.ndarray:
@@ -312,15 +319,15 @@ def batch_autocorrelation(batch: WindowBatch, lag: int, method: str) -> np.ndarr
 def freq_moment(window: Window, n: int) -> float:
     """Frequency-based n-th price moment: (1/N) sum p_i^n."""
     _check_order(n)
-    return float(_power_means(window.batch().price, (n,))[0, 0])
+    return float(_power_means(window.batch(), "price", (n,))[0, 0])
 
 
 def trade_moments(window: Window, n: int) -> tuple[float, float]:
     """n-th moments of trade value and volume: ((1/N) sum C_i^n, (1/N) sum U_i^n)."""
     _check_order(n)
     batch = window.batch()
-    return (float(_power_means(batch.value, (n,))[0, 0]),
-            float(_power_means(batch.volume, (n,))[0, 0]))
+    return (float(_power_means(batch, "value", (n,))[0, 0]),
+            float(_power_means(batch, "volume", (n,))[0, 0]))
 
 
 def market_price_moment(window: Window, n: int) -> float:

@@ -507,7 +507,9 @@ def optimize_holdings(
     The objective is checked to be concave, so its derivative is monotone
     and bisection on [lo, hi] finds interior optima until the sampled
     first-order condition is met to rounding. When the maximum sits on a
-    bound the boundary point is returned with at_boundary set.
+    bound the boundary point is returned with at_boundary set. A bound at
+    which some sample's consumption leaves the utility's domain raises
+    DataError naming that bound.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (hi > lo):
@@ -528,10 +530,19 @@ def optimize_holdings(
     def derivative(xi: float) -> float:
         return -residual_basic_eq(scn, p, x, xi)
 
-    # concavity check: the derivative must not increase across the range;
-    # evaluating it at the bounds also rejects inadmissible ones
-    grid = np.linspace(lo, hi, 9)
-    dgrid = np.array([derivative(g) for g in grid])
+    # consumption is linear in holdings and each family's admissible set is an
+    # interval, so admissible bounds make every holdings between them
+    # admissible: the derivative is taken at the bounds first, to name a bad one
+    at_bounds = []
+    for name, bound in (("lo", lo), ("hi", hi)):
+        try:
+            at_bounds.append(derivative(bound))
+        except DomainError:
+            raise DataError(f"holdings bound {name}={bound!r} makes consumption "
+                            "inadmissible for some sample") from None
+    # concavity check: the derivative must not increase across the range
+    grid = np.linspace(lo, hi, 9)  # grid[0] is lo and grid[-1] is hi exactly
+    dgrid = np.array([at_bounds[0], *(derivative(g) for g in grid[1:-1]), at_bounds[1]])
     slack = 1e-9 * max(1.0, float(np.max(np.abs(dgrid))))
     if np.any(np.diff(dgrid) > slack):
         raise DataError("objective is not concave in holdings over the given bounds")

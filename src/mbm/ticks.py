@@ -18,7 +18,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -153,21 +153,31 @@ class WindowBatch:
 
     Row i of price/volume/value holds the ticks of window i; center_time[i]
     is its median tick time. Moment kernels take a batch and return one
-    result per row.
+    result per row. rows(x) lays out a per-tick array x, such as
+    ticks("price") ** n, as these rows, so an elementwise step runs once per
+    tick. A batch built by hand from its rows alone (no series) is its own
+    columns, with rows the identity.
     """
 
     center_time: np.ndarray
     price: np.ndarray
     volume: np.ndarray
     value: np.ndarray
+    series: TickSeries | None = None
+    rows: Callable[[np.ndarray], np.ndarray] = np.asarray
 
     def __len__(self):
         return len(self.center_time)
 
-    def __getitem__(self, rows: slice) -> WindowBatch:
+    def __getitem__(self, sl: slice) -> WindowBatch:
         """The windows in a slice of rows, as a batch of views."""
-        return WindowBatch(self.center_time[rows], self.price[rows], self.volume[rows],
-                           self.value[rows])
+        rows = self.rows if self.series is None else (lambda x: self.rows(x)[sl])
+        return WindowBatch(self.center_time[sl], self.price[sl], self.volume[sl],
+                           self.value[sl], self.series, rows)
+
+    def ticks(self, name: str) -> np.ndarray:
+        """The per-tick column that rows() lays out as the price, volume or value rows."""
+        return getattr(self if self.series is None else self.series, name)
 
     @property
     def window_len(self) -> int:
@@ -196,9 +206,9 @@ class Window:
 
     def batch(self) -> WindowBatch:
         """This window as a one-row WindowBatch."""
-        s, rows = self.series, slice(self.start, self.stop)
-        return WindowBatch(np.array([self.center_time]), s.price[None, rows],
-                           s.volume[None, rows], s.value[None, rows])
+        s, rows = self.series, lambda column: column[None, self.start:self.stop]
+        return WindowBatch(np.array([self.center_time]), rows(s.price), rows(s.volume),
+                           rows(s.value), s, rows)
 
 
 def window_from_ticks(ticks) -> Window:
@@ -339,4 +349,4 @@ def window_batch(series: TickSeries, window_len: int, mode: str = "disjoint") ->
         return sliding_window_view(column, window_len)
 
     return WindowBatch(_median_times(series.time, starts, window_len),
-                       rows(series.price), rows(series.volume), rows(series.value))
+                       rows(series.price), rows(series.volume), rows(series.value), series, rows)

@@ -183,3 +183,28 @@ def test_moment_json_text_writes_every_flag_combination():
     assert flags == [(), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite")]
     payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
     assert table.to_json_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+def test_sliced_batches_equal_fresh_batches_of_the_same_rows(mode):
+    # a batch built by hand from its rows (no series) and one from window_batch,
+    # sliced once and twice, against a hand-built batch of just those rows
+    series = make_series(11, 40, discrete=False)
+    full = window_batch(series, 4, mode)
+
+    def hand_built(batch):
+        return WindowBatch(*(np.array(a) for a in (batch.center_time, batch.price,
+                                                   batch.volume, batch.value)))
+
+    for sliced in (full[1:4], full[2:][:3], hand_built(full)[1:4], hand_built(full)[2:][:3]):
+        fresh = hand_built(sliced)
+        for method in ("frequency", "market"):
+            got, want = batch_moments(sliced, 2, method), batch_moments(fresh, 2, method)
+            assert_bitwise(got.raw_moments, want.raw_moments)
+            assert_bitwise(got.variance, want.variance)
+            assert_bitwise(batch_autocorrelation(sliced, 1, method),
+                           batch_autocorrelation(fresh, 1, method))
+        assert_bitwise(batch_vwap(sliced), batch_vwap(fresh))
+        for got, want in zip(batch_decorrelation(sliced, 2, THRESHOLD),
+                             batch_decorrelation(fresh, 2, THRESHOLD)):
+            assert np.array_equal(got, want)

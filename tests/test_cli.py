@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -331,21 +332,35 @@ def test_missing_required_setting_is_input_error(capsys):
     assert "input" in capsys.readouterr().err
 
 
-def test_moments_strict_reports_non_finite_moments(tmp_path, capsys):
+@pytest.mark.parametrize("mode, prices, volumes, non_finite", [
     # p**2 overflows at these prices; volumes vary so the order-2 correlation is defined
+    ("disjoint", [1e160, 2e160, 3e160], [1, 2, 1], [0]),
+    # overlapping windows: only the two that hold a huge tick overflow, after
+    # windows flagged for negative variance or correlation
+    ("sliding", [10, 1, 12, 11, 10, 11, 1e160, 2e160], [1, 10, 2, 2, 1, 2, 1, 2], [4, 5]),
+], ids=["disjoint", "sliding"])
+def test_moments_strict_reports_non_finite_moments(tmp_path, capsys, mode, prices, volumes,
+                                                   non_finite):
     path = tmp_path / "huge.csv"
-    path.write_text("time,price,volume\n0,1e160,1\n1,2e160,2\n2,3e160,1\n", encoding="utf-8")
+    path.write_text("time,price,volume\n" + "".join(
+        f"{t},{p},{u}\n" for t, (p, u) in enumerate(zip(prices, volumes))), encoding="utf-8")
     out = tmp_path / "m.json"
-    code = main([
-        "moments", "--input", str(path), "--window", "3", "--order", "4",
-        "--method", "market", "--strict", "--output", str(out),
-    ])
+    with warnings.catch_warnings():  # a power overflowing outside the kernels' errstate fails
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([
+            "moments", "--input", str(path), "--window", "3", "--order", "4", "--mode", mode,
+            "--method", "market", "--strict", "--output", str(out),
+        ])
     assert code == 3
     captured = capsys.readouterr()
-    assert "flags=non_finite" in captured.out
-    assert "window 0: non-finite moments" in captured.err
-    assert "exceeds" not in captured.err and "RuntimeWarning" not in captured.err
-    assert json.loads(out.read_text(encoding="utf-8"))[0]["flags"] == ["non_finite"]
+    assert [int(i) for i in re.findall(r"window (\d+) .*flags=non_finite", captured.out)] == non_finite
+    assert [int(i) for i in re.findall(r"window (\d+): non-finite", captured.err)] == non_finite
+    reported = [int(i) for i in re.findall(r"window (\d+): ", captured.err)]
+    assert reported == sorted(reported)  # the messages come in window order
+    assert not {int(i) for i in re.findall(r"window (\d+): order-2", captured.err)} & set(non_finite)
+    assert "RuntimeWarning" not in captured.err
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert [i for i, d in enumerate(data) if d["flags"] == ["non_finite"]] == non_finite
 
 
 @pytest.mark.parametrize("line", ["sigma = nan", "log_sigma = inf", "length = nan", "seed = inf"])

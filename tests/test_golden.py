@@ -228,10 +228,11 @@ MODEL_GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "json": "c95a6c1c6be948b85c7db85aa864568d1cd5bbd71c37e5d8ea0b99fe87527e84",
     },
+    # re-recorded when an inadmissible bound became an input error naming the bound
     "optimize_power_inadmissible": {
-        "exit": 2,
+        "exit": 1,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "a2ac2a3648c71f2ec379a727f1682052aa723ef08b550360beae5bb119733155",
+        "stderr": "2afe88acd51ba7eee0bb3d08b44c8075f216c2cea753c9dd2e1b6c50eefbcaf7",
     },
 }
 
@@ -274,7 +275,8 @@ def model_digests(tmp_path, capsys) -> dict:
         out = tmp_path / f"{name}.json"
         run(name, [*optimize, "--config", str(tmp_path / f"{cfg_name}.cfg"), "--hi", "1.5",
                    "--output", str(out)], out)
-    # consumption leaves the power domain inside the bounds: exit 2, no output
+    # hi = 3 takes consumption out of the power domain: an input error naming
+    # the bound (exit 1), no output
     run("optimize_power_inadmissible",
         [*optimize, "--config", str(tmp_path / "price_single_power.cfg"), "--hi", "3"])
     return digests

@@ -517,7 +517,7 @@ def test_optimize_optimum_at_zero_stops_at_a_bracket_scaled_floor(monkeypatch):
 
 def test_optimize_rejects_inadmissible_bounds():
     scn = log_sample()
-    with pytest.raises(DomainError):
+    with pytest.raises(DataError, match=r"holdings bound hi=5\.0 makes consumption inadmissible"):
         optimize_holdings(scn, [4.0, 5.0], [5.0, 6.0], (0.0, 5.0))  # hi empties e_t
 
 
