@@ -32,16 +32,16 @@ _EXPORTS = {
     "density": ("CharFnApprox", "DensityApprox", "charfn_eval", "density_damped_inversion",
                 "density_gram_charlier", "recover_moment"),
     "utility": ("UtilitySpec", "eval_utility"),
-    "pricing": ("HoldingsOptimum", "PriceSolution", "PricingScenario", "SolverOptions",
-                "TwoTradeScenario", "linearized_marginal_expectation", "optimize_holdings",
-                "residual_basic_eq", "sdf", "solve_price_first_purchase",
-                "solve_price_second_purchase", "solve_price_single", "solve_price_two_sales"),
+    "pricing": ("HoldingsOptimum", "PriceSolution", "PricingScenario", "TwoTradeScenario",
+                "linearized_marginal_expectation", "optimize_holdings", "residual_basic_eq",
+                "sdf", "solve_price_first_purchase", "solve_price_second_purchase",
+                "solve_price_single", "solve_price_two_sales"),
     "simulate": ("SimSpec", "gen_payoff_samples", "gen_trades", "stream_normals"),
 }
 _EAGER = ("errors", "ticks", "moments")
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 __all__ = sorted(_LAYER_OF)
 
 for _layer in _EAGER:

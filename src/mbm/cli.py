@@ -1,10 +1,14 @@
 """Command-line front end for batch runs over tick files and scenarios.
 
 Subcommands: validate, moments, vwap, autocorr, density, price, optimize,
-simulate. Every flag can also be set under its dest name in the [run]
-config section or through the MBM_<DEST> environment variable (dest
-upper-cased, e.g. MBM_DECORRELATION_THRESHOLD); flags win over the
-environment, which wins over the file. Numbers are read by config.number.
+simulate. SETTINGS names each setting once, with the commands that read
+it, its type and default; a command has flags for those settings only.
+A setting is also its [run] config key and its MBM_<NAME> environment
+variable (e.g. MBM_DECORRELATION_THRESHOLD); a flag wins over the
+environment, which wins over the file, and the winning text is typed in
+one pass (numbers by config.number). A usage error, such as a flag the
+command does not read, and a config section or [run] key no command
+reads are input errors.
 
 The density, utility, pricing and simulate layers are imported inside
 the commands that compute with them, so a tick command loads only ticks
@@ -26,15 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import moments as moments_mod
-from .config import (
-    ENV_PREFIX,
-    build_scenario,
-    build_sim_spec,
-    build_solver_options,
-    build_utility,
-    load_config,
-    number,
-)
+from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
 from .ticks import Window, _data_rows, parse_ticks, render_ticks, window_batch
 
@@ -48,45 +44,65 @@ class StrictViolation(Exception):
     """An assumption violation promoted to an error by --strict."""
 
 
-# parser dests that pick the command and its config rather than name a setting
-_NOT_SETTINGS = ("command", "config", "overrides")
+_TICK_COMMANDS = "moments vwap autocorr"
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+#: setting -> (commands that read it, help, type: text/int/float/bool, default).
+#: method, mode and density_method are text, checked where they are used.
+SETTINGS = {
+    "input": ("validate density " + _TICK_COMMANDS, "input tick-CSV path", "text", None),
+    "output": ("density price optimize simulate " + _TICK_COMMANDS, "output file path",
+               "text", None),
+    "window": (_TICK_COMMANDS, "ticks per window", "int", None),
+    "mode": (_TICK_COMMANDS, "windowing mode: disjoint or sliding", "text", "disjoint"),
+    "order": ("moments density", "highest moment order", "int", None),
+    "method": ("moments autocorr density", "averaging method: frequency or market", "text", None),
+    "lag": ("autocorr", "window lag", "int", 1),
+    "grid": ("density", "density grid LO:HI:POINTS", "text", None),
+    "density_method": ("density", "density realization: gram_charlier or damped", "text",
+                       "gram_charlier"),
+    "damping_sigma": ("density", "damping width for the inversion integral", "float", None),
+    "samples": ("optimize", "price,payoff samples CSV", "text", None),
+    "lo": ("optimize", "lower holdings bound", "float", 0.0),
+    "hi": ("optimize", "upper holdings bound", "float", None),
+    "seed": ("simulate", "simulation seed (overrides [simulate] seed)", "int", None),
+    "decorrelation_threshold": ("moments", "|correlation| that counts as an assumption "
+                                "violation", "float", moments_mod.DEFAULT_DECORRELATION_THRESHOLD),
+    "strict": ("moments density", "exit 3 on assumption violations", "bool", False),
+}
+
+# config sections some command reads; the [run] keys are the SETTINGS names
+_SECTIONS = ("run", "utility", "scenario", "simulate")
+
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise DataError(f"cannot parse boolean value {raw!r}")
+def _typed(raw: str, name: str, kind: str):
+    if kind == "text":
+        return raw
+    if kind == "bool":
+        value = _BOOLS.get(raw.strip().lower())
+        if value is None:
+            raise DataError(f"{name}: cannot parse boolean value {raw!r}")
+        return value
+    return number(raw, name, integer=kind == "int")
 
 
 def _resolve_settings(args: argparse.Namespace, file_cfg: dict) -> dict:
-    """flag > MBM_<DEST> environment variable > [run] <dest> config key > parser default."""
+    """The command's settings, typed: flag > MBM_<NAME> variable > [run] key > default."""
     run_section = file_cfg.get("run", {})
     settings = {}
-    for dest, value in vars(args).items():
-        if dest not in _NOT_SETTINGS:
-            if value is None:
-                value = os.environ.get(ENV_PREFIX + dest.upper(), run_section.get(dest))
-            settings[dest] = value
-    if isinstance(settings["strict"], str):
-        settings["strict"] = _parse_bool(settings["strict"])
-    settings["strict"] = bool(settings["strict"])
+    for name, (commands, _, kind, default) in SETTINGS.items():
+        if args.command in commands.split():
+            raw = getattr(args, name)
+            if raw is None:
+                raw = os.environ.get(ENV_PREFIX + name.upper(), run_section.get(name))
+            settings[name] = default if raw is None else _typed(raw, name, kind)
     return settings
 
 
-def _setting(settings: dict, key: str, default: str) -> str:
-    """The setting's value, or default when no source sets it; an empty value is set."""
-    value = settings.get(key)
-    return default if value is None else value
-
-
-def _require(settings: dict, key: str) -> str:
-    if settings.get(key) is None:
+def _require(settings: dict, key: str):
+    if settings[key] is None:
         raise DataError(f"missing required setting {key!r} (flag, MBM_ env, or [run] config)")
     return settings[key]
 
@@ -116,9 +132,7 @@ def _write_json(path: str | None, payload):
 
 
 def _window_batch(settings: dict, series):
-    window_len = number(_require(settings, "window"), "window", integer=True)
-    mode = _setting(settings, "mode", "disjoint")
-    return window_batch(series, window_len, mode)
+    return window_batch(series, _require(settings, "window"), settings["mode"])
 
 
 def _print_lines(lines):
@@ -136,6 +150,16 @@ def _apply_overrides(file_cfg: dict, overrides):
     return file_cfg
 
 
+def _check_read(file_cfg: dict):
+    """An input error for a config section, or a [run] key, that no command reads."""
+    for section in file_cfg:
+        if section not in _SECTIONS:
+            raise DataError(f"config section [{section}] is read by no command")
+    unknown = sorted(file_cfg.get("run", {}).keys() - SETTINGS.keys())
+    if unknown:
+        raise DataError(f"[run] unknown keys {unknown}")
+
+
 def cmd_validate(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     spacing = "irregular" if series.tick_spacing is None else repr(series.tick_spacing)
@@ -146,10 +170,9 @@ def cmd_validate(settings: dict, file_cfg: dict) -> int:
 def cmd_moments(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
-    order = number(_require(settings, "order"), "order", integer=True)
+    order = _require(settings, "order")
     method = _require(settings, "method")
-    threshold = number(_setting(settings, "decorrelation_threshold", "0.2"),
-                       "decorrelation_threshold")
+    threshold = settings["decorrelation_threshold"]
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
 
@@ -178,7 +201,7 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
                     f"window {i}: order-2 price/volume correlation "
                     f"{float(coef[i])!r} exceeds {threshold!r}"
                 )
-    if settings.get("output") is not None:
+    if settings["output"] is not None:
         _write_text(settings["output"], table.to_json_text(text))
     if violations:
         raise StrictViolation("; ".join(violations))
@@ -192,7 +215,7 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     values = moments_mod.batch_vwap(batch).tolist()
     _print_lines([f"window {i} center_time={c!r} vwap={v!r}"
                   for i, (c, v) in enumerate(zip(centers, values))])
-    if settings.get("output") is not None:
+    if settings["output"] is not None:
         rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(centers, values))
         _write_text(settings["output"], "center_time,vwap\n" + rows)
     return EXIT_OK
@@ -202,7 +225,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     method = _require(settings, "method")
-    lag = number(_setting(settings, "lag", "1"), "lag", integer=True)
+    lag = settings["lag"]
     if len(batch) <= lag:
         raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
     values = moments_mod.batch_autocorrelation(batch, lag, method).tolist()
@@ -210,7 +233,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     pairs = [(centers[i], centers[i + lag], v) for i, v in enumerate(values)]
     _print_lines([f"window {i} t1={t1!r} t2={t2!r} autocorr={v!r}"
                   for i, (t1, t2, v) in enumerate(pairs)])
-    if settings.get("output") is not None:
+    if settings["output"] is not None:
         _write_json(settings["output"], [
             {"center_time_1": t1, "center_time_2": t2, "autocorrelation": v}
             for t1, t2, v in pairs
@@ -231,7 +254,7 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
 
     series = _read_series(settings)
     window = Window(series, 0, len(series))
-    order = number(_require(settings, "order"), "order", integer=True)
+    order = _require(settings, "order")
     method = _require(settings, "method")
     ms = moments_mod.compute_moment_set(window, order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
@@ -239,11 +262,11 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
             f"moment set has negative market variance {ms.variance!r}; density undefined"
         )
     grid_spec = _parse_grid_setting(_require(settings, "grid"))
-    density_method = _setting(settings, "density_method", "gram_charlier")
+    density_method = settings["density_method"]
     if density_method == "gram_charlier":
         approx = density_mod.density_gram_charlier(ms, grid_spec)
     elif density_method == "damped":
-        damping = number(_require(settings, "damping_sigma"), "damping_sigma")
+        damping = _require(settings, "damping_sigma")
         approx = density_mod.density_damped_inversion(ms, damping, grid_spec)
     else:
         raise DataError(f"density_method must be gram_charlier or damped, got {density_method!r}")
@@ -263,9 +286,7 @@ def _scenario_from_cfg(file_cfg: dict):
     if "scenario" not in file_cfg or "utility" not in file_cfg:
         raise DataError("price/optimize commands need [scenario] and [utility] config sections")
     utility = build_utility(file_cfg["utility"])
-    scenario = build_scenario(file_cfg["scenario"], utility)
-    options = build_solver_options(file_cfg.get("solver"))
-    return scenario, options
+    return build_scenario(file_cfg["scenario"], utility)
 
 
 def cmd_price(settings: dict, file_cfg: dict) -> int:
@@ -277,27 +298,27 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
         solve_price_two_sales,
     )
 
-    scenario, options = _scenario_from_cfg(file_cfg)
+    scenario = _scenario_from_cfg(file_cfg)
     kind = file_cfg["scenario"].get("kind", "single")
     payload: dict = {"kind": kind}
     if kind == "single":
-        sol = solve_price_single(scenario, options)
+        sol = solve_price_single(scenario)
         payload["solution"] = sol.to_json_dict()
         print(f"p0={sol.mean_price!r} residual={sol.residual!r} iterations={sol.iterations}")
     else:
         assert isinstance(scenario, TwoTradeScenario)
-        first = solve_price_first_purchase(scenario, options)
+        first = solve_price_first_purchase(scenario)
         if kind == "two_purchase":
-            second = solve_price_second_purchase(scenario, options, first=first)
+            second = solve_price_second_purchase(scenario, first=first)
         else:
-            second = solve_price_two_sales(scenario, options, first=first)
+            second = solve_price_two_sales(scenario, first=first)
         payload["first_purchase"] = first.to_json_dict()
         payload["second_purchase"] = second.to_json_dict()
         print(
             f"p0(t1)={first.mean_price!r} p0(t2)={second.mean_price!r} "
             f"residuals=({first.residual!r}, {second.residual!r})"
         )
-    if settings.get("output") is not None:
+    if settings["output"] is not None:
         _write_json(settings["output"], payload)
     return EXIT_OK
 
@@ -324,19 +345,16 @@ def _read_samples(path: str):
 def cmd_optimize(settings: dict, file_cfg: dict) -> int:
     from .pricing import optimize_holdings
 
-    scenario, _ = _scenario_from_cfg(file_cfg)
+    scenario = _scenario_from_cfg(file_cfg)
     prices, payoffs = _read_samples(_require(settings, "samples"))
-    lo = number(_setting(settings, "lo", "0"), "lo")
-    hi_raw = settings.get("hi")
-    if hi_raw is None:
+    if settings["hi"] is None:
         raise DataError("optimize needs an upper holdings bound (--hi or [run] hi)")
-    hi = number(hi_raw, "hi")
-    result = optimize_holdings(scenario, prices, payoffs, (lo, hi))
+    result = optimize_holdings(scenario, prices, payoffs, (settings["lo"], settings["hi"]))
     print(
         f"holdings={result.holdings!r} at_boundary={result.at_boundary} "
         f"foc_residual={result.foc_residual!r}"
     )
-    if settings.get("output") is not None:
+    if settings["output"] is not None:
         _write_json(settings["output"], result.to_json_dict())
     return EXIT_OK
 
@@ -347,8 +365,8 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     if "simulate" not in file_cfg:
         raise DataError("simulate needs a [simulate] config section")
     section = dict(file_cfg["simulate"])
-    if settings.get("seed") is not None:
-        section["seed"] = settings["seed"]
+    if settings["seed"] is not None:
+        section["seed"] = str(settings["seed"])  # plain digits, read back exactly
     spec = build_sim_spec(section)
     series = gen_trades(spec)
     _write_text(_require(settings, "output"), render_ticks(series))
@@ -357,66 +375,48 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
-    "moments": cmd_moments,
-    "vwap": cmd_vwap,
-    "autocorr": cmd_autocorr,
-    "density": cmd_density,
-    "price": cmd_price,
-    "optimize": cmd_optimize,
-    "simulate": cmd_simulate,
+    "validate": (cmd_validate, "parse a tick file and check the value identity"),
+    "moments": (cmd_moments, "per-window price moments (frequency or market)"),
+    "vwap": (cmd_vwap, "per-window volume weighted average price"),
+    "autocorr": (cmd_autocorr, "price autocorrelation between lagged windows"),
+    "density": (cmd_density, "approximate price density from a moment set"),
+    "price": (cmd_price, "solve the mean-price equations for a scenario"),
+    "optimize": (cmd_optimize, "optimal holdings for sampled prices/payoffs"),
+    "simulate": (cmd_simulate, "generate a synthetic tick file"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise DataError(f"{self.prog}: {message}")  # a usage error is an input error
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mbm",
-        description="Market-based price moments, densities, and pricing solvers",
-    )
+    parser = _Parser(prog="mbm",
+                     description="Market-based price moments, densities, and pricing solvers")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "parse a tick file and check the value identity"),
-        ("moments", "per-window price moments (frequency or market)"),
-        ("vwap", "per-window volume weighted average price"),
-        ("autocorr", "price autocorrelation between lagged windows"),
-        ("density", "approximate price density from a moment set"),
-        ("price", "solve the mean-price equations for a scenario"),
-        ("optimize", "optimal holdings for sampled prices/payoffs"),
-        ("simulate", "generate a synthetic tick file"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, command_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="config file (key=value sections)")
         p.add_argument("--set", action="append", dest="overrides", metavar="SECTION.KEY=VALUE",
                        help="override one config value")
-        p.add_argument("--input", help="input tick-CSV path")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--window", help="ticks per window")
-        p.add_argument("--order", help="highest moment order")
-        p.add_argument("--method", choices=["frequency", "market"], help="averaging method")
-        p.add_argument("--mode", choices=["disjoint", "sliding"], help="windowing mode")
-        p.add_argument("--lag", help="window lag for autocorr")
-        p.add_argument("--grid", help="density grid LO:HI:POINTS")
-        p.add_argument("--density-method", dest="density_method",
-                       choices=["gram_charlier", "damped"], help="density realization")
-        p.add_argument("--damping-sigma", dest="damping_sigma",
-                       help="damping width for the inversion integral")
-        p.add_argument("--seed", help="simulation seed")
-        p.add_argument("--samples", help="price,payoff samples CSV for optimize")
-        p.add_argument("--lo", help="lower holdings bound")
-        p.add_argument("--hi", help="upper holdings bound")
-        p.add_argument("--decorrelation-threshold", dest="decorrelation_threshold",
-                       help="|correlation| that counts as an assumption violation")
-        p.add_argument("--strict", action="store_const", const=True, default=None,
-                       help="exit 3 on assumption violations")
+        for name, (commands, help_text, kind, default) in SETTINGS.items():
+            if command in commands.split():
+                if default is not None:
+                    help_text += f" (default {default})"
+                # --strict stores the text "true", typed like MBM_STRICT and [run] strict
+                extra = {"action": "store_const", "const": "true"} if kind == "bool" else {}
+                p.add_argument("--" + name.replace("_", "-"), help=help_text, **extra)
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     file_cfg = load_config(args.config) if args.config else {}
-    file_cfg = _apply_overrides(file_cfg, getattr(args, "overrides", None))
+    file_cfg = _apply_overrides(file_cfg, args.overrides)
+    _check_read(file_cfg)
     settings = _resolve_settings(args, file_cfg)
-    return _COMMANDS[args.command](settings, file_cfg)
+    return _COMMANDS[args.command][0](settings, file_cfg)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Plain-text configuration: key=value pairs under [section] headers.
 
-Sections: [run] for top-level command settings, [utility], [scenario],
-[solver], [simulate]. Keys are case-sensitive (endowment_t and endowment_T
-are different keys). Resolution order for a run setting is
+Sections: [run] for command settings, [utility] and [scenario] for
+price and optimize, [simulate] for simulate; a section no command reads is
+an input error. Keys are case-sensitive (endowment_t and endowment_T are
+different keys). Resolution order for a run setting is
 command-line flag > MBM_* environment variable > config file > default.
 Every number read from outside the program goes through ``number``. Each
 builder imports the layer whose dataclass it fills, so reading settings
@@ -22,7 +23,7 @@ from .errors import DataError
 from .ticks import _DECIMAL
 
 if TYPE_CHECKING:
-    from .pricing import PricingScenario, SolverOptions, TwoTradeScenario
+    from .pricing import PricingScenario, TwoTradeScenario
     from .simulate import SimSpec
     from .utility import UtilitySpec
 
@@ -130,14 +131,6 @@ def build_scenario(
         if "T2" not in values:
             raise DataError("[scenario] kind=two_sales needs T2")
     return TwoTradeScenario(utility=utility, **values)
-
-
-def build_solver_options(section: dict[str, str] | None) -> SolverOptions:
-    from .pricing import SolverOptions
-
-    # [solver] key -> SolverOptions field
-    keys = {"max_iter": "max_iterations", "damping": "damping", "tol": "tolerance"}
-    return SolverOptions(**_read_fields(SolverOptions, section or {}, "solver", keys))
 
 
 def build_sim_spec(section: dict[str, str]) -> SimSpec:

@@ -79,35 +79,35 @@ class CorrelationDiagnostic:
     undefined: bool = False
 
 
-# Elements per temporary in the batch kernels: windows are processed in row
-# chunks of about this many ticks, which bounds their contiguous copies.
+# Elements per temporary in the batch kernels: products of two windows' rows
+# are formed in row chunks of about this many ticks, which bounds them.
 _CHUNK_ELEMENTS = 1 << 19
 
 
 def _chunks(rows: np.ndarray):
-    """Row slices of a (windows, N) view, each copied to a contiguous block.
-
-    Row reductions over a contiguous block sum exactly like np.mean over one
-    window's 1-d array, so batched results equal per-window ones bit for bit.
-    """
+    """(slice, rows) pairs that cover a (windows, N) view in row chunks, as views."""
     step = max(1, _CHUNK_ELEMENTS // rows.shape[1])
     for lo in range(0, len(rows), step):
-        yield slice(lo, lo + step), np.ascontiguousarray(rows[lo:lo + step])
+        yield slice(lo, lo + step), rows[lo:lo + step]
 
 
 def _row_means(block: np.ndarray) -> np.ndarray:
-    """np.mean(block, axis=1) without its per-call overhead: the same sum, the same division."""
+    """np.mean(block, axis=1) without its per-call overhead: the same sum, the same division.
+
+    A row of a view, strided or not, sums exactly like np.mean over one
+    window's 1-d array, so batched results equal per-window ones bit for bit.
+    """
     return np.add.reduce(block, axis=1) / block.shape[1]
 
 
 def _power_means(batch: WindowBatch, name: str, orders) -> np.ndarray:
     """(windows, len(orders)) window averages (1/N) sum x_i^n of a tick column, each tick
-    raised to each power once (pow is elementwise: the bits of each window's own x ** n)."""
+    raised to each power once (pow is elementwise: the bits of each window's own x ** n)
+    and its rows reduced as a view, so no (windows, N) temporary is made."""
     ticks = batch.ticks(name)
     out = np.empty((len(batch), len(orders)))
     for j, n in enumerate(orders):
-        for sl, block in _chunks(batch.rows(ticks ** n)):
-            out[sl, j] = _row_means(block)
+        out[:, j] = _row_means(batch.rows(ticks ** n))
     return out
 
 

@@ -20,8 +20,10 @@ grid scan finds a sign change of the residual and ``brentq``, this
 module's port of scipy's Brent solver, refines it. The fallback calls
 whatever the module attribute ``mbm.pricing.brentq`` holds, so it can be
 wrapped or replaced. Converged solutions honor
-|residual| <= 1e-10 * max(1, |p0|). A solve or sampled residual resolves
-the utility's formulas, domain test and error state once, not per trial.
+|residual| <= RESIDUAL_RTOL * max(1, |p0|), RESIDUAL_RTOL = 1e-10; the
+iteration budget and damping are the module constants MAX_ITERATIONS and
+DAMPING. A solve or sampled residual resolves the utility's formulas,
+domain test and error state once, not per trial.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .errors import ConvergenceError, DataError, DomainError, require_finite
 from .utility import UtilitySpec, eval_utility, resolve
 
 RESIDUAL_RTOL = 1e-10
+MAX_ITERATIONS = 200  # fixed-point steps before the bracketed fallback
+DAMPING = 0.5  # share of the residual each fixed-point step moves p0 by
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,25 +120,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100, full_ou
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise ConvergenceError(f"brentq did not converge in {maxiter} iterations (last x={xcur!r})")
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class SolverOptions:
-    max_iterations: int = 200
-    damping: float = 0.5
-    tolerance: float = RESIDUAL_RTOL
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise DataError("damping must be in (0, 1]")
-        if not (self.tolerance > 0.0):
-            raise DataError("tolerance must be positive")
-
-
-DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -254,8 +239,7 @@ def sdf(utility: UtilitySpec, beta: float, c_t: float, c_T: float) -> float:
 
 @np.errstate(over="ignore", under="ignore")  # extreme consumption maps u', u'' to inf/0
 def _solve_linearized(
-    scn: PricingScenario, options: SolverOptions, *,
-    spent: float, xi: float, c_T0: float, x: float, A: float, B: float,
+    scn: PricingScenario, *, spent: float, xi: float, c_T0: float, x: float, A: float, B: float,
 ) -> PriceSolution:
     """Solve the linearized mean-price equation for p0.
 
@@ -303,23 +287,22 @@ def _solve_linearized(
     bounded = math.isfinite(hi_bound)
     hi_adm = hi_bound - 1e-12 * max(1.0, abs(hi_bound)) if bounded else hi_bound
 
-    tol = options.tolerance
     seed = scn.beta * x
     runaway = 1e12 * max(1.0, abs(seed))
     p = min(seed, hi_adm) if bounded else seed
     iterations = 0
     best: tuple[float, float, int] | None = None
-    for _ in range(options.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         r = safe_residual(p)
         if math.isnan(r):
             break  # iterate escaped the evaluable region; switch to bracketing
         scale = max(1.0, abs(p))
-        if abs(r) <= tol * scale:
+        if abs(r) <= RESIDUAL_RTOL * scale:
             best = (p, r, iterations)
-            if abs(r) <= 0.01 * tol * scale:
+            if abs(r) <= 0.01 * RESIDUAL_RTOL * scale:
                 break
-        p_next = p + options.damping * r
+        p_next = p + DAMPING * r
         if not math.isfinite(p_next) or p_next >= hi_adm or abs(p_next) > runaway:
             break
         p = p_next
@@ -350,7 +333,7 @@ def _solve_linearized(
             )
             r = residual(root)
             iterations += info.iterations
-            if abs(r) <= tol * max(1.0, abs(root)):
+            if abs(r) <= RESIDUAL_RTOL * max(1.0, abs(root)):
                 return PriceSolution(
                     mean_price=float(root), residual=r, iterations=iterations, converged=True
                 )
@@ -364,9 +347,7 @@ def _solve_linearized(
     )
 
 
-def solve_price_single(
-    scn: PricingScenario, options: SolverOptions = DEFAULT_OPTIONS
-) -> PriceSolution:
+def solve_price_single(scn: PricingScenario) -> PriceSolution:
     """Solve the single-trade mean-price equation.
 
     Mean consumptions are ct0 = e_t - p0*xi and cT0 = e_T + x0*xi; the
@@ -375,38 +356,33 @@ def solve_price_single(
     """
     xi = scn.holdings
     return _solve_linearized(
-        scn, options, spent=0.0, xi=xi, c_T0=scn.endowment_T + scn.payoff_mean * xi,
+        scn, spent=0.0, xi=xi, c_T0=scn.endowment_T + scn.payoff_mean * xi,
         x=scn.payoff_mean, A=xi * scn.payoff_variance, B=xi * scn.price_variance,
     )
 
 
-def solve_price_first_purchase(
-    scn: TwoTradeScenario, options: SolverOptions = DEFAULT_OPTIONS
-) -> PriceSolution:
+def solve_price_first_purchase(scn: TwoTradeScenario) -> PriceSolution:
     """First-purchase equation of a two-trade scenario; same structure as
     the single-trade equation applied to the t1 fields."""
-    return solve_price_single(scn, options)
+    return solve_price_single(scn)
 
 
 def _solve_second(
-    scn: TwoTradeScenario, options: SolverOptions, first: PriceSolution | None,
-    *, c_T0: float, A: float,
+    scn: TwoTradeScenario, first: PriceSolution | None, *, c_T0: float, A: float,
 ) -> PriceSolution:
     # both second-purchase variants: the first lot is bought at the known
     # price p0(t1) and its price autocorrelation joins the price-risk term
     if first is None:
-        first = solve_price_first_purchase(scn, options)
+        first = solve_price_first_purchase(scn)
     xi1, xi2 = scn.holdings, scn.holdings2
     return _solve_linearized(
-        scn, options, spent=first.mean_price * xi1, xi=xi2, c_T0=c_T0,
+        scn, spent=first.mean_price * xi1, xi=xi2, c_T0=c_T0,
         x=scn.payoff_mean2, A=A, B=xi1 * scn.price_autocorr + xi2 * scn.price_variance2,
     )
 
 
 def solve_price_second_purchase(
-    scn: TwoTradeScenario,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    first: PriceSolution | None = None,
+    scn: TwoTradeScenario, *, first: PriceSolution | None = None
 ) -> PriceSolution:
     """Solve for the second-purchase mean price p0(t2), both lots sold at T.
 
@@ -417,15 +393,13 @@ def solve_price_second_purchase(
     """
     held = scn.holdings + scn.holdings2
     return _solve_second(
-        scn, options, first,
+        scn, first,
         c_T0=scn.endowment_T + scn.payoff_mean2 * held, A=held * scn.payoff_variance2,
     )
 
 
 def solve_price_two_sales(
-    scn: TwoTradeScenario,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    first: PriceSolution | None = None,
+    scn: TwoTradeScenario, *, first: PriceSolution | None = None
 ) -> PriceSolution:
     """Solve for p0(t2) when the lots are sold separately at T1 and T2.
 
@@ -440,7 +414,7 @@ def solve_price_two_sales(
         raise DataError("scenario has no two-sale fields (payoff_autocorr, T2)")
     xi1, xi2 = scn.holdings, scn.holdings2
     return _solve_second(
-        scn, options, first,
+        scn, first,
         c_T0=scn.endowment_T + scn.first_lot_payoff_mean * xi1 + scn.payoff_mean2 * xi2,
         A=xi1 * scn.payoff_autocorr + xi2 * scn.payoff_variance2,
     )

@@ -121,7 +121,8 @@ def check_against_reference(series, window_len, mode, k, method, lag, corr_order
 
 @settings(max_examples=150, deadline=None)
 @given(
-    window_len=st.sampled_from([1, 2, 7, 100]),
+    # 8/9, 128/129 and 257 straddle the block edges of numpy's pairwise sum
+    window_len=st.sampled_from([1, 2, 7, 8, 9, 100, 128, 129, 257]),
     k=st.integers(2, 6),
     method=st.sampled_from(["frequency", "market"]),
     mode=st.sampled_from(["disjoint", "sliding"]),

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from mbm.cli import main
+from mbm.cli import SETTINGS, build_parser, main
+from mbm.errors import DataError
 
 ANTI_CSV = "time,price,volume\n0,10,1\n1,1,10\n"
 
@@ -546,3 +547,113 @@ def test_unwritable_output_is_input_error(ticks_path, tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert "input error: cannot write" in err and "Traceback" not in err
     assert (command == "vwap") != (tmp_path / "d.csv").is_file()
+
+
+# the settings each subcommand reads; every other setting's flag is a usage error
+READS = {
+    "validate": {"input"},
+    "moments": {"input", "output", "window", "mode", "order", "method",
+                "decorrelation_threshold", "strict"},
+    "vwap": {"input", "output", "window", "mode"},
+    "autocorr": {"input", "output", "window", "mode", "method", "lag"},
+    "density": {"input", "output", "order", "method", "grid", "density_method",
+                "damping_sigma", "strict"},
+    "price": {"output"},
+    "optimize": {"output", "samples", "lo", "hi"},
+    "simulate": {"output", "seed"},
+}
+
+
+def test_each_command_takes_exactly_its_settings():
+    assert sum(map(len, READS.values())) == 34
+    assert set().union(*READS.values()) == set(SETTINGS)
+    parser = build_parser()
+    for command, reads in READS.items():
+        for name in SETTINGS:
+            flag = ["--" + name.replace("_", "-")] + ([] if name == "strict" else ["1"])
+            if name in reads:
+                assert getattr(parser.parse_args([command, *flag]), name) is not None
+            else:
+                with pytest.raises(DataError, match="unrecognized arguments"):
+                    parser.parse_args([command, *flag])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["vwap", "--input", "{tmp}/ticks.csv", "--window", "2", "--order", "3"],
+     "unrecognized arguments: --order 3"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: command"),
+    (["moments", "--input", "{tmp}/ticks.csv", "--window", "2", "--order", "2",
+      "--method", "bogus"], "unknown method 'bogus'"),
+    (["vwap", "--input", "{tmp}/ticks.csv", "--window", "2", "--mode", "bogus"],
+     "unknown windowing mode 'bogus'"),
+    (["density", "--input", "{tmp}/ticks.csv", "--order", "2", "--method", "market",
+      "--grid=0:30:31", "--output", "{tmp}/d.csv", "--density-method", "bogus"],
+     "density_method must be gram_charlier or damped, got 'bogus'"),
+], ids=["foreign-flag", "unknown-subcommand", "no-subcommand", "bad-method", "bad-mode",
+        "bad-density-method"])
+def test_usage_errors_and_bad_choices_are_input_errors(tmp_path, capsys, argv, expected):
+    (tmp_path / "ticks.csv").write_text("time,price,volume\n0,10,1\n1,20,3\n2,12,2\n3,18,1\n",
+                                        encoding="utf-8")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and expected in err
+
+
+def test_bad_choice_gives_one_message_from_flag_and_env(ticks_path, capsys, monkeypatch):
+    argv = ["moments", "--input", str(ticks_path), "--window", "2", "--order", "2"]
+    assert main(argv + ["--method", "bogus"]) == 1
+    from_flag = capsys.readouterr().err
+    monkeypatch.setenv("MBM_METHOD", "bogus")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == from_flag
+
+
+@pytest.mark.parametrize("source", ["env", "run"])
+@pytest.mark.parametrize("raw, strict", [
+    ("1", True), ("true", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("no", False), (" OFF ", False),
+])
+def test_boolean_setting_spellings(tmp_path, capsys, monkeypatch, source, raw, strict):
+    path = tmp_path / "anti.csv"
+    path.write_text(ANTI_CSV, encoding="utf-8")
+    argv = ["moments", "--input", str(path), "--window", "2", "--order", "2",
+            "--method", "market"]
+    if source == "env":
+        monkeypatch.setenv("MBM_STRICT", raw)
+    else:
+        (tmp_path / "run.cfg").write_text(f"[run]\nstrict = {raw}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == (3 if strict else 0)  # the window's market variance is negative
+
+
+@pytest.mark.parametrize("source", ["env", "run"])
+def test_unparsable_boolean_is_input_error(ticks_path, tmp_path, capsys, monkeypatch, source):
+    argv = ["moments", "--input", str(ticks_path), "--window", "2", "--order", "2",
+            "--method", "market"]
+    if source == "env":
+        monkeypatch.setenv("MBM_STRICT", "maybe")
+    else:
+        (tmp_path / "run.cfg").write_text("[run]\nstrict = maybe\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    assert "cannot parse boolean value 'maybe'" in capsys.readouterr().err
+
+
+def test_setting_a_command_does_not_read_is_ignored_outside_flags(ticks_path, monkeypatch):
+    # vwap reads no strict setting, so a bad MBM_STRICT is not its concern
+    monkeypatch.setenv("MBM_STRICT", "maybe")
+    assert main(["vwap", "--input", str(ticks_path), "--window", "2"]) == 0
+
+
+@pytest.mark.parametrize("extra, argv, expected", [
+    ("\n[solver]\ntol = 0.01\n", [], "config section [solver] is read by no command"),
+    ("", ["--set", "solver.tol=0.01"], "config section [solver] is read by no command"),
+    ("\n[run]\nwindw = 2\n", [], "[run] unknown keys ['windw']"),
+], ids=["solver-section", "solver-override", "run-key"])
+def test_config_entries_no_command_reads_are_input_errors(tmp_path, capsys, extra, argv,
+                                                          expected):
+    # a stale [solver] tol = 0.01 used to be read and loosen the residual contract
+    (tmp_path / "p.cfg").write_text(PRICE_CFG + extra, encoding="utf-8")
+    assert main(["price", "--config", str(tmp_path / "p.cfg"), *argv]) == 1
+    assert expected in capsys.readouterr().err

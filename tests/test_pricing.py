@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from mbm import pricing
 from mbm.errors import ConvergenceError, DataError, DomainError
 from mbm.pricing import (
-    DEFAULT_OPTIONS,
     PricingScenario,
-    SolverOptions,
     TwoTradeScenario,
     linearized_marginal_expectation,
     optimize_holdings,
@@ -507,7 +505,9 @@ def test_optimize_optimum_at_zero_stops_at_a_bracket_scaled_floor(monkeypatch):
         return xi  # the objective's derivative is -xi
 
     monkeypatch.setattr(pricing, "residual_basic_eq", linear_residual)
-    out = optimize_holdings(log_sample(), [5.0], [5.0], (-1.0, 2.0))
+    # price 4 keeps both bounds admissible for the real residual too
+    # (-0.664 at -1, 1.7625 at 2); at price 5, holdings 2 empty e_t
+    out = optimize_holdings(log_sample(), [4.0], [5.0], (-1.0, 2.0))
     assert not out.at_boundary
     assert abs(out.holdings) <= 2.0 ** -100
     # 9 grid points and the final first-order residual; 3 * 2**-j reaches
@@ -525,26 +525,6 @@ def test_optimize_rejects_bad_bounds():
     scn = log_sample()
     with pytest.raises(DataError):
         optimize_holdings(scn, [4.0], [5.0], (1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# solver options
-# ---------------------------------------------------------------------------
-
-def test_solver_options_validation():
-    with pytest.raises(DataError):
-        SolverOptions(max_iterations=0)
-    with pytest.raises(DataError):
-        SolverOptions(damping=0.0)
-    with pytest.raises(DataError):
-        SolverOptions(tolerance=-1.0)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["max_iterations", "damping", "tolerance"])
-def test_solver_options_reject_non_finite(field, value):
-    with pytest.raises(DataError, match=f"{field} must be finite"):
-        SolverOptions(**{field: value})
 
 
 def test_solution_serialization():
@@ -667,7 +647,7 @@ def test_averse_bracketed_solves_and_edge_optimize_do_not_warn():
         # the benchmark's strongly averse scenarios stall the fixed point
         for alpha, e_T in [(1.8, 2.8), (2.0, 3.0), (2.2, 3.2)]:
             sol = solve_price_single(averse(alpha, e_T))
-            assert sol.iterations > DEFAULT_OPTIONS.max_iterations  # bracketed
+            assert sol.iterations > pricing.MAX_ITERATIONS  # bracketed
         # more price risk sends trial prices where exp(-alpha * c_t) overflows
         assert solve_price_single(averse(1.8, 2.8, holdings=1.2, price_variance=3.0)).converged
         # hi leaves ~1e-14 of consumption at the highest price; power 30's
