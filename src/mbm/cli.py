@@ -107,13 +107,24 @@ def _require(settings: dict, key: str):
     return settings[key]
 
 
-def _read_series(settings: dict):
-    path = _require(settings, "input")
+def _read_text(path: str, what: str = "") -> str:
+    """A file's UTF-8 text with universal newlines; what ("samples ") prefixes the errors."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    return parse_ticks(text)
+        raise DataError(f"cannot read {what}{path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{what}line {line}: not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:  # as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read_series(settings: dict):
+    return parse_ticks(_read_text(_require(settings, "input")))
 
 
 def _write_text(path: str | None, text: str):
@@ -324,11 +335,7 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
 
 
 def _read_samples(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read samples {path}: {exc}") from None
-    header, _, body = text.partition("\n")
+    header, _, body = _read_text(path, "samples ").partition("\n")
     if header.strip().lower() != "price,payoff":
         raise DataError("samples file needs header 'price,payoff' on line 1")
     prices, payoffs = [], []

@@ -9,15 +9,18 @@ downstream treat a window as one averaging interval. A Window is a
 (series, start, stop) view of the columns, and a WindowBatch lays
 equal-length windows out as the rows of 2-D column views so that moment
 kernels can process them all at once. TradeTick is a plain record that
-window_from_ticks reads into a series.
+window_from_ticks reads into a series. parse_ticks keeps the columns of
+each text it parses in a private on-disk cache, so a text is parsed once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -205,10 +208,10 @@ class Window:
         return float(_median_times(self.series.time, self.start, len(self)))
 
     def batch(self) -> WindowBatch:
-        """This window as a one-row WindowBatch."""
-        s, rows = self.series, lambda column: column[None, self.start:self.stop]
-        return WindowBatch(np.array([self.center_time]), rows(s.price), rows(s.volume),
-                           rows(s.value), s, rows)
+        """This window as a one-row WindowBatch of its own ticks, not the whole series."""
+        s, span = self.series, slice(self.start, self.stop)
+        return WindowBatch(np.array([self.center_time]), s.price[None, span],
+                           s.volume[None, span], s.value[None, span])
 
 
 def window_from_ticks(ticks) -> Window:
@@ -227,7 +230,91 @@ def parse_ticks(text: str) -> TickSeries:
     Raises DataError with the offending line number on any malformed row,
     non-finite or non-positive price/volume, identity violation, or
     decreasing times.
+
+    The columns of a parse that succeeds are cached in the private directory
+    ``$XDG_CACHE_HOME/mbm/ticks`` (default ``~/.cache/mbm/ticks``) under a
+    blake2b key of the text, this module's source and numpy's version, so
+    the same text is parsed once; a hit is checked like a parse, and any
+    cache fault is a miss, so results and errors never depend on the cache.
     """
+    path = _cache_path(text)
+    series = None if path is None else _cached(path)
+    if series is None:
+        series = _parse_csv(text)
+        if path is not None:
+            try:
+                _store(path, series)
+            except OSError:
+                pass  # an unwritable cache costs the next call a parse, nothing else
+    return series
+
+
+# Byte budget of the tick cache: past it, the least recently used entries go.
+CACHE_BYTES = 256 << 20
+
+
+def _cache_path(text: str) -> Path | None:
+    """Where the cache keeps text's columns; None without a private cache directory."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # as the XDG spec says, a relative value is ignored
+        root = os.path.expanduser("~/.cache")
+    directory = Path(root, "mbm", "ticks")
+    if not directory.is_absolute() or not hasattr(os, "getuid"):
+        return None  # no home directory, or no owner to check
+    try:
+        from _blake2 import blake2b  # the C hash behind hashlib, without loading OpenSSL
+
+        directory.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        directory.mkdir(mode=0o700, exist_ok=True)
+        st = directory.stat()
+        key = blake2b(Path(__file__).read_bytes(), digest_size=32)
+    except (ImportError, OSError):
+        return None
+    # entries are trusted only where no one else could have written them
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        return None
+    key.update(b"\0numpy " + np.__version__.encode() + b"\0")
+    for i in range(0, len(text), 1 << 16):  # in slices: no copy of the whole text
+        key.update(text[i:i + (1 << 16)].encode("utf-8", "surrogatepass"))
+    return directory / f"{key.hexdigest()}.npy"
+
+
+def _cached(path: Path) -> TickSeries | None:
+    """The series stored at path, checked as a parse checks it; None for a missing or bad entry."""
+    try:
+        with open(path, "rb") as fh:  # the .npy reader alone: no pickle, no zip
+            columns = np.lib.format.read_array(fh, allow_pickle=False)
+        if columns.dtype != np.float64 or columns.ndim != 2 or len(columns) != 4:
+            return None
+        series = TickSeries(*columns)
+        os.utime(path)
+    except (OSError, ValueError, MemoryError, DataError):  # MemoryError: a corrupt shape
+        return None
+    series.tick_spacing = _infer_spacing(series.time)
+    return series
+
+
+def _store(path: Path, series: TickSeries) -> None:
+    """Write the series' (4, n) columns to path, then evict entries past CACHE_BYTES."""
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            columns = np.stack([series.time, series.price, series.volume, series.value])
+            np.lib.format.write_array(fh, columns, allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    with os.scandir(path.parent) as it:
+        entries = [(entry.stat(follow_symlinks=False), entry.path) for entry in it]
+    kept = 0
+    for st, name in sorted(entries, key=lambda e: e[0].st_mtime_ns, reverse=True):
+        kept += st.st_size
+        if kept > CACHE_BYTES:  # the least recently used, as a hit touches its entry
+            os.unlink(name)
+
+
+def _parse_csv(text: str) -> TickSeries:
     if not text:
         raise DataError("empty input: missing header")
     first, _, body = text.partition("\n")

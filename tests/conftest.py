@@ -26,6 +26,26 @@ def random_window(rng, size=None, price_lo=1.0, price_hi=50.0, vol_sigma=0.5):
     return make_window(prices, volumes)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_tick_cache(tmp_path_factory):
+    """A tick cache root for the module-scoped fixtures, which run before tick_cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache-session")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def tick_cache(tmp_path_factory, monkeypatch):
+    """A fresh tick cache root per test, so no test reads or writes the user's cache.
+
+    It lies outside tmp_path, whose listing some tests check. Returns the
+    cache directory that parse_ticks uses under that root.
+    """
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "mbm" / "ticks"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import mbm.ticks
 from mbm.cli import SETTINGS, build_parser, main
 from mbm.errors import DataError
 
@@ -76,6 +77,73 @@ def test_validate_reports_input_error(tmp_path, capsys):
 
 def test_validate_missing_file_is_input_error(capsys):
     assert main(["validate", "--input", "/nonexistent/ticks.csv"]) == 1
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"time,price,volume\n0,1\xff,2\n", 2),
+    (b"time,price,volume\r\n0,1,2\r\n1,1,2\r\n2,\xe9,1\r\n", 4),
+    (b"ti\xc3me,price,volume\n0,1,2\n", 1),
+])
+def test_a_tick_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, tick_cache, data, line):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(data)
+    assert main(["validate", "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: line {line}: not UTF-8 text (")
+    assert "Traceback" not in err
+    assert not tick_cache.exists() or not any(tick_cache.iterdir())
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_validate_reads_each_line_end_as_a_text_mode_read_does(tmp_path, capsys, end):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(end.join([b"time,price,volume", b"0,10,1", b"1,11,2", b"2,12,1", b""]))
+    assert main(["validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "ok ticks=3 spacing=1.0\n"
+
+
+def test_a_samples_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    cfg, samples = tmp_path / "p.cfg", tmp_path / "s.csv"
+    cfg.write_text(PRICE_CFG, encoding="utf-8")
+    samples.write_bytes(b"price,payoff\n4.0,5.0\n4.5,\xff\n")
+    argv = ["optimize", "--config", str(cfg), "--samples", str(samples), "--hi", "1.5"]
+    assert main(argv) == 1
+    assert "input error: samples line 3: not UTF-8 text (" in capsys.readouterr().err
+
+
+def test_tick_commands_give_the_same_bytes_cold_and_warm(tmp_path, capsys, tick_cache,
+                                                         monkeypatch):
+    parses = []
+    parse = mbm.ticks._parse_csv
+    monkeypatch.setattr(mbm.ticks, "_parse_csv", lambda text: parses.append(1) or parse(text))
+    cfg, ticks = tmp_path / "sim.cfg", tmp_path / "ticks.csv"
+    cfg.write_text(SIM_CFG, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
+    with open(ticks, "ab") as fh:  # CRLF line ends, read as a text-mode read would
+        fh.write(b"1000,10.5,2,21\r\n")
+    commands = {
+        "validate": [],
+        "moments": ["--window", "25", "--order", "4", "--method", "market", "--mode", "sliding",
+                    "--strict"],
+        "vwap": ["--window", "25"],
+        "autocorr": ["--window", "25", "--method", "frequency", "--lag", "2"],
+    }
+    runs = []
+    for run in ("cold", "warm"):
+        capsys.readouterr()
+        results = {}
+        for command, args in commands.items():
+            out = tmp_path / f"{command}-{run}.out"
+            argv = [command, "--input", str(ticks), *args]
+            code = main(argv + (["--output", str(out)] if command != "validate" else []))
+            results[command] = (code, capsys.readouterr(),
+                                out.read_bytes() if out.exists() else None)
+        runs.append(results)
+        assert len(list(tick_cache.iterdir())) == 1
+    assert runs[0] == runs[1]
+    assert len(parses) == 1  # the first command parsed the file, the other seven loaded it
+    assert [code for code, _, _ in runs[0].values()] == [0, 3, 0, 0]
+    assert runs[0]["validate"][1].out == "ok ticks=501 spacing=irregular\n"
 
 
 def test_moments_happy_path(ticks_path, tmp_path, capsys):

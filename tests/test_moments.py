@@ -344,3 +344,29 @@ def test_self_autocorrelation_is_the_variance(w, method):
         # two-pass covariance against the one-pass E[p^2] - E[p]^2, whose
         # cancellation error scales with E[p^2] (the kernel's noise scale)
         assert abs(b - ms.variance) <= 64.0 * EPS * ms.raw_moments[1]
+
+
+def test_a_window_of_a_long_series_computes_on_its_own_ticks_alone(rng):
+    n, start, stop = 200_000, 123_456, 123_476
+    prices = rng.uniform(1.0, 50.0, n)
+    volumes = 10.0 * np.exp(0.5 * rng.standard_normal(n))
+    series = TickSeries(np.arange(n, dtype=float), prices, volumes)
+    window, after = Window(series, start, stop), Window(series, stop, stop + 20)
+    alone = make_window(prices[start:stop], volumes[start:stop], np.arange(start, stop, dtype=float))
+    alone_after = make_window(prices[stop:stop + 20], volumes[stop:stop + 20],
+                              np.arange(stop, stop + 20, dtype=float))
+
+    batch = window.batch()
+    assert batch.ticks("price").size == len(window)
+    assert batch.series is None and batch.rows(batch.ticks("price")).shape == (1, len(window))
+    for name in ("price", "volume", "value"):
+        assert np.array_equal(batch.ticks(name)[0], getattr(series, name)[start:stop])
+    for w, a in ((window, alone), (after, alone_after)):
+        assert vwap(w) == vwap(a)
+        assert market_price_moment(w, 3) == market_price_moment(a, 3)
+        for method in ("frequency", "market"):
+            assert repr(compute_moment_set(w, 4, method)) == repr(compute_moment_set(a, 4, method))
+        assert decorrelation_diagnostic(w, 2) == decorrelation_diagnostic(a, 2)
+    for method in ("frequency", "market"):
+        assert (price_autocorrelation(window, after, method)
+                == price_autocorrelation(alone, alone_after, method))
