@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import Window, _data_rows, parse_ticks, render_ticks, window_batch
+from .ticks import (TICK_CSV, Window, _data_rows, framed, parse_ticks, row_chunks, tick_rows,
+                    window_batch)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,15 +129,63 @@ def _read_series(settings: dict):
     return parse_ticks(_read_text(_require(settings, "input")))
 
 
-def _write_text(path: str | None, text: str):
+@contextmanager
+def _writing(path: str):
+    """An OSError inside is the input error "cannot write <path>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _write_pieces(path: str | None, pieces):
+    """Write a text to path as UTF-8, each piece as it comes.
+
+    The file is opened before the first piece is made. An OSError while
+    opening, writing or closing it is an input error; the work that makes
+    the pieces (formatting, printing) runs outside that check.
+    """
     if path is None:
         raise DataError("missing required setting 'output'")
     if not path:
         raise DataError("output must be a file path, got ''")
+    with _writing(path):
+        fh = open(path, "w", encoding="utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+        for piece in pieces:
+            with _writing(path):
+                fh.write(piece)
+        with _writing(path):
+            fh.close()
+    finally:
+        with suppress(OSError):
+            fh.close()  # after an error, which is the one reported
+
+
+def _write_text(path: str | None, text: str):
+    _write_pieces(path, (text,))
+
+
+def _write_rows(path: str | None, n: int, chunk, frame):
+    """Print and write an n-row output ticks.OUTPUT_ROWS rows at a time.
+
+    chunk(rows, to_file) formats the floats of a slice of rows once and
+    returns their stdout lines and, if to_file, their part of the file;
+    frame (as in ticks.framed) joins the parts. A chunk's lines are printed
+    and its part written before the next chunk is formatted, so the text of
+    the output is never held whole. Without a path only lines are printed.
+    """
+    def parts():
+        for rows in row_chunks(n):
+            lines, part = chunk(rows, path is not None)
+            _print_lines(lines)
+            yield part
+
+    if path is None:
+        for _ in parts():
+            pass
+    else:
+        _write_pieces(path, framed(parts(), frame))
 
 
 def _write_json(path: str | None, payload):
@@ -188,22 +238,24 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
 
     table = moments_mod.batch_moments(batch, order, method)
-    text = table.value_text()
-    centers, means, variances = (text[:, j].tolist() for j in (0, 1, -1))
+    negative, non_finite = table.negative_variance, table.non_finite
+    coef, correlated = np.zeros(len(table)), np.zeros(len(table), dtype=bool)
+    if settings["strict"] and batch.window_len >= 2:
+        coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
+    suspect = (negative | non_finite | correlated) & settings["strict"]  # windows to report
     flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
-    _print_lines([
-        f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
-        for i, (c, m, v, code) in enumerate(zip(centers, means, variances, table.flag_codes()))
-    ])
     violations = []
-    if settings["strict"]:
-        negative, non_finite = table.negative_variance, table.non_finite
-        coef, correlated = np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
-        if batch.window_len >= 2:
-            coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
-        for i in np.flatnonzero(negative | non_finite | correlated).tolist():
+
+    def chunk(rows, to_file):
+        text = table.value_text(rows)
+        centers, means, variances = (text[:, j].tolist() for j in (0, 1, -1))
+        lines = [f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
+                 for i, (c, m, v, code) in enumerate(zip(centers, means, variances,
+                                                         table.flag_codes(rows)), rows.start)]
+        for j in np.flatnonzero(suspect[rows]).tolist():
+            i = rows.start + j
             if negative[i]:
-                violations.append(f"window {i}: negative market variance {variances[i]}")
+                violations.append(f"window {i}: negative market variance {variances[j]}")
             if non_finite[i]:
                 # the set itself is unusable; its correlation is usually a NaN clipped to -1
                 violations.append(f"window {i}: non-finite moments")
@@ -212,24 +264,34 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
                     f"window {i}: order-2 price/volume correlation "
                     f"{float(coef[i])!r} exceeds {threshold!r}"
                 )
-    if settings["output"] is not None:
-        _write_text(settings["output"], table.to_json_text(text))
+        return lines, table.json_records(rows, text) if to_file else ""
+
+    _write_rows(settings["output"], len(table), chunk, moments_mod.JSON_ARRAY)
     if violations:
         raise StrictViolation("; ".join(violations))
     return EXIT_OK
 
 
+_VWAP_HEADER = "center_time,vwap\n"
+
+
 def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
-    centers = batch.center_time.tolist()
-    values = moments_mod.batch_vwap(batch).tolist()
-    _print_lines([f"window {i} center_time={c!r} vwap={v!r}"
-                  for i, (c, v) in enumerate(zip(centers, values))])
-    if settings["output"] is not None:
-        rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(centers, values))
-        _write_text(settings["output"], "center_time,vwap\n" + rows)
+    centers, values = batch.center_time, moments_mod.batch_vwap(batch)
+
+    def chunk(rows, to_file):
+        pairs = list(zip(map(repr, centers[rows].tolist()), map(repr, values[rows].tolist())))
+        lines = [f"window {i} center_time={c} vwap={v}" for i, (c, v) in enumerate(pairs, rows.start)]
+        return lines, "".join([f"{c},{v}\n" for c, v in pairs]) if to_file else ""
+
+    _write_rows(settings["output"], len(batch), chunk, (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
+
+
+# a record of the autocorr JSON as json.dumps(..., indent=2) writes it
+_AUTOCORR_RECORD = ('  {\n    "center_time_1": %s,\n    "center_time_2": %s,\n'
+                    '    "autocorrelation": %s\n  }')
 
 
 def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
@@ -239,16 +301,21 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     lag = settings["lag"]
     if len(batch) <= lag:
         raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
-    values = moments_mod.batch_autocorrelation(batch, lag, method).tolist()
-    centers = batch.center_time.tolist()
-    pairs = [(centers[i], centers[i + lag], v) for i, v in enumerate(values)]
-    _print_lines([f"window {i} t1={t1!r} t2={t2!r} autocorr={v!r}"
-                  for i, (t1, t2, v) in enumerate(pairs)])
-    if settings["output"] is not None:
-        _write_json(settings["output"], [
-            {"center_time_1": t1, "center_time_2": t2, "autocorrelation": v}
-            for t1, t2, v in pairs
-        ])
+    values = moments_mod.batch_autocorrelation(batch, lag, method)  # finite, or it raised
+    centers = batch.center_time
+    finite = bool(np.isfinite(centers).all())
+
+    def chunk(rows, to_file):
+        text = moments_mod.reprs(np.column_stack(
+            [centers[rows], centers[rows.start + lag:rows.stop + lag], values[rows]]))
+        lines = [f"window {i} t1={t1} t2={t2} autocorr={v}"
+                 for i, (t1, t2, v) in enumerate(text.tolist(), rows.start)]
+        if not to_file:
+            return lines, ""
+        return lines, moments_mod.fill_records(
+            _AUTOCORR_RECORD, text if finite else moments_mod.json_spelled(text))
+
+    _write_rows(settings["output"], len(values), chunk, moments_mod.JSON_ARRAY)
     return EXIT_OK
 
 
@@ -376,7 +443,8 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
         section["seed"] = str(settings["seed"])  # plain digits, read back exactly
     spec = build_sim_spec(section)
     series = gen_trades(spec)
-    _write_text(_require(settings, "output"), render_ticks(series))
+    _write_rows(_require(settings, "output"), len(series),
+                lambda rows, to_file: ((), tick_rows(series, rows)), TICK_CSV)
     print(f"simulated ticks={len(series)} seed={spec.seed}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .ticks import Window, WindowBatch
+from .ticks import Window, WindowBatch, framed, row_chunks
 
 METHODS = ("frequency", "market")
 
@@ -124,8 +124,38 @@ def _check_method(method: str):
 # json's spelling of the floats that repr writes as nan/inf/-inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: The frame (see ticks.framed) of a JSON array of records as
+#: ``json.dumps(records, indent=2) + "\n"`` writes it.
+JSON_ARRAY = ("[\n", ",\n", "\n]\n", "[]\n")
+
 #: Flags of a moment set, indexed by negative_variance + 2 * non_finite.
 FLAG_SETS = ((), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite"))
+
+# FLAG_SETS as json.dumps(..., indent=2) writes them inside a record
+_JSON_FLAGS = np.array(["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]"
+                        if names else "[]" for names in FLAG_SETS], dtype=object)
+
+
+def reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each float of values, as an object array of the same shape."""
+    return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
+
+
+def json_spelled(text: np.ndarray) -> np.ndarray:
+    """A copy of repr strings with nan, inf and -inf spelled as json writes them."""
+    text = text.copy()
+    for spelled, json_spelling in _JSON_NONFINITE.items():
+        text[text == spelled] = json_spelling
+    return text
+
+
+def fill_records(record: str, cells: np.ndarray) -> str:
+    """One record per row of cells, ",\n"-joined: the %s slots of record filled from the row.
+
+    json's indenting encoder runs in pure Python; filling a template per
+    record gives the same bytes several times faster.
+    """
+    return ",\n".join([record] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,9 +184,9 @@ class MomentTable:
     def mean(self) -> np.ndarray:
         return self.raw_moments[:, 0]
 
-    def flag_codes(self) -> list[int]:
-        """Per row, the index into FLAG_SETS of that row's flags."""
-        return (self.negative_variance + 2 * self.non_finite).tolist()
+    def flag_codes(self, rows: slice) -> list[int]:
+        """Per row in rows, the index into FLAG_SETS of that row's flags."""
+        return (self.negative_variance[rows] + 2 * self.non_finite[rows]).tolist()
 
     def moment_set(self, i: int) -> MomentSet:
         def row(a):
@@ -175,25 +205,17 @@ class MomentTable:
             flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
 
-    def value_text(self) -> np.ndarray:
-        """repr of each float the outputs write, once, as a (windows, columns) object array:
-        center_time, raw moments, [trade value, volume moments,] variance (the
-        mean is the first raw moment). JSON, stdout and --strict messages share it."""
-        columns = [self.center_time[:, None], self.raw_moments]
+    def value_text(self, rows: slice) -> np.ndarray:
+        """repr of each float the outputs write for the rows, once, as a (rows, columns)
+        object array: center_time, raw moments, [trade value, volume moments,] variance
+        (the mean is the first raw moment). JSON, stdout and --strict messages share it."""
+        columns = [self.center_time[rows, None], self.raw_moments[rows]]
         if self.trade_value_moments is not None:
-            columns += [self.trade_value_moments, self.trade_volume_moments]
-        values = np.hstack(columns + [self.variance[:, None]])
-        return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
+            columns += [self.trade_value_moments[rows], self.trade_volume_moments[rows]]
+        return reprs(np.hstack(columns + [self.variance[rows, None]]))
 
-    def to_json_text(self, text: np.ndarray | None = None) -> str:
-        """``json.dumps([set.to_json_dict() ...], indent=2) + "\n"``, from the arrays.
-
-        json's indenting encoder runs in pure Python; filling one template
-        per window gives the same bytes several times faster. text is this
-        table's value_text(), for a caller that has it already.
-        """
-        if len(self) == 0:
-            return "[]\n"
+    def json_records(self, rows: slice, text: np.ndarray) -> str:
+        """The JSON records of the rows, ",\n"-joined; text is their value_text(rows)."""
         k = self.order
 
         def items(n_values: int) -> str:
@@ -207,17 +229,19 @@ class MomentTable:
             + ',\n    "volume_moments": ' + (items(k) if trade else "null")
             + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
         )
-        text = self.value_text() if text is None else text
-        if self.non_finite.any() or not np.isfinite(self.center_time).all():
-            text = text.copy()
-            for spelled, json_spelling in _JSON_NONFINITE.items():
-                text[text == spelled] = json_spelling
-        flags = np.array(["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]"
-                          if names else "[]" for names in FLAG_SETS], dtype=object)
+        if self.non_finite[rows].any() or not np.isfinite(self.center_time[rows]).all():
+            text = json_spelled(text)
+        flags = _JSON_FLAGS[self.negative_variance[rows] + 2 * self.non_finite[rows], None]
         # per record: center_time and the moments, then the mean, variance and flags
-        cells = np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:],
-                           flags[self.negative_variance + 2 * self.non_finite, None]])
-        return "[\n" + ",\n".join([record] * len(self)) % tuple(cells.ravel().tolist()) + "\n]\n"
+        return fill_records(record, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags]))
+
+    def to_json_text(self) -> str:
+        """``json.dumps([set.to_json_dict() ...], indent=2) + "\n"``, from the arrays.
+
+        The text is the join of the chunks that ``mbm moments`` writes.
+        """
+        parts = (self.json_records(rows, self.value_text(rows)) for rows in row_chunks(len(self)))
+        return "".join(framed(parts, JSON_ARRAY))
 
 
 def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:

@@ -11,6 +11,7 @@ equal-length windows out as the rows of 2-D column views so that moment
 kernels can process them all at once. TradeTick is a plain record that
 window_from_ticks reads into a series. parse_ticks keeps the columns of
 each text it parses in a private on-disk cache, so a text is parsed once.
+Rendered outputs are made OUTPUT_ROWS rows at a time (row_chunks, framed).
 """
 
 from __future__ import annotations
@@ -385,14 +386,50 @@ def _infer_spacing(time: np.ndarray) -> float | None:
     return float(first)
 
 
+#: Rows per chunk of a rendered output. The CLI formats, prints and writes
+#: its outputs this many rows at a time, so no output's text is held whole.
+OUTPUT_ROWS = 4096
+
+
+def row_chunks(n: int) -> list[slice]:
+    """Slices of at most OUTPUT_ROWS rows that cover rows 0..n-1 in order."""
+    return [slice(lo, min(lo + OUTPUT_ROWS, n)) for lo in range(0, n, OUTPUT_ROWS)]
+
+
+def framed(parts, frame: tuple[str, str, str, str]):
+    """The text ``head + sep.join(parts) + tail`` as pieces, pulling one part at a time.
+
+    frame is (head, sep, tail, empty); empty is the whole text when there are no parts.
+    """
+    head, sep, tail, empty = frame
+    first = True
+    for part in parts:
+        yield head if first else sep
+        yield part
+        first = False
+    yield empty if first else tail
+
+
+_TICK_HEADER = "time,price,volume,value\n"
+TICK_CSV = (_TICK_HEADER, "", "", _TICK_HEADER)
+
+
+def tick_rows(series: TickSeries, rows: slice) -> str:
+    """The tick-CSV lines of the ticks in rows, each float written with repr."""
+    block = np.column_stack([series.time[rows], series.price[rows], series.volume[rows],
+                             series.value[rows]])
+    return "%r,%r,%r,%r\n" * len(block) % tuple(block.ravel().tolist())
+
+
 def render_ticks(series: TickSeries) -> str:
     """Render a TickSeries back to tick-CSV.
 
     Floats are written with repr (shortest round-trip form), so
-    parse_ticks(render_ticks(s)) reproduces s bit-exactly.
+    parse_ticks(render_ticks(s)) reproduces s bit-exactly. The text is the
+    join of the chunks that ``mbm simulate`` writes.
     """
-    rows = np.column_stack([series.time, series.price, series.volume, series.value])
-    return "time,price,volume,value\n" + "%r,%r,%r,%r\n" * len(series) % tuple(rows.ravel().tolist())
+    parts = (tick_rows(series, rows) for rows in row_chunks(len(series)))
+    return "".join(framed(parts, TICK_CSV))
 
 
 def _window_starts(series: TickSeries, window_len: int, mode: str) -> np.ndarray:

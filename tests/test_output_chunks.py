@@ -1,0 +1,230 @@
+"""Outputs written in row chunks equal the whole-output rendering byte for byte.
+
+The CLI formats, prints and writes its large outputs ticks.OUTPUT_ROWS rows
+at a time. These tests shrink a chunk to R rows and check, for 0, 1, R-1,
+R, R+1 and 2R+1 rows, that stdout, stderr and the output file equal those
+of a run that renders the whole output as one chunk, and that the JSON
+files equal json.dumps of their records.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mbm
+import mbm.cli
+import mbm.ticks
+from mbm.cli import main
+from mbm.moments import batch_autocorrelation, batch_moments
+from mbm.ticks import TickSeries, WindowBatch, parse_ticks, render_ticks, row_chunks, window_batch
+
+R = 3
+ROW_COUNTS = (1, R - 1, R, R + 1, 2 * R + 1)
+
+# (price, volume) ticks. Two-tick windows: (A, B) and (B, A) have a negative
+# market variance, and any window holding H overflows p**4, so it is non_finite.
+A, B, H = (10.0, 1.0), (1.0, 10.0), (1e80, 1.0)
+
+
+def tick_text(windows: int, mode: str) -> str:
+    """A tick file whose two-tick windows put a non_finite and a negative_variance
+    window on each side of every chunk boundary."""
+    if mode == "disjoint":  # windows cycle non_finite, negative_variance, plain
+        ticks = [t for i in range(windows) for t in ((A, H), (A, B), (A, A))[i % 3]]
+    else:  # windows cycle negative, negative, non_finite, non_finite, plain
+        ticks = [(A, B, A, H, A)[i % 5] for i in range(windows + 1)]
+    return "time,price,volume\n" + "".join(f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(ticks))
+
+
+def run(capsys, argv, output: Path | None, rows: int | None = None):
+    """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given."""
+    if output is not None:
+        output.unlink(missing_ok=True)
+        argv = argv + ["--output", str(output)]
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(mbm.ticks, "OUTPUT_ROWS", rows)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, None if output is None or not output.exists() else output.read_bytes()
+
+
+def same_chunked_and_whole(capsys, argv, output: Path | None = None):
+    """The chunked run's result, after checking it equals the whole-output run's."""
+    whole = run(capsys, argv, output)
+    chunked = run(capsys, argv, output, rows=R)
+    assert chunked == whole
+    return chunked
+
+
+def window_numbers(text: str, sep: str = "\n") -> list[int]:
+    return [int(item.split()[1].rstrip(":")) for item in text.split(sep) if item.startswith("window")]
+
+
+def test_row_chunks_read_the_row_constant_at_each_call(monkeypatch):
+    assert row_chunks(mbm.ticks.OUTPUT_ROWS + 1) == [
+        slice(0, mbm.ticks.OUTPUT_ROWS), slice(mbm.ticks.OUTPUT_ROWS, mbm.ticks.OUTPUT_ROWS + 1)]
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
+    assert row_chunks(0) == []
+    assert row_chunks(2 * R + 1) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+
+
+@pytest.mark.parametrize("windows", ROW_COUNTS)
+@pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+@pytest.mark.parametrize("method", ["frequency", "market"])
+def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode, windows):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(tick_text(windows, mode), encoding="utf-8")
+    argv = ["moments", "--input", str(ticks), "--window", "2", "--mode", mode, "--order", "4",
+            "--method", method, "--strict"]
+    code, out, err, data = same_chunked_and_whole(capsys, argv, tmp_path / "m.json")
+    assert code == 3
+    assert window_numbers(out) == list(range(windows))
+    flagged = window_numbers(err.removeprefix("strict violation: "), "; ")
+    assert flagged == sorted(flagged) and set(flagged) <= set(range(windows))
+    table = batch_moments(window_batch(parse_ticks(ticks.read_text()), 2, mode), 4, method)
+    payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
+    assert data.decode() == json.dumps(payload, indent=2) + "\n"
+    if windows == 2 * R + 1 and method == "market":  # both flags on each side of a boundary
+        for rows in (slice(0, R), slice(R, 2 * R)):
+            assert table.negative_variance[rows].any() and table.non_finite[rows].any()
+    # without an output file, stdout and stderr are those of the run with one
+    assert same_chunked_and_whole(capsys, argv) == (code, out, err, None)
+
+
+@pytest.mark.parametrize("windows", ROW_COUNTS)
+@pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+def test_vwap_in_chunks_equals_one_chunk(tmp_path, capsys, mode, windows):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(tick_text(windows, mode), encoding="utf-8")
+    argv = ["vwap", "--input", str(ticks), "--window", "2", "--mode", mode]
+    code, out, _, data = same_chunked_and_whole(capsys, argv, tmp_path / "v.csv")
+    assert code == 0 and window_numbers(out) == list(range(windows))
+    batch = window_batch(parse_ticks(ticks.read_text()), 2, mode)
+    values = np.add.reduce(batch.value, axis=1) / np.add.reduce(batch.volume, axis=1)
+    rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(batch.center_time.tolist(), values.tolist()))
+    assert data.decode() == "center_time,vwap\n" + rows
+
+
+@pytest.mark.parametrize("pairs", ROW_COUNTS)
+@pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+@pytest.mark.parametrize("method", ["frequency", "market"])
+def test_autocorr_json_in_chunks_equals_json_dumps(tmp_path, capsys, method, mode, pairs):
+    lag = 1
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(tick_text(pairs + lag, mode), encoding="utf-8")
+    argv = ["autocorr", "--input", str(ticks), "--window", "2", "--mode", mode,
+            "--method", method, "--lag", str(lag)]
+    code, out, _, data = same_chunked_and_whole(capsys, argv, tmp_path / "a.json")
+    assert code == 0 and window_numbers(out) == list(range(pairs))
+    batch = window_batch(parse_ticks(ticks.read_text()), 2, mode)
+    centers = batch.center_time.tolist()
+    payload = [{"center_time_1": centers[i], "center_time_2": centers[i + lag],
+                "autocorrelation": v}
+               for i, v in enumerate(batch_autocorrelation(batch, lag, method).tolist())]
+    assert data.decode() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_autocorr_json_spells_an_infinite_center_time_as_json_does(tmp_path, capsys):
+    # the mean of two finite times near the float maximum overflows
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("time,price,volume\n0,1,1\n1,2,1\n1e308,3,1\n1.7e308,1,2\n", encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code, out, _, data = same_chunked_and_whole(
+            capsys, ["autocorr", "--input", str(ticks), "--window", "2", "--method", "market"],
+            tmp_path / "a.json")
+    assert code == 0 and "t2=inf" in out
+    assert b'"center_time_1": 0.5,\n    "center_time_2": Infinity,' in data
+
+
+@pytest.mark.parametrize("length", ROW_COUNTS)
+def test_simulate_in_chunks_equals_one_chunk(tmp_path, capsys, length):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"[simulate]\nlength = {length}\nseed = 4\n", encoding="utf-8")
+    code, out, _, data = same_chunked_and_whole(
+        capsys, ["simulate", "--config", str(cfg)], tmp_path / "t.csv")
+    assert code == 0 and out == f"simulated ticks={length} seed=4\n"
+    assert data.decode().count("\n") == length + 1
+
+
+def test_library_renderings_join_the_chunks(monkeypatch):
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
+    for n in (0, *ROW_COUNTS):
+        series = TickSeries(np.arange(float(n)), 1.0 + np.arange(n) / 7, np.full(n, 3.0))
+        rows = zip(*(getattr(series, c).tolist() for c in ("time", "price", "volume", "value")))
+        assert render_ticks(series) == "time,price,volume,value\n" + "".join(
+            f"{t!r},{p!r},{v!r},{c!r}\n" for t, p, v, c in rows)
+    empty = WindowBatch(np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
+    assert batch_moments(empty, 4, "market").to_json_text() == "[]\n"
+
+
+def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, monkeypatch):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(tick_text(2 * R + 1, "sliding"), encoding="utf-8")
+    written = []
+    write_pieces = mbm.cli._write_pieces
+
+    def recording(path, pieces):
+        write_pieces(path, (written.append(piece) or piece for piece in pieces))
+
+    monkeypatch.setattr(mbm.cli, "_write_pieces", recording)
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
+    assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
+                 "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
+    assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
+    # "[\n", three chunks of records with ",\n" between them, "\n]\n"
+    assert written[::2] == ["[\n", ",\n", ",\n", "\n]\n"]
+    assert [piece.count('"method"') for piece in written[1::2]] == [R, R, 1]
+
+
+SIM_CFG = "[simulate]\nlength = {}\nseed = 9\nsigma = 0.05\nlog_sigma = 0.3\npv_correlation = -0.3\n"
+
+# runs a command in a fresh, small interpreter and prints its exit code and
+# peak RSS, so the peak is the command's own and not this process's
+_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(mbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    peak_mb = {}
+    for n in (5_000, 25_000):
+        cfg, ticks = tmp_path / f"sim{n}.cfg", tmp_path / f"ticks{n}.csv"
+        cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
+        argv = [sys.executable, "-m", "mbm.cli", "moments", "--mode", "sliding", "--strict",
+                "--window", "100", "--order", "4", "--method", "market",
+                "--input", str(ticks), "--output", str(tmp_path / "m.json")]
+        launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+        code, maxrss = map(int, launched.stdout.split())
+        assert code in (0, 3)
+        peak_mb[n] = maxrss * unit / 2**20
+    # the output is five times larger; its text is held a chunk at a time
+    assert peak_mb[25_000] - peak_mb[5_000] < 25, peak_mb
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
+@pytest.mark.parametrize("rows", [R, 4096])
+def test_a_write_that_fails_in_a_later_chunk_is_an_input_error(tmp_path, capsys, monkeypatch, rows):
+    # ~60 KB of ticks: the file's buffer flushes, and fails, while chunks are being written
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", rows)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("[simulate]\nlength = 2000\nseed = 4\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: cannot write /dev/full: ")
