@@ -22,6 +22,7 @@ results to the output files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -33,8 +34,8 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, Window, _data_rows, framed, parse_ticks, row_chunks, tick_rows,
-                    window_batch)
+from .ticks import (TICK_CSV, Window, _data_rows, _decoded, framed, parse_ticks, row_chunks,
+                    tick_rows, window_batch)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -109,33 +110,26 @@ def _require(settings: dict, key: str):
     return settings[key]
 
 
-def _read_text(path: str, what: str = "") -> str:
-    """A file's UTF-8 text with universal newlines; what ("samples ") prefixes the errors."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {what}{path}: {exc}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{what}line {line}: not UTF-8 text ({exc.reason})") from None
-    if "\r" in text:  # as a text-mode read translates them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
-def _read_series(settings: dict):
-    return parse_ticks(_read_text(_require(settings, "input")))
-
-
 @contextmanager
-def _writing(path: str):
-    """An OSError inside is the input error "cannot write <path>"."""
+def _failing(action: str):
+    """An OSError inside is the input error "cannot <action>: <error>"."""
     try:
         yield
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+        raise DataError(f"cannot {action}: {exc}") from None
+
+
+def _read_text(path: str, what: str = "") -> str:
+    """A file's UTF-8 text with universal newlines; what ("samples ") prefixes the errors."""
+    with _failing(f"read {what}{path}"), open(path, "rb") as fh:
+        return _decoded(fh.read(), what)
+
+
+def _read_series(settings: dict):
+    """The input file's tick series: parse_ticks reads a file whole only on a cache miss, or a pipe."""
+    path = _require(settings, "input")
+    with _failing(f"read {path}"), open(path, "rb") as fh:
+        return parse_ticks(fh)
 
 
 def _write_pieces(path: str | None, pieces):
@@ -149,13 +143,13 @@ def _write_pieces(path: str | None, pieces):
         raise DataError("missing required setting 'output'")
     if not path:
         raise DataError("output must be a file path, got ''")
-    with _writing(path):
+    with _failing(f"write {path}"):
         fh = open(path, "w", encoding="utf-8")
     try:
         for piece in pieces:
-            with _writing(path):
+            with _failing(f"write {path}"):
                 fh.write(piece)
-        with _writing(path):
+        with _failing(f"write {path}"):
             fh.close()
     finally:
         with suppress(OSError):
@@ -434,7 +428,7 @@ def cmd_optimize(settings: dict, file_cfg: dict) -> int:
 
 
 def cmd_simulate(settings: dict, file_cfg: dict) -> int:
-    from .simulate import gen_trades
+    from .simulate import trade_blocks
 
     if "simulate" not in file_cfg:
         raise DataError("simulate needs a [simulate] config section")
@@ -442,10 +436,11 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     if settings["seed"] is not None:
         section["seed"] = str(settings["seed"])  # plain digits, read back exactly
     spec = build_sim_spec(section)
-    series = gen_trades(spec)
-    _write_rows(_require(settings, "output"), len(series),
-                lambda rows, to_file: ((), tick_rows(series, rows)), TICK_CSV)
-    print(f"simulated ticks={len(series)} seed={spec.seed}")
+    blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
+    blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
+    _write_rows(_require(settings, "output"), spec.length,
+                lambda rows, to_file: ((), tick_rows(next(blocks), slice(None))), TICK_CSV)
+    print(f"simulated ticks={spec.length} seed={spec.seed}")
     return EXIT_OK
 
 

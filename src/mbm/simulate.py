@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, require_finite
-from .ticks import TickSeries
+from .ticks import TickSeries, row_chunks
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -119,29 +119,31 @@ def ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stream_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+def _stream_uniforms(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):  # modular 2^64 arithmetic is intended
         sub = _mix64(np.uint64(seed % 2**64) + np.uint64((stream + 1)) * _GAMMA)
-        idx = np.arange(1, count + 1, dtype=np.uint64)
+        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         raw = _mix64(sub + idx * _GAMMA)
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def stream_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """Standard normal draws from the documented counter-based generator."""
+def stream_normals(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
+    """Standard normal draws start..start+count-1 from the documented counter-based generator."""
     if count < 0:
         raise DataError(f"count must be non-negative, got {count}")
-    return ndtri(_stream_uniforms(seed, stream, count))
+    return ndtri(_stream_uniforms(seed, stream, count, start))
 
 
-def _ar1(x: np.ndarray, phi: float) -> np.ndarray:
-    """y[i] = x[i] + phi * y[i-1] with y[-1] = 0, evaluated in that order.
+def _ar1(x: np.ndarray, phi: float, last: float | None = None) -> np.ndarray:
+    """y[i] = x[i] + phi * y[i-1] with y[-1] = last, evaluated in that order.
 
-    The same operations, in the same order, as
+    With no last, y[0] = x[0]: the same operations, in the same order, as
     ``scipy.signal.lfilter([1.0], [1.0, -phi], x)``, so the result is
-    bit-identical to it.
+    bit-identical to it. A series cut in pieces, each given the one
+    before's final y as last, gives the same bits.
     """
-    return np.fromiter(itertools.accumulate(x.tolist(), lambda y, e: e + phi * y), float, x.size)
+    ys = itertools.accumulate(x.tolist(), lambda y, e: e + phi * y, initial=last)
+    return np.fromiter(itertools.islice(ys, last is not None, None), float, x.size)
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -183,35 +185,45 @@ class SimSpec:
             raise DataError(f"pv_correlation must be in [-1, 1], got {self.pv_correlation}")
 
 
-def gen_trades(spec: SimSpec) -> TickSeries:
-    """Generate a deterministic tick series at unit time spacing."""
-    n = spec.length
+def trade_blocks(spec: SimSpec):
+    """The ticks of gen_trades(spec) as series of ticks.OUTPUT_ROWS ticks, made one at a time.
+
+    Block [lo, hi) takes draws lo..hi-1 of each stream it uses, and the
+    AR(1) log-price carries its last value into the next block, so the
+    blocks join to the whole series bit for bit and memory does not grow
+    with spec.length. A tick that breaks a tick rule raises the DataError
+    of TickSeries, naming its index in the whole series.
+    """
     rho = spec.pv_correlation
+    price_noise = spec.price_model == "ar1" and spec.sigma > 0.0
+    volume_noise = spec.volume_model == "lognormal" and spec.log_sigma > 0.0
+    for rows in row_chunks(spec.length):
+        lo, n = rows.start, rows.stop - rows.start
+        eps_p = (stream_normals(spec.seed, PRICE_STREAM, n, lo)
+                 if price_noise or (volume_noise and rho != 0.0) else None)
+        with np.errstate(over="ignore"):  # an overflowing tick fails the tick checks
+            if price_noise:
+                log_dev = _ar1(spec.sigma * eps_p, spec.phi, log_dev[-1] if lo else None)
+                prices = spec.base_price * np.exp(log_dev)
+            else:
+                prices = np.full(n, spec.base_price)
+            if volume_noise:
+                eps_v = stream_normals(spec.seed, VOLUME_STREAM, n, lo)
+                if rho != 0.0:  # 2x2 Cholesky: correlate volume innovations with price ones
+                    eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
+                volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
+            else:
+                volumes = np.full(n, spec.median_volume)
+        yield TickSeries(np.arange(lo, rows.stop, dtype=float), prices, volumes,
+                         where=lambda i: f"tick {lo + i}", copy=False)
 
-    needs_price_noise = spec.price_model == "ar1" and spec.sigma > 0.0
-    needs_volume_noise = spec.volume_model == "lognormal" and spec.log_sigma > 0.0
 
-    if spec.price_model == "constant" or not needs_price_noise:
-        prices = np.full(n, spec.base_price)
-        eps_p = None
-    else:
-        eps_p = stream_normals(spec.seed, PRICE_STREAM, n)
-        log_dev = _ar1(spec.sigma * eps_p, spec.phi)
-        prices = spec.base_price * np.exp(log_dev)
-
-    if spec.volume_model == "constant" or not needs_volume_noise:
-        volumes = np.full(n, spec.median_volume)
-    else:
-        eps_v = stream_normals(spec.seed, VOLUME_STREAM, n)
-        if rho != 0.0:
-            if eps_p is None:
-                eps_p = stream_normals(spec.seed, PRICE_STREAM, n)
-            # 2x2 Cholesky: correlate volume innovations with price ones
-            eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
-        volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
-
-    return TickSeries(np.arange(n, dtype=float), prices, volumes, prices * volumes,
-                      tick_spacing=1.0 if n >= 2 else None)
+def gen_trades(spec: SimSpec) -> TickSeries:
+    """Generate a deterministic tick series at unit time spacing: the join of trade_blocks(spec)."""
+    blocks = list(trade_blocks(spec))
+    return TickSeries(*(np.concatenate([getattr(b, c) for b in blocks])
+                        for c in ("time", "price", "volume", "value")),
+                      tick_spacing=1.0 if spec.length >= 2 else None, copy=False)
 
 
 def gen_payoff_samples(

@@ -10,7 +10,8 @@ downstream treat a window as one averaging interval. A Window is a
 equal-length windows out as the rows of 2-D column views so that moment
 kernels can process them all at once. TradeTick is a plain record that
 window_from_ticks reads into a series. parse_ticks keeps the columns of
-each text it parses in a private on-disk cache, so a text is parsed once.
+each text it parses in a private on-disk cache, so a text is parsed once,
+and a file whose columns are there is hashed, never read whole.
 Rendered outputs are made OUTPUT_ROWS rows at a time (row_chunks, framed).
 """
 
@@ -20,6 +21,7 @@ import csv
 import io
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -96,8 +98,8 @@ class TradeTick(NamedTuple):
 _TICK_FIELDS = TradeTick._fields
 
 
-def _frozen_column(values) -> np.ndarray:
-    col = np.array(values, dtype=float)
+def _frozen_column(values, copy: bool) -> np.ndarray:
+    col = (np.array if copy else np.asarray)(values, dtype=float)
     col.setflags(write=False)
     return col
 
@@ -109,17 +111,18 @@ class TickSeries:
     price*volume. Every tick is checked in one vectorized pass, and where(i)
     names the offending tick in the DataError message. tick_spacing is the
     minimal time division of the series; it is inferred on parse when all
-    consecutive time differences agree, else left None.
+    consecutive time differences agree, else left None. copy=False keeps
+    float64 columns as given, for a caller that owns them and writes them no more.
     """
 
     __slots__ = ("time", "price", "volume", "value", "tick_spacing")
 
     def __init__(self, time, price, volume, value=None, tick_spacing: float | None = None,
-                 *, where=lambda i: f"tick {i}"):
+                 *, where=lambda i: f"tick {i}", copy: bool = True):
         if value is None:
             with np.errstate(over="ignore"):  # an overflowing product fails _check_columns
                 value = np.multiply(price, volume)
-        columns = [_frozen_column(c) for c in (time, price, volume, value)]
+        columns = [_frozen_column(c, copy) for c in (time, price, volume, value)]
         if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
             raise DataError("tick columns must be 1-d and of equal length")
         _check_columns(*columns, where)
@@ -221,41 +224,77 @@ def window_from_ticks(ticks) -> Window:
     return Window(series, 0, len(series))
 
 
-def parse_ticks(text: str) -> TickSeries:
-    """Parse tick-CSV into a TickSeries.
+def parse_ticks(text) -> TickSeries:
+    """Parse tick-CSV, given as text or as a binary file of UTF-8 text, into a TickSeries.
 
     Expected header is ``time,price,volume`` or ``time,price,volume,value``.
     When the value column is absent it is computed as price*volume; when
     present it is validated against that identity (relative 1e-9).
     Fields must be finite decimal numbers (no inf/nan, underscores or hex).
     Raises DataError with the offending line number on any malformed row,
-    non-finite or non-positive price/volume, identity violation, or
-    decreasing times.
+    non-UTF-8 file, non-finite or non-positive price/volume, identity
+    violation, or decreasing times. A file's CRLF and CR line ends read as LF.
 
     The columns of a parse that succeeds are cached in the private directory
     ``$XDG_CACHE_HOME/mbm/ticks`` (default ``~/.cache/mbm/ticks``) under a
-    blake2b key of the text, this module's source and numpy's version, so
-    the same text is parsed once; a hit is checked like a parse, and any
-    cache fault is a miss, so results and errors never depend on the cache.
+    blake2b key of the text's UTF-8 bytes, this module's source and numpy's
+    version, so the same text is parsed once; a hit is checked like a parse,
+    and any cache fault is a miss, so results and errors never depend on the
+    cache. A file that can seek is hashed a buffer at a time before it is
+    read, so a hit never holds its text; one that cannot (a pipe) is read
+    once. A miss keys its entry by the text it parsed.
     """
-    path = _cache_path(text)
-    series = None if path is None else _cached(path)
+    if not isinstance(text, str):
+        if text.seekable():
+            start = text.tell()
+            series = _cached(_cache_path(_lf_chunks(text)))
+            if series is not None:
+                return series
+            text.seek(start)
+        text = _decoded(text.read())
+    step = 1 << 16  # the text is hashed in slices: no copy of the whole text
+    path = _cache_path(text[i:i + step].encode("utf-8", "surrogatepass")
+                       for i in range(0, len(text), step))
+    series = _cached(path)
     if series is None:
         series = _parse_csv(text)
         if path is not None:
-            try:
+            with suppress(OSError):  # an unwritable cache costs the next call a parse
                 _store(path, series)
-            except OSError:
-                pass  # an unwritable cache costs the next call a parse, nothing else
     return series
+
+
+def _decoded(data: bytes, what: str = "") -> str:
+    """data as UTF-8 text with universal newlines; what ("samples ") prefixes the error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{what}line {line}: not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:  # as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _lf_chunks(fh, size: int = 1 << 16):
+    """The rest of a binary file a buffer at a time, its line ends read as _decoded reads them."""
+    cr = False
+    while chunk := fh.read(size):
+        if cr and chunk.startswith(b"\n"):
+            chunk = chunk[1:]  # the LF of a CRLF cut between two buffers
+        cr = chunk.endswith(b"\r")
+        yield chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk else chunk
 
 
 # Byte budget of the tick cache: past it, the least recently used entries go.
 CACHE_BYTES = 256 << 20
 
 
-def _cache_path(text: str) -> Path | None:
-    """Where the cache keeps text's columns; None without a private cache directory."""
+def _cache_path(chunks) -> Path | None:
+    """Where the cache keeps the columns of the text whose UTF-8 bytes are the chunks.
+
+    None without a private cache directory; then no chunk is read.
+    """
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # as the XDG spec says, a relative value is ignored
         root = os.path.expanduser("~/.cache")
@@ -275,22 +314,25 @@ def _cache_path(text: str) -> Path | None:
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         return None
     key.update(b"\0numpy " + np.__version__.encode() + b"\0")
-    for i in range(0, len(text), 1 << 16):  # in slices: no copy of the whole text
-        key.update(text[i:i + (1 << 16)].encode("utf-8", "surrogatepass"))
+    for chunk in chunks:
+        key.update(chunk)
     return directory / f"{key.hexdigest()}.npy"
 
 
-def _cached(path: Path) -> TickSeries | None:
-    """The series stored at path, checked as a parse checks it; None for a missing or bad entry."""
+def _cached(path: Path | None) -> TickSeries | None:
+    """The series stored at path, checked as a parse checks it; None for no path or a bad entry."""
+    if path is None:
+        return None
     try:
         with open(path, "rb") as fh:  # the .npy reader alone: no pickle, no zip
             columns = np.lib.format.read_array(fh, allow_pickle=False)
         if columns.dtype != np.float64 or columns.ndim != 2 or len(columns) != 4:
             return None
-        series = TickSeries(*columns)
-        os.utime(path)
+        series = TickSeries(*columns, copy=False)  # no second copy of the loaded columns
     except (OSError, ValueError, MemoryError, DataError):  # MemoryError: a corrupt shape
         return None
+    with suppress(OSError):  # a cache that cannot be touched still serves its entries
+        os.utime(path)
     series.tick_spacing = _infer_spacing(series.time)
     return series
 

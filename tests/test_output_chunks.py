@@ -194,28 +194,65 @@ child.returncode = os.waitstatus_to_exitcode(status)
 print(child.returncode, usage.ru_maxrss)
 """
 
+needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"),
+                                 reason="needs os.wait4 for a child's peak RSS")
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
-def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
-    # ru_maxrss is in KiB on Linux, in bytes on macOS
-    unit = 1 if sys.platform == "darwin" else 1024
+
+def peak_mb(*args: str) -> tuple[int, float]:
+    """(exit code, peak RSS in MB) of ``mbm <args>`` run in a child process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(mbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    peak_mb = {}
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "mbm.cli",
+                               *args], env=env, capture_output=True, text=True, check=True)
+    code, maxrss = map(int, launched.stdout.split())
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    return code, maxrss * (1 if sys.platform == "darwin" else 1024) / 2**20
+
+
+def simulated(tmp_path, n: int) -> Path:
+    cfg, ticks = tmp_path / f"sim{n}.cfg", tmp_path / f"ticks{n}.csv"
+    cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
+    return ticks
+
+
+@needs_wait4
+def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
+    peak = {}
     for n in (5_000, 25_000):
-        cfg, ticks = tmp_path / f"sim{n}.cfg", tmp_path / f"ticks{n}.csv"
-        cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
-        assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
-        argv = [sys.executable, "-m", "mbm.cli", "moments", "--mode", "sliding", "--strict",
-                "--window", "100", "--order", "4", "--method", "market",
-                "--input", str(ticks), "--output", str(tmp_path / "m.json")]
-        launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
-                                  capture_output=True, text=True, check=True)
-        code, maxrss = map(int, launched.stdout.split())
+        code, peak[n] = peak_mb("moments", "--mode", "sliding", "--strict", "--window", "100",
+                                "--order", "4", "--method", "market",
+                                "--input", str(simulated(tmp_path, n)),
+                                "--output", str(tmp_path / "m.json"))
         assert code in (0, 3)
-        peak_mb[n] = maxrss * unit / 2**20
     # the output is five times larger; its text is held a chunk at a time
-    assert peak_mb[25_000] - peak_mb[5_000] < 25, peak_mb
+    assert peak[25_000] - peak[5_000] < 25, peak
+
+
+@needs_wait4
+def test_warm_validate_peak_memory_grows_with_the_columns_alone(tmp_path):
+    peak = {}
+    for n in (20_000, 100_000):
+        ticks = str(simulated(tmp_path, n))
+        assert peak_mb("validate", "--input", ticks)[0] == 0  # cold: parsed and stored
+        code, peak[n] = peak_mb("validate", "--input", ticks)
+        assert code == 0
+    # 80k more ticks are 2.6 MB more columns. Growth was 12.8 MB when a hit
+    # held the file's bytes and text and copied the columns, 5.5 MB since.
+    assert peak[100_000] - peak[20_000] < 8, peak
+
+
+@needs_wait4
+def test_simulate_peak_memory_does_not_grow_with_its_length(tmp_path):
+    peak = {}
+    for n in (20_000, 100_000):
+        cfg = tmp_path / f"sim{n}.cfg"
+        cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
+        code, peak[n] = peak_mb("simulate", "--config", str(cfg), "--output", os.devnull)
+        assert code == 0
+    # growth was 10 MB when the whole series was made before the first row
+    # was written; about 0.1 MB with one block of ticks at a time
+    assert peak[100_000] - peak[20_000] < 3, peak
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")

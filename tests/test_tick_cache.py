@@ -1,6 +1,8 @@
 """The parsed-column cache inside parse_ticks: a hit equals the parse it replaces,
 and a missing, bad or untrusted entry costs a parse, never a different result."""
 
+import io
+import itertools
 import os
 from pathlib import Path
 
@@ -24,6 +26,11 @@ def entries(cache):
     return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
 
 
+def entry_path(text):
+    """Where parse_ticks(text) keeps its entry."""
+    return ticks._cache_path([text.encode()])
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Count the parses that really read the text."""
@@ -41,7 +48,7 @@ def parses(monkeypatch):
 @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
 def test_a_hit_equals_the_parse(text, tick_cache, parses):
     miss = parse_ticks(text)
-    assert entries(tick_cache) == [ticks._cache_path(text).name]
+    assert entries(tick_cache) == [entry_path(text).name]
     hit = parse_ticks(text)
     assert len(parses) == 1
     assert hit == miss and hit.tick_spacing == miss.tick_spacing
@@ -51,7 +58,7 @@ def test_a_hit_equals_the_parse(text, tick_cache, parses):
 def test_an_entry_is_private(tick_cache):
     parse_ticks(TEXT)
     assert tick_cache.stat().st_mode & 0o777 == 0o700
-    assert ticks._cache_path(TEXT).stat().st_mode & 0o777 == 0o600
+    assert entry_path(TEXT).stat().st_mode & 0o777 == 0o600
 
 
 def test_a_failed_parse_stores_nothing(tick_cache):
@@ -90,7 +97,7 @@ BAD_ENTRIES = {
 @pytest.mark.parametrize("corrupt", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
 def test_a_bad_entry_is_a_miss_and_is_overwritten(corrupt, parses):
     expected = parse_ticks(TEXT)
-    path = ticks._cache_path(TEXT)
+    path = entry_path(TEXT)
     stored = path.read_bytes()
     corrupt(path)
     assert parse_ticks(TEXT) == expected
@@ -100,7 +107,7 @@ def test_a_bad_entry_is_a_miss_and_is_overwritten(corrupt, parses):
 
 def test_a_huge_shape_in_the_header_is_a_miss(parses):
     expected = parse_ticks(TEXT)
-    path = ticks._cache_path(TEXT)
+    path = entry_path(TEXT)
     path.write_bytes(path.read_bytes().replace(b"(4, 3)", b"(4, 900000000000)"))
     assert parse_ticks(TEXT) == expected
     assert len(parses) == 2
@@ -110,7 +117,7 @@ def test_a_huge_shape_in_the_header_is_a_miss(parses):
 def test_a_directory_others_can_write_is_not_used(mode, tick_cache, parses):
     parse_ticks(TEXT)
     tick_cache.chmod(mode)
-    assert ticks._cache_path(TEXT) is None
+    assert entry_path(TEXT) is None
     parse_ticks(TEXT)
     assert len(parses) == 2
 
@@ -118,7 +125,7 @@ def test_a_directory_others_can_write_is_not_used(mode, tick_cache, parses):
 def test_a_directory_of_another_user_is_not_used(tick_cache, parses, monkeypatch):
     parse_ticks(TEXT)
     monkeypatch.setattr(os, "getuid", lambda: tick_cache.stat().st_uid + 1)
-    assert ticks._cache_path(TEXT) is None
+    assert entry_path(TEXT) is None
     parse_ticks(TEXT)
     assert len(parses) == 2
 
@@ -128,7 +135,7 @@ def test_an_unusable_cache_root_gives_the_same_result(tmp_path, monkeypatch):
     root = tmp_path / "root"
     root.write_text("a file, so no directory can be made under it\n")
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))
-    assert ticks._cache_path(TEXT) is None
+    assert entry_path(TEXT) is None
     assert parse_ticks(TEXT) == expected
     with pytest.raises(DataError, match="^line 2: expected 3 fields, got 2$"):
         parse_ticks("time,price,volume\n0,10\n")
@@ -148,28 +155,28 @@ def test_a_failed_store_gives_the_same_result(tick_cache, monkeypatch):
 def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert ticks._cache_path(TEXT).parent == tmp_path / ".cache" / "mbm" / "ticks"
+    assert entry_path(TEXT).parent == tmp_path / ".cache" / "mbm" / "ticks"
 
 
 def test_the_key_holds_the_parser_source_and_numpy_version(tmp_path, monkeypatch):
-    key = ticks._cache_path(TEXT)
-    assert ticks._cache_path(TEXT) == key
-    assert ticks._cache_path(TEXT + "3,8,1\n") != key
+    key = entry_path(TEXT)
+    assert entry_path(TEXT) == key
+    assert entry_path(TEXT + "3,8,1\n") != key
     edited = tmp_path / "ticks.py"
     edited.write_bytes(Path(ticks.__file__).read_bytes() + b"# an edit\n")
     with monkeypatch.context() as patch:
         patch.setattr(ticks, "__file__", str(edited))
-        assert ticks._cache_path(TEXT) != key
+        assert entry_path(TEXT) != key
     with monkeypatch.context() as patch:
         patch.setattr(np, "__version__", np.__version__ + ".post1")
-        assert ticks._cache_path(TEXT) != key
-    assert ticks._cache_path(TEXT) == key
+        assert entry_path(TEXT) != key
+    assert entry_path(TEXT) == key
 
 
 def test_eviction_keeps_the_byte_budget_and_the_recently_used(tick_cache, parses, monkeypatch):
     texts = [f"time,price,volume\n0,{p},1\n1,{p},2\n" for p in range(10, 16)]
     parse_ticks(texts[0])
-    entry = ticks._cache_path(texts[0]).stat().st_size
+    entry = entry_path(texts[0]).stat().st_size
     monkeypatch.setattr(ticks, "CACHE_BYTES", 3 * entry)
     for text in texts[1:]:
         for path in tick_cache.iterdir():  # strictly older than the next write
@@ -177,6 +184,70 @@ def test_eviction_keeps_the_byte_budget_and_the_recently_used(tick_cache, parses
         parse_ticks(texts[0])  # a hit keeps the first entry the most recently used
         parse_ticks(text)
         assert sum(p.stat().st_size for p in tick_cache.iterdir()) <= 3 * entry
-    assert entries(tick_cache) == sorted(ticks._cache_path(t).name
+    assert entries(tick_cache) == sorted(entry_path(t).name
                                          for t in (texts[0], texts[-2], texts[-1]))
     assert parses == texts  # the first text was never evicted, so never parsed again
+
+
+def test_a_hit_that_cannot_touch_its_entry_is_still_a_hit(parses, monkeypatch):
+    expected = parse_ticks(TEXT)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only file system")
+
+    monkeypatch.setattr(os, "utime", refuse)
+    assert parse_ticks(TEXT) == expected
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_a_file_read_in_buffers_has_the_line_ends_of_its_text(size):
+    for n in range(7):
+        for data in map(bytes, itertools.product(b"a\r\n", repeat=n)):
+            chunks = list(ticks._lf_chunks(io.BytesIO(data), size))
+            assert b"".join(chunks) == ticks._decoded(data).encode()
+            assert all(len(chunk) <= size for chunk in chunks)
+
+
+class Reads(io.BytesIO):
+    """A binary file that records the size of each read, and can refuse to seek like a pipe."""
+
+    def __init__(self, data: bytes, seekable: bool = True):
+        super().__init__(data)
+        self.sizes, self._seekable = [], seekable
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+    def seekable(self):
+        return self._seekable
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_file_shares_the_entry_of_its_text_and_a_hit_reads_it_in_buffers(parses, end):
+    expected = parse_ticks(TEXT)
+    fh = Reads(TEXT.encode().replace(b"\n", end))
+    assert parse_ticks(fh) == expected
+    assert len(parses) == 1
+    assert -1 not in fh.sizes and fh.sizes[-1] == 1 << 16  # the last read found the end
+
+
+@pytest.mark.parametrize("seekable", [True, False])
+def test_a_file_missing_from_the_cache_is_read_once_whole_and_stored(tick_cache, parses, seekable):
+    expected = ticks._parse_csv(TEXT)
+    parses.clear()
+    fh = Reads(TEXT.replace("\n", "\r\n").encode(), seekable)
+    assert parse_ticks(fh) == expected
+    assert fh.sizes.count(-1) == 1 and (seekable or fh.sizes == [-1])
+    assert entries(tick_cache) == [entry_path(TEXT).name]
+    assert parse_ticks(Reads(TEXT.encode(), seekable)) == expected
+    assert len(parses) == 1  # the second call was a hit
+
+
+def test_an_entry_is_keyed_by_the_bytes_parsed_not_those_hashed(tick_cache, parses, monkeypatch):
+    # the file held TEXT when it was hashed and other text when it was read
+    other = TEXTS["four_columns"]
+    monkeypatch.setattr(ticks, "_lf_chunks", lambda fh: iter([TEXT.encode()]))
+    assert parse_ticks(Reads(other.encode())) == ticks._parse_csv(other)
+    assert entries(tick_cache) == [entry_path(other).name]
