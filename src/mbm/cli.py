@@ -34,8 +34,8 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, Window, _data_rows, _decoded, framed, parse_ticks, row_chunks,
-                    tick_rows, window_batch)
+from .ticks import (TICK_CSV, TICK_FLOATS, Window, _data_rows, _decoded, framed, parse_ticks,
+                    row_chunks, tick_rows, window_batch)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -44,7 +44,15 @@ EXIT_STRICT = 3
 
 
 class StrictViolation(Exception):
-    """An assumption violation promoted to an error by --strict."""
+    """An assumption violation promoted to an error by --strict.
+
+    Its argument is an iterable of messages, which main writes "; "-joined
+    as they come, so a long report is never held whole.
+    """
+
+
+# the frame (see ticks.framed) of the line that reports a StrictViolation
+_STRICT_LINE = ("strict violation: ", "; ", "\n", "strict violation: \n")
 
 
 _TICK_COMMANDS = "moments vwap autocorr"
@@ -160,17 +168,19 @@ def _write_text(path: str | None, text: str):
     _write_pieces(path, (text,))
 
 
-def _write_rows(path: str | None, n: int, chunk, frame):
-    """Print and write an n-row output ticks.OUTPUT_ROWS rows at a time.
+def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame):
+    """Print and write an n-row output a chunk of rows at a time (ticks.row_chunks).
 
-    chunk(rows, to_file) formats the floats of a slice of rows once and
-    returns their stdout lines and, if to_file, their part of the file;
-    frame (as in ticks.framed) joins the parts. A chunk's lines are printed
-    and its part written before the next chunk is formatted, so the text of
-    the output is never held whole. Without a path only lines are printed.
+    A row formats floats_per_row floats, so a chunk formats at most about
+    ticks.OUTPUT_FLOATS. chunk(rows, to_file) formats the floats of a slice
+    of rows once and returns their stdout lines and, if to_file, their part
+    of the file; frame (as in ticks.framed) joins the parts. A chunk's lines
+    are printed and its part written before the next chunk is formatted, so
+    the text of the output is never held whole. Without a path only lines
+    are printed.
     """
     def parts():
-        for rows in row_chunks(n):
+        for rows in row_chunks(n, floats_per_row):
             lines, part = chunk(rows, path is not None)
             _print_lines(lines)
             yield part
@@ -238,7 +248,6 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
     suspect = (negative | non_finite | correlated) & settings["strict"]  # windows to report
     flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
-    violations = []
 
     def chunk(rows, to_file):
         text = table.value_text(rows)
@@ -246,23 +255,28 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         lines = [f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
                  for i, (c, m, v, code) in enumerate(zip(centers, means, variances,
                                                          table.flag_codes(rows)), rows.start)]
-        for j in np.flatnonzero(suspect[rows]).tolist():
-            i = rows.start + j
-            if negative[i]:
-                violations.append(f"window {i}: negative market variance {variances[j]}")
-            if non_finite[i]:
-                # the set itself is unusable; its correlation is usually a NaN clipped to -1
-                violations.append(f"window {i}: non-finite moments")
-            elif correlated[i]:
-                violations.append(
-                    f"window {i}: order-2 price/volume correlation "
-                    f"{float(coef[i])!r} exceeds {threshold!r}"
-                )
         return lines, table.json_records(rows, text) if to_file else ""
 
-    _write_rows(settings["output"], len(table), chunk, moments_mod.JSON_ARRAY)
-    if violations:
-        raise StrictViolation("; ".join(violations))
+    def violations():
+        """The messages of the suspect windows, in order, "; "-joined a chunk of rows at a time."""
+        for rows in row_chunks(len(table), table.row_floats):
+            messages = []
+            for i in (rows.start + np.flatnonzero(suspect[rows])).tolist():
+                if negative[i]:
+                    messages.append(f"window {i}: negative market variance "
+                                    f"{float(table.variance[i])!r}")
+                if non_finite[i]:
+                    # the set itself is unusable; its correlation is usually a NaN clipped to -1
+                    messages.append(f"window {i}: non-finite moments")
+                elif correlated[i]:
+                    messages.append(f"window {i}: order-2 price/volume correlation "
+                                    f"{float(coef[i])!r} exceeds {threshold!r}")
+            if messages:
+                yield "; ".join(messages)
+
+    _write_rows(settings["output"], len(table), table.row_floats, chunk, moments_mod.JSON_ARRAY)
+    if suspect.any():
+        raise StrictViolation(violations())
     return EXIT_OK
 
 
@@ -279,7 +293,7 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
         lines = [f"window {i} center_time={c} vwap={v}" for i, (c, v) in enumerate(pairs, rows.start)]
         return lines, "".join([f"{c},{v}\n" for c, v in pairs]) if to_file else ""
 
-    _write_rows(settings["output"], len(batch), chunk, (_VWAP_HEADER, "", "", _VWAP_HEADER))
+    _write_rows(settings["output"], len(batch), 2, chunk, (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
 
 
@@ -309,7 +323,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
         return lines, moments_mod.fill_records(
             _AUTOCORR_RECORD, text if finite else moments_mod.json_spelled(text))
 
-    _write_rows(settings["output"], len(values), chunk, moments_mod.JSON_ARRAY)
+    _write_rows(settings["output"], len(values), 3, chunk, moments_mod.JSON_ARRAY)
     return EXIT_OK
 
 
@@ -331,7 +345,7 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
     ms = moments_mod.compute_moment_set(window, order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
         raise StrictViolation(
-            f"moment set has negative market variance {ms.variance!r}; density undefined"
+            [f"moment set has negative market variance {ms.variance!r}; density undefined"]
         )
     grid_spec = _parse_grid_setting(_require(settings, "grid"))
     density_method = settings["density_method"]
@@ -438,7 +452,7 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     spec = build_sim_spec(section)
     blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
     blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
-    _write_rows(_require(settings, "output"), spec.length,
+    _write_rows(_require(settings, "output"), spec.length, TICK_FLOATS,
                 lambda rows, to_file: ((), tick_rows(next(blocks), slice(None))), TICK_CSV)
     print(f"simulated ticks={spec.length} seed={spec.seed}")
     return EXIT_OK
@@ -493,7 +507,7 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except StrictViolation as exc:
-        print(f"strict violation: {exc}", file=sys.stderr)
+        sys.stderr.writelines(framed(exc.args[0], _STRICT_LINE))
         return EXIT_STRICT
     except (ConvergenceError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -81,7 +81,7 @@ class CorrelationDiagnostic:
 
 # Elements per temporary in the batch kernels: products of two windows' rows
 # are formed in row chunks of about this many ticks, which bounds them.
-_CHUNK_ELEMENTS = 1 << 19
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def _chunks(rows: np.ndarray):
@@ -205,6 +205,11 @@ class MomentTable:
             flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
 
+    @property
+    def row_floats(self) -> int:
+        """Floats per row of value_text."""
+        return 2 + self.order * (1 if self.trade_value_moments is None else 3)
+
     def value_text(self, rows: slice) -> np.ndarray:
         """repr of each float the outputs write for the rows, once, as a (rows, columns)
         object array: center_time, raw moments, [trade value, volume moments,] variance
@@ -240,7 +245,8 @@ class MomentTable:
 
         The text is the join of the chunks that ``mbm moments`` writes.
         """
-        parts = (self.json_records(rows, self.value_text(rows)) for rows in row_chunks(len(self)))
+        parts = (self.json_records(rows, self.value_text(rows))
+                 for rows in row_chunks(len(self), self.row_floats))
         return "".join(framed(parts, JSON_ARRAY))
 
 
@@ -267,7 +273,8 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
         mean = raw[:, 0]
         variance = raw[:, 1] - mean * mean
     computed = [raw, variance[:, None]] + ([] if value_moms is None else [value_moms, volume_moms])
-    non_finite = ~np.isfinite(np.hstack(computed)).all(axis=1)
+    # each array checked on its own: no (windows, columns) copy of them all
+    non_finite = ~np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in computed])
     negative = variance < 0.0
     if method == "frequency":
         # rounding noise on a (near-)constant window; true value is >= 0
@@ -286,6 +293,7 @@ def batch_decorrelation(
     if batch.window_len < 2:
         raise DataError("decorrelation diagnostic needs at least 2 ticks")
     coef = np.empty(len(batch))
+    flagged = np.empty(len(batch), dtype=bool)
     undefined = np.empty(len(batch), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers = [batch.rows(batch.ticks(name) ** n) for name in ("price", "volume")]
@@ -294,11 +302,12 @@ def batch_decorrelation(
             db = b - _row_means(b)[:, None]
             sa = np.sqrt(_row_means(da * da))
             sb = np.sqrt(_row_means(db * db))
-            coef[sl] = _row_means(da * db) / (sa * sb)
-            undefined[sl] = (sa == 0.0) | (sb == 0.0)
-    # a NaN coefficient (overflowing powers) clips to -1, so it is flagged, not hidden
-    coef = np.where(undefined, 0.0, np.clip(np.where(np.isnan(coef), -1.0, coef), -1.0, 1.0))
-    return coef, ~undefined & (np.abs(coef) > threshold), undefined
+            c = _row_means(da * db) / (sa * sb)
+            u = (sa == 0.0) | (sb == 0.0)
+            # a NaN coefficient (overflowing powers) clips to -1, so it is flagged, not hidden
+            c = np.where(u, 0.0, np.clip(np.where(np.isnan(c), -1.0, c), -1.0, 1.0))
+            coef[sl], flagged[sl], undefined[sl] = c, ~u & (np.abs(c) > threshold), u
+    return coef, flagged, undefined
 
 
 def batch_vwap(batch: WindowBatch) -> np.ndarray:

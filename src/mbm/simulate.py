@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, require_finite
-from .ticks import TickSeries, row_chunks
+from .ticks import TICK_FLOATS, TickSeries, row_chunks
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -186,7 +186,7 @@ class SimSpec:
 
 
 def trade_blocks(spec: SimSpec):
-    """The ticks of gen_trades(spec) as series of ticks.OUTPUT_ROWS ticks, made one at a time.
+    """The ticks of gen_trades(spec) in the row chunks of their tick-CSV, made one at a time.
 
     Block [lo, hi) takes draws lo..hi-1 of each stream it uses, and the
     AR(1) log-price carries its last value into the next block, so the
@@ -197,7 +197,7 @@ def trade_blocks(spec: SimSpec):
     rho = spec.pv_correlation
     price_noise = spec.price_model == "ar1" and spec.sigma > 0.0
     volume_noise = spec.volume_model == "lognormal" and spec.log_sigma > 0.0
-    for rows in row_chunks(spec.length):
+    for rows in row_chunks(spec.length, TICK_FLOATS):
         lo, n = rows.start, rows.stop - rows.start
         eps_p = (stream_normals(spec.seed, PRICE_STREAM, n, lo)
                  if price_noise or (volume_noise and rho != 0.0) else None)

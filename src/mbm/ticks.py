@@ -12,7 +12,8 @@ kernels can process them all at once. TradeTick is a plain record that
 window_from_ticks reads into a series. parse_ticks keeps the columns of
 each text it parses in a private on-disk cache, so a text is parsed once,
 and a file whose columns are there is hashed, never read whole.
-Rendered outputs are made OUTPUT_ROWS rows at a time (row_chunks, framed).
+Rendered outputs are made a chunk of about OUTPUT_FLOATS floats at a time
+(row_chunks, framed).
 """
 
 from __future__ import annotations
@@ -51,37 +52,47 @@ _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*"
 _DECIMAL_BYTES = b"0123456789.eE+-, \t\r\n"
 
 
+#: Ticks per block of the tick checks, so their temporaries do not grow with the series.
+CHECK_TICKS = 1 << 14
+
+
 def _check_columns(time, price, volume, value, where) -> None:
     """Raise DataError for the first tick that breaks a rule or goes back in time.
 
-    where(i) names tick i in the message (a CSV line, a tick index).
+    The ticks are checked CHECK_TICKS at a time, in order; where(i) names
+    tick i in the message (a CSV line, a tick index).
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        expected = price * volume
-        passed = (
-            np.isfinite(time),
-            time >= 0.0,
-            (price > 0.0) & np.isfinite(price),
-            (volume > 0.0) & np.isfinite(volume),
-            np.isfinite(value),
-            # an overflowing price*volume fails: |value - inf| <= inf would pass
-            np.isfinite(expected)
-            & (np.abs(value - expected) <= VALUE_IDENTITY_RTOL * np.abs(expected)),
+    n = len(time)
+    for lo in range(0, n, CHECK_TICKS):
+        hi = min(lo + CHECK_TICKS, n)
+        t, p, u, c = time[lo:hi], price[lo:hi], volume[lo:hi], value[lo:hi]
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = p * u
+            passed = (
+                np.isfinite(t),
+                t >= 0.0,
+                (p > 0.0) & np.isfinite(p),
+                (u > 0.0) & np.isfinite(u),
+                np.isfinite(c),
+                # an overflowing price*volume fails: |value - inf| <= inf would pass
+                np.isfinite(expected)
+                & (np.abs(c - expected) <= VALUE_IDENTITY_RTOL * np.abs(expected)),
+            )
+        good = np.logical_and.reduce(passed)
+        first = max(lo, 1)  # tick lo is ordered against the last tick of the block before
+        ordered = time[first:hi] >= time[first - 1:hi - 1]
+        if good.all() and ordered.all():
+            continue
+        i = lo + int(np.argmin(good)) if not good.all() else hi
+        j = first + int(np.argmin(ordered)) if not ordered.all() else hi
+        if i <= j:
+            rule = next(r for r, ok in enumerate(passed) if not ok[i - lo])
+            fields = (float(x[i - lo]) for x in (t, p, u, c, expected))
+            raise DataError(f"{where(i)}: {_RULE_MESSAGES[rule].format(*fields)}")
+        raise DataError(
+            f"{where(j)}: time {float(time[j])} decreases from previous {float(time[j - 1])} "
+            "(tick times must be non-decreasing)"
         )
-    good = np.logical_and.reduce(passed)
-    ordered = time[1:] >= time[:-1]
-    if good.all() and ordered.all():
-        return
-    i = int(np.argmin(good)) if not good.all() else len(time)
-    j = int(np.argmin(ordered)) + 1 if not ordered.all() else len(time)
-    if i <= j:
-        rule = next(r for r, ok in enumerate(passed) if not ok[i])
-        fields = (float(c[i]) for c in (time, price, volume, value, expected))
-        raise DataError(f"{where(i)}: {_RULE_MESSAGES[rule].format(*fields)}")
-    raise DataError(
-        f"{where(j)}: time {float(time[j])} decreases from previous {float(time[j - 1])} "
-        "(tick times must be non-decreasing)"
-    )
 
 
 # TradeTick, window_from_ticks and partition_windows stay because the
@@ -419,23 +430,27 @@ def _parse_body(body: str, ncols: int) -> np.ndarray:
 def _infer_spacing(time: np.ndarray) -> float | None:
     if len(time) < 2:
         return None
-    diffs = np.diff(time)
-    first = diffs[0]
+    first = time[1] - time[0]
     if not first > 0.0:
         return None
-    if np.any(np.abs(diffs - first) > 1e-9 * np.maximum(abs(first), np.abs(diffs))):
-        return None
+    for lo in range(0, len(time) - 1, CHECK_TICKS):  # the differences a block at a time
+        diffs = np.diff(time[lo:lo + CHECK_TICKS + 1])
+        if np.any(np.abs(diffs - first) > 1e-9 * np.maximum(abs(first), np.abs(diffs))):
+            return None
     return float(first)
 
 
-#: Rows per chunk of a rendered output. The CLI formats, prints and writes
-#: its outputs this many rows at a time, so no output's text is held whole.
-OUTPUT_ROWS = 4096
+#: Floats per chunk of a rendered output. The CLI formats, prints and writes
+#: its outputs a chunk of rows at a time, each chunk about this many floats,
+#: so no output's text is held whole.
+OUTPUT_FLOATS = 1 << 14
 
 
-def row_chunks(n: int) -> list[slice]:
-    """Slices of at most OUTPUT_ROWS rows that cover rows 0..n-1 in order."""
-    return [slice(lo, min(lo + OUTPUT_ROWS, n)) for lo in range(0, n, OUTPUT_ROWS)]
+def row_chunks(n: int, floats_per_row: int) -> list[slice]:
+    """Slices that cover rows 0..n-1 in order, each of at most OUTPUT_FLOATS floats
+    (one row at least) when a row formats floats_per_row floats."""
+    step = max(1, OUTPUT_FLOATS // floats_per_row)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def framed(parts, frame: tuple[str, str, str, str]):
@@ -453,6 +468,8 @@ def framed(parts, frame: tuple[str, str, str, str]):
 
 
 _TICK_HEADER = "time,price,volume,value\n"
+#: Floats per tick-CSV row.
+TICK_FLOATS = len(_TICK_FIELDS)
 TICK_CSV = (_TICK_HEADER, "", "", _TICK_HEADER)
 
 
@@ -470,7 +487,7 @@ def render_ticks(series: TickSeries) -> str:
     parse_ticks(render_ticks(s)) reproduces s bit-exactly. The text is the
     join of the chunks that ``mbm simulate`` writes.
     """
-    parts = (tick_rows(series, rows) for rows in row_chunks(len(series)))
+    parts = (tick_rows(series, rows) for rows in row_chunks(len(series), TICK_FLOATS))
     return "".join(framed(parts, TICK_CSV))
 
 

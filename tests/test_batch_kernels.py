@@ -6,6 +6,7 @@ bit, across window lengths, orders, methods, windowing modes and chunk
 boundaries.
 """
 
+import itertools
 import json
 from unittest import mock
 
@@ -209,3 +210,38 @@ def test_sliced_batches_equal_fresh_batches_of_the_same_rows(mode):
         for got, want in zip(batch_decorrelation(sliced, 2, THRESHOLD),
                              batch_decorrelation(fresh, 2, THRESHOLD)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["frequency", "market"])
+def test_non_finite_flags_equal_the_whole_table_check(monkeypatch, method):
+    # each window power mean in turn replaced by inf, -inf, nan, 0 or 1e300: an
+    # inf or nan lands in the raw moments alone (p**4 inf; U**4 mean 0), in the
+    # variance alone (a mean whose square overflows) or in the volume moments
+    # alone (U**4 mean inf, so C/U is 0). A value moment is never non-finite
+    # alone, since the raw moment C/U then is too.
+    k, windows = 4, 3
+    batch = window_batch(make_series(5, windows + 1, discrete=False), 2, "sliding")
+    power_means = moments._power_means
+    names = ("price",) if method == "frequency" else ("value", "volume")
+    alone = set()
+    for name, row, col, special in itertools.product(names, range(windows), range(k),
+                                                     (np.inf, -np.inf, np.nan, 0.0, 1e300)):
+        def injected(batch, which, orders):
+            out = power_means(batch, which, orders)
+            if which == name:
+                out[row, col] = special
+            return out
+
+        monkeypatch.setattr(moments, "_power_means", injected)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300**2 in the noise test
+            table = batch_moments(batch, k, method)
+            # the variance before frequency rounding noise is zeroed (-inf is zeroed too)
+            variance = table.raw_moments[:, 1] - table.mean * table.mean
+        arrays = {"raw": table.raw_moments, "variance": variance[:, None]}
+        if method == "market":
+            arrays.update(value=table.trade_value_moments, volume=table.trade_volume_moments)
+        whole = ~np.isfinite(np.hstack(list(arrays.values()))).all(axis=1)
+        assert table.non_finite.tolist() == whole.tolist()
+        bad = [a for a, values in arrays.items() if not np.isfinite(values[row]).all()]
+        alone.update(bad if len(bad) == 1 else ())
+    assert alone == ({"raw", "variance"} if method == "frequency" else {"raw", "variance", "volume"})

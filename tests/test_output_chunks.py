@@ -1,10 +1,12 @@
 """Outputs written in row chunks equal the whole-output rendering byte for byte.
 
-The CLI formats, prints and writes its large outputs ticks.OUTPUT_ROWS rows
-at a time. These tests shrink a chunk to R rows and check, for 0, 1, R-1,
-R, R+1 and 2R+1 rows, that stdout, stderr and the output file equal those
-of a run that renders the whole output as one chunk, and that the JSON
-files equal json.dumps of their records.
+The CLI formats, prints and writes its large outputs a chunk of rows at a
+time, each chunk at most ticks.OUTPUT_FLOATS floats. These tests shrink
+that constant to R rows' floats of the command run, check that it then
+writes R rows per chunk, and check, for 0, 1, R-1, R, R+1 and 2R+1 rows,
+that stdout, stderr and the output file equal those of a run that renders
+the whole output as one chunk, and that the JSON files equal json.dumps of
+their records.
 """
 
 import json
@@ -20,8 +22,9 @@ import mbm
 import mbm.cli
 import mbm.ticks
 from mbm.cli import main
-from mbm.moments import batch_autocorrelation, batch_moments
-from mbm.ticks import TickSeries, WindowBatch, parse_ticks, render_ticks, row_chunks, window_batch
+from mbm.moments import batch_autocorrelation, batch_decorrelation, batch_moments
+from mbm.ticks import (TICK_FLOATS, TickSeries, WindowBatch, parse_ticks, render_ticks, row_chunks,
+                       window_batch)
 
 R = 3
 ROW_COUNTS = (1, R - 1, R, R + 1, 2 * R + 1)
@@ -41,15 +44,33 @@ def tick_text(windows: int, mode: str) -> str:
     return "time,price,volume\n" + "".join(f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(ticks))
 
 
+def floats_per_row(argv) -> int:
+    """Floats that one output row of the command formats; moments runs at order 4."""
+    if argv[0] == "moments":  # center_time, the raw [, value, volume] moments, variance
+        return {"frequency": 2 + 4, "market": 2 + 3 * 4}[argv[argv.index("--method") + 1]]
+    return {"vwap": 2, "autocorr": 3, "simulate": TICK_FLOATS}[argv[0]]
+
+
 def run(capsys, argv, output: Path | None, rows: int | None = None):
     """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given."""
     if output is not None:
         output.unlink(missing_ok=True)
         argv = argv + ["--output", str(output)]
+    calls = []  # the chunk sizes of each row_chunks call
+
+    def recording(n, per_row):
+        chunks = row_chunks(n, per_row)
+        calls.append([sl.stop - sl.start for sl in chunks])
+        return chunks
+
     with pytest.MonkeyPatch.context() as patch:
         if rows is not None:
-            patch.setattr(mbm.ticks, "OUTPUT_ROWS", rows)
+            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * floats_per_row(argv))
+            patch.setattr(mbm.cli, "row_chunks", recording)
         code = main(argv)
+    for sizes in calls:  # R rows per chunk, the last chunk holding the rest
+        n = sum(sizes)
+        assert sizes == [rows] * (n // rows) + ([n % rows] if n % rows else []), sizes
     out, err = capsys.readouterr()
     return code, out, err, None if output is None or not output.exists() else output.read_bytes()
 
@@ -67,11 +88,21 @@ def window_numbers(text: str, sep: str = "\n") -> list[int]:
 
 
 def test_row_chunks_read_the_row_constant_at_each_call(monkeypatch):
-    assert row_chunks(mbm.ticks.OUTPUT_ROWS + 1) == [
-        slice(0, mbm.ticks.OUTPUT_ROWS), slice(mbm.ticks.OUTPUT_ROWS, mbm.ticks.OUTPUT_ROWS + 1)]
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
-    assert row_chunks(0) == []
-    assert row_chunks(2 * R + 1) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # 16,384 floats: a market k=4 moments row formats 14 of them, a tick-CSV row 4
+    assert row_chunks(1171, 14) == [slice(0, 1170), slice(1170, 1171)]
+    assert row_chunks(8192, TICK_FLOATS) == [slice(0, 4096), slice(4096, 8192)]
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", 2 * R + 1)
+    assert row_chunks(0, 2) == []
+    assert row_chunks(2 * R + 1, 2) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # a row of more floats than a chunk holds is a chunk of its own
+    assert row_chunks(2, 2 * R + 2) == [slice(0, 1), slice(1, 2)]
+
+
+def test_moment_rows_format_the_floats_they_are_chunked_by():
+    batch = window_batch(parse_ticks(tick_text(4, "sliding")), 2, "sliding")
+    for k, method, floats in ((4, "frequency", 6), (4, "market", 14), (3, "market", 11)):
+        table = batch_moments(batch, k, method)
+        assert table.row_floats == floats == table.value_text(slice(None)).shape[1]
 
 
 @pytest.mark.parametrize("windows", ROW_COUNTS)
@@ -85,9 +116,19 @@ def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode
     code, out, err, data = same_chunked_and_whole(capsys, argv, tmp_path / "m.json")
     assert code == 3
     assert window_numbers(out) == list(range(windows))
-    flagged = window_numbers(err.removeprefix("strict violation: "), "; ")
-    assert flagged == sorted(flagged) and set(flagged) <= set(range(windows))
-    table = batch_moments(window_batch(parse_ticks(ticks.read_text()), 2, mode), 4, method)
+    batch = window_batch(parse_ticks(ticks.read_text()), 2, mode)
+    table = batch_moments(batch, 4, method)
+    coef, correlated, _ = batch_decorrelation(batch, 2, 0.2)
+    messages = []
+    for i in range(windows):
+        if table.negative_variance[i]:
+            messages.append(f"window {i}: negative market variance {float(table.variance[i])!r}")
+        if table.non_finite[i]:
+            messages.append(f"window {i}: non-finite moments")
+        elif correlated[i]:
+            messages.append(f"window {i}: order-2 price/volume correlation {float(coef[i])!r} "
+                            "exceeds 0.2")
+    assert err == "strict violation: " + "; ".join(messages) + "\n"
     payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
     assert data.decode() == json.dumps(payload, indent=2) + "\n"
     if windows == 2 * R + 1 and method == "market":  # both flags on each side of a boundary
@@ -153,7 +194,7 @@ def test_simulate_in_chunks_equals_one_chunk(tmp_path, capsys, length):
 
 
 def test_library_renderings_join_the_chunks(monkeypatch):
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * TICK_FLOATS)
     for n in (0, *ROW_COUNTS):
         series = TickSeries(np.arange(float(n)), 1.0 + np.arange(n) / 7, np.full(n, 3.0))
         rows = zip(*(getattr(series, c).tolist() for c in ("time", "price", "volume", "value")))
@@ -173,7 +214,7 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
         write_pieces(path, (written.append(piece) or piece for piece in pieces))
 
     monkeypatch.setattr(mbm.cli, "_write_pieces", recording)
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", R)
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)  # 14 floats per market k=4 row
     assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
                  "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
     assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
@@ -199,11 +240,13 @@ needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"),
 
 
 def peak_mb(*args: str) -> tuple[int, float]:
-    """(exit code, peak RSS in MB) of ``mbm <args>`` run in a child process."""
+    """(exit code, peak RSS in MB) of ``mbm <args>`` run in a child process; with no
+    args, of ``python -c "import mbm.cli"``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(mbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "mbm.cli",
-                               *args], env=env, capture_output=True, text=True, check=True)
+    command = ["-m", "mbm.cli", *args] if args else ["-c", "import mbm.cli"]
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, *command],
+                              env=env, capture_output=True, text=True, check=True)
     code, maxrss = map(int, launched.stdout.split())
     # ru_maxrss is in KiB on Linux, in bytes on macOS
     return code, maxrss * (1 if sys.platform == "darwin" else 1024) / 2**20
@@ -227,6 +270,21 @@ def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
         assert code in (0, 3)
     # the output is five times larger; its text is held a chunk at a time
     assert peak[25_000] - peak[5_000] < 25, peak
+
+
+@needs_wait4
+def test_sliding_strict_peak_memory_stays_near_the_imports(tmp_path):
+    args = ("moments", "--mode", "sliding", "--strict", "--window", "100", "--order", "4",
+            "--method", "market", "--input", str(simulated(tmp_path, 20_000)),
+            "--output", str(tmp_path / "m.json"))
+    assert peak_mb(*args)[0] == 3  # cold: parsed and stored
+    code, peak = peak_mb(*args)
+    imports = peak_mb()[1]
+    assert code == 3
+    # 0.6 MB of columns and 2.1 MB of moment table. The run peaked 23.6 MB above
+    # the imports with 4,096-row chunks, 512K-element kernel temporaries, the
+    # flag test's table copy and the --strict messages held whole; 8.5 MB since.
+    assert peak - imports < 14, (imports, peak)
 
 
 @needs_wait4
@@ -259,7 +317,7 @@ def test_simulate_peak_memory_does_not_grow_with_its_length(tmp_path):
 @pytest.mark.parametrize("rows", [R, 4096])
 def test_a_write_that_fails_in_a_later_chunk_is_an_input_error(tmp_path, capsys, monkeypatch, rows):
     # ~60 KB of ticks: the file's buffer flushes, and fails, while chunks are being written
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_ROWS", rows)
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("[simulate]\nlength = 2000\nseed = 4\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
