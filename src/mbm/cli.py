@@ -44,15 +44,7 @@ EXIT_STRICT = 3
 
 
 class StrictViolation(Exception):
-    """An assumption violation promoted to an error by --strict.
-
-    Its argument is an iterable of messages, which main writes "; "-joined
-    as they come, so a long report is never held whole.
-    """
-
-
-# the frame (see ticks.framed) of the line that reports a StrictViolation
-_STRICT_LINE = ("strict violation: ", "; ", "\n", "strict violation: \n")
+    """An assumption violation promoted to an error by --strict."""
 
 
 _TICK_COMMANDS = "moments vwap autocorr"
@@ -248,6 +240,7 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
     suspect = (negative | non_finite | correlated) & settings["strict"]  # windows to report
     flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
+    violations = []
 
     def chunk(rows, to_file):
         text = table.value_text(rows)
@@ -255,32 +248,28 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         lines = [f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
                  for i, (c, m, v, code) in enumerate(zip(centers, means, variances,
                                                          table.flag_codes(rows)), rows.start)]
+        for j in np.flatnonzero(suspect[rows]).tolist():
+            i = rows.start + j
+            if negative[i]:
+                violations.append(f"window {i}: negative market variance {variances[j]}")
+            if non_finite[i]:
+                # the set itself is unusable; its correlation is usually a NaN clipped to -1
+                violations.append(f"window {i}: non-finite moments")
+            elif correlated[i]:
+                violations.append(
+                    f"window {i}: order-2 price/volume correlation "
+                    f"{float(coef[i])!r} exceeds {threshold!r}"
+                )
         return lines, table.json_records(rows, text) if to_file else ""
 
-    def violations():
-        """The messages of the suspect windows, in order, "; "-joined a chunk of rows at a time."""
-        for rows in row_chunks(len(table), table.row_floats):
-            messages = []
-            for i in (rows.start + np.flatnonzero(suspect[rows])).tolist():
-                if negative[i]:
-                    messages.append(f"window {i}: negative market variance "
-                                    f"{float(table.variance[i])!r}")
-                if non_finite[i]:
-                    # the set itself is unusable; its correlation is usually a NaN clipped to -1
-                    messages.append(f"window {i}: non-finite moments")
-                elif correlated[i]:
-                    messages.append(f"window {i}: order-2 price/volume correlation "
-                                    f"{float(coef[i])!r} exceeds {threshold!r}")
-            if messages:
-                yield "; ".join(messages)
-
     _write_rows(settings["output"], len(table), table.row_floats, chunk, moments_mod.JSON_ARRAY)
-    if suspect.any():
-        raise StrictViolation(violations())
+    if violations:
+        raise StrictViolation("; ".join(violations))
     return EXIT_OK
 
 
 _VWAP_HEADER = "center_time,vwap\n"
+_VWAP_FLOATS = _VWAP_HEADER.count(",") + 1  # floats per row
 
 
 def cmd_vwap(settings: dict, file_cfg: dict) -> int:
@@ -293,13 +282,15 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
         lines = [f"window {i} center_time={c} vwap={v}" for i, (c, v) in enumerate(pairs, rows.start)]
         return lines, "".join([f"{c},{v}\n" for c, v in pairs]) if to_file else ""
 
-    _write_rows(settings["output"], len(batch), 2, chunk, (_VWAP_HEADER, "", "", _VWAP_HEADER))
+    _write_rows(settings["output"], len(batch), _VWAP_FLOATS, chunk,
+                (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
 
 
 # a record of the autocorr JSON as json.dumps(..., indent=2) writes it
 _AUTOCORR_RECORD = ('  {\n    "center_time_1": %s,\n    "center_time_2": %s,\n'
                     '    "autocorrelation": %s\n  }')
+_AUTOCORR_FLOATS = _AUTOCORR_RECORD.count("%s")  # floats per record
 
 
 def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
@@ -323,7 +314,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
         return lines, moments_mod.fill_records(
             _AUTOCORR_RECORD, text if finite else moments_mod.json_spelled(text))
 
-    _write_rows(settings["output"], len(values), 3, chunk, moments_mod.JSON_ARRAY)
+    _write_rows(settings["output"], len(values), _AUTOCORR_FLOATS, chunk, moments_mod.JSON_ARRAY)
     return EXIT_OK
 
 
@@ -345,7 +336,7 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
     ms = moments_mod.compute_moment_set(window, order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
         raise StrictViolation(
-            [f"moment set has negative market variance {ms.variance!r}; density undefined"]
+            f"moment set has negative market variance {ms.variance!r}; density undefined"
         )
     grid_spec = _parse_grid_setting(_require(settings, "grid"))
     density_method = settings["density_method"]
@@ -507,7 +498,7 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except StrictViolation as exc:
-        sys.stderr.writelines(framed(exc.args[0], _STRICT_LINE))
+        print(f"strict violation: {exc}", file=sys.stderr)
         return EXIT_STRICT
     except (ConvergenceError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -44,13 +44,6 @@ def tick_text(windows: int, mode: str) -> str:
     return "time,price,volume\n" + "".join(f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(ticks))
 
 
-def floats_per_row(argv) -> int:
-    """Floats that one output row of the command formats; moments runs at order 4."""
-    if argv[0] == "moments":  # center_time, the raw [, value, volume] moments, variance
-        return {"frequency": 2 + 4, "market": 2 + 3 * 4}[argv[argv.index("--method") + 1]]
-    return {"vwap": 2, "autocorr": 3, "simulate": TICK_FLOATS}[argv[0]]
-
-
 def run(capsys, argv, output: Path | None, rows: int | None = None):
     """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given."""
     if output is not None:
@@ -58,14 +51,17 @@ def run(capsys, argv, output: Path | None, rows: int | None = None):
         argv = argv + ["--output", str(output)]
     calls = []  # the chunk sizes of each row_chunks call
 
-    def recording(n, per_row):
-        chunks = row_chunks(n, per_row)
-        calls.append([sl.stop - sl.start for sl in chunks])
-        return chunks
-
     with pytest.MonkeyPatch.context() as patch:
+        def recording(n, per_row):
+            # chunks of `rows` rows of the width the command passes
+            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * per_row)
+            chunks = row_chunks(n, per_row)
+            calls.append([sl.stop - sl.start for sl in chunks])
+            return chunks
+
         if rows is not None:
-            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * floats_per_row(argv))
+            # simulate makes its blocks of ticks before the writer's call
+            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
             patch.setattr(mbm.cli, "row_chunks", recording)
         code = main(argv)
     for sizes in calls:  # R rows per chunk, the last chunk holding the rest
@@ -214,7 +210,8 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
         write_pieces(path, (written.append(piece) or piece for piece in pieces))
 
     monkeypatch.setattr(mbm.cli, "_write_pieces", recording)
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)  # 14 floats per market k=4 row
+    table = batch_moments(window_batch(parse_ticks(ticks.read_text()), 2, "sliding"), 4, "market")
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * table.row_floats)
     assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
                  "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
     assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
@@ -223,7 +220,7 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
     assert [piece.count('"method"') for piece in written[1::2]] == [R, R, 1]
 
 
-SIM_CFG = "[simulate]\nlength = {}\nseed = 9\nsigma = 0.05\nlog_sigma = 0.3\npv_correlation = -0.3\n"
+SIM_CFG = "[simulate]\nlength = {}\nseed = 9\nsigma = 0.05\nlog_sigma = 0.3\npv_correlation = {}\n"
 
 # runs a command in a fresh, small interpreter and prints its exit code and
 # peak RSS, so the peak is the command's own and not this process's
@@ -252,9 +249,9 @@ def peak_mb(*args: str) -> tuple[int, float]:
     return code, maxrss * (1 if sys.platform == "darwin" else 1024) / 2**20
 
 
-def simulated(tmp_path, n: int) -> Path:
+def simulated(tmp_path, n: int, pv_correlation: float = -0.3) -> Path:
     cfg, ticks = tmp_path / f"sim{n}.cfg", tmp_path / f"ticks{n}.csv"
-    cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
+    cfg.write_text(SIM_CFG.format(n, pv_correlation), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
     return ticks
 
@@ -274,16 +271,17 @@ def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
 
 @needs_wait4
 def test_sliding_strict_peak_memory_stays_near_the_imports(tmp_path):
+    # independent price and volume, as in the benchmark: 5,504 --strict messages
     args = ("moments", "--mode", "sliding", "--strict", "--window", "100", "--order", "4",
-            "--method", "market", "--input", str(simulated(tmp_path, 20_000)),
+            "--method", "market", "--input", str(simulated(tmp_path, 20_000, 0.0)),
             "--output", str(tmp_path / "m.json"))
     assert peak_mb(*args)[0] == 3  # cold: parsed and stored
     code, peak = peak_mb(*args)
     imports = peak_mb()[1]
     assert code == 3
-    # 0.6 MB of columns and 2.1 MB of moment table. The run peaked 23.6 MB above
-    # the imports with 4,096-row chunks, 512K-element kernel temporaries, the
-    # flag test's table copy and the --strict messages held whole; 8.5 MB since.
+    # 0.6 MB of columns and 2.1 MB of moment table. The run peaked 21.3 MB above
+    # the imports with 4,096-row chunks, 512K-element kernel temporaries and the
+    # flag test's table copy; 9.3 MB since.
     assert peak - imports < 14, (imports, peak)
 
 
@@ -305,7 +303,7 @@ def test_simulate_peak_memory_does_not_grow_with_its_length(tmp_path):
     peak = {}
     for n in (20_000, 100_000):
         cfg = tmp_path / f"sim{n}.cfg"
-        cfg.write_text(SIM_CFG.format(n), encoding="utf-8")
+        cfg.write_text(SIM_CFG.format(n, -0.3), encoding="utf-8")
         code, peak[n] = peak_mb("simulate", "--config", str(cfg), "--output", os.devnull)
         assert code == 0
     # growth was 10 MB when the whole series was made before the first row
