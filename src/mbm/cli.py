@@ -16,7 +16,12 @@ and moments.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
 violation under --strict. Diagnostics go to stderr, summaries to stdout,
-results to the output files.
+results to the output files. moments computes, flags and writes a chunk
+of windows at a time, and writes its --strict report to stderr as it is
+made: one line, "strict violation: " and the messages "; "-joined. A run
+that fails after part of the report was written (an output that cannot
+be written) ends that line, then reports its error on a line of its own
+with that error's exit code.
 """
 
 from __future__ import annotations
@@ -160,7 +165,8 @@ def _write_text(path: str | None, text: str):
     _write_pieces(path, (text,))
 
 
-def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame):
+def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame,
+                max_rows: int | None = None):
     """Print and write an n-row output a chunk of rows at a time (ticks.row_chunks).
 
     A row formats floats_per_row floats, so a chunk formats at most about
@@ -169,10 +175,10 @@ def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame):
     of the file; frame (as in ticks.framed) joins the parts. A chunk's lines
     are printed and its part written before the next chunk is formatted, so
     the text of the output is never held whole. Without a path only lines
-    are printed.
+    are printed. A chunk holds at most max_rows rows, if given.
     """
     def parts():
-        for rows in row_chunks(n, floats_per_row):
+        for rows in row_chunks(n, floats_per_row, max_rows):
             lines, part = chunk(rows, path is not None)
             _print_lines(lines)
             yield part
@@ -232,40 +238,55 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
     threshold = settings["decorrelation_threshold"]
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
-
-    table = moments_mod.batch_moments(batch, order, method)
-    negative, non_finite = table.negative_variance, table.non_finite
-    coef, correlated = np.zeros(len(table)), np.zeros(len(table), dtype=bool)
-    if settings["strict"] and batch.window_len >= 2:
-        coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
-    suspect = (negative | non_finite | correlated) & settings["strict"]  # windows to report
+    # a table of no rows checks order and method before the output is opened
+    row_floats = moments_mod.batch_moments(batch[:0], order, method).row_floats
     flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
-    violations = []
+    strict = settings["strict"]
+    if strict:
+        # 9 bytes a window, in one pass over spans: a call per chunk measured
+        # slower, its large temporaries freed and made again between chunks
+        coef, correlated = np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
+        if batch.window_len >= 2:
+            coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
+    reported = False  # whether the --strict report's line was begun
 
     def chunk(rows, to_file):
-        text = table.value_text(rows)
+        nonlocal reported
+        span = batch[rows]  # the windows of these rows over only their ticks
+        table = moments_mod.batch_moments(span, order, method)
+        text = table.value_text(slice(None))
         centers, means, variances = (text[:, j].tolist() for j in (0, 1, -1))
         lines = [f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
                  for i, (c, m, v, code) in enumerate(zip(centers, means, variances,
-                                                         table.flag_codes(rows)), rows.start)]
-        for j in np.flatnonzero(suspect[rows]).tolist():
-            i = rows.start + j
-            if negative[i]:
-                violations.append(f"window {i}: negative market variance {variances[j]}")
-            if non_finite[i]:
-                # the set itself is unusable; its correlation is usually a NaN clipped to -1
-                violations.append(f"window {i}: non-finite moments")
-            elif correlated[i]:
-                violations.append(
-                    f"window {i}: order-2 price/volume correlation "
-                    f"{float(coef[i])!r} exceeds {threshold!r}"
-                )
-        return lines, table.json_records(rows, text) if to_file else ""
+                                                         table.flag_codes(slice(None))),
+                                                     rows.start)]
+        if strict:
+            negative, non_finite = table.negative_variance, table.non_finite
+            messages = []
+            for j in np.flatnonzero(negative | non_finite | correlated[rows]).tolist():
+                i = rows.start + j
+                if negative[j]:
+                    messages.append(f"window {i}: negative market variance {variances[j]}")
+                if non_finite[j]:
+                    # the set itself is unusable; its correlation is usually a NaN clipped to -1
+                    messages.append(f"window {i}: non-finite moments")
+                elif correlated[i]:
+                    messages.append(
+                        f"window {i}: order-2 price/volume correlation "
+                        f"{float(coef[i])!r} exceeds {threshold!r}"
+                    )
+            if messages:  # sys.stderr looked up here, so a redirected stderr gets them
+                sys.stderr.write(("; " if reported else "strict violation: ") + "; ".join(messages))
+                reported = True
+        return lines, table.json_records(slice(None), text) if to_file else ""
 
-    _write_rows(settings["output"], len(table), table.row_floats, chunk, moments_mod.JSON_ARRAY)
-    if violations:
-        raise StrictViolation("; ".join(violations))
-    return EXIT_OK
+    try:
+        _write_rows(settings["output"], len(batch), row_floats, chunk, moments_mod.JSON_ARRAY,
+                    moments_mod.span_rows(batch.window_len))
+    finally:
+        if reported:  # the report's one line ends before any error's message
+            sys.stderr.write("\n")
+    return EXIT_STRICT if reported else EXIT_OK
 
 
 _VWAP_HEADER = "center_time,vwap\n"

@@ -16,6 +16,7 @@ is a plain average over the window, nothing more.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -79,16 +80,22 @@ class CorrelationDiagnostic:
     undefined: bool = False
 
 
-# Elements per temporary in the batch kernels: products of two windows' rows
-# are formed in row chunks of about this many ticks, which bounds them.
+# Elements per temporary in the batch kernels: they take a span of windows of
+# about this many ticks at a time, which bounds the products of their rows.
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _chunks(rows: np.ndarray):
-    """(slice, rows) pairs that cover a (windows, N) view in row chunks, as views."""
-    step = max(1, _CHUNK_ELEMENTS // rows.shape[1])
-    for lo in range(0, len(rows), step):
-        yield slice(lo, lo + step), rows[lo:lo + step]
+def span_rows(window_len: int) -> int:
+    """Rows per span of windows of window_len ticks: _CHUNK_ELEMENTS ticks of rows (one at least)."""
+    return max(1, _CHUNK_ELEMENTS // window_len)
+
+
+def _spans(*batches: WindowBatch):
+    """(rows, the span batch of those rows of each batch), covering the batches' rows in order."""
+    step = span_rows(batches[0].window_len)
+    for lo in range(0, len(batches[0]), step):
+        rows = slice(lo, lo + step)
+        yield (rows, *(batch[rows] for batch in batches))
 
 
 def _row_means(block: np.ndarray) -> np.ndarray:
@@ -158,6 +165,22 @@ def fill_records(record: str, cells: np.ndarray) -> str:
     return ",\n".join([record] * len(cells)) % tuple(cells.ravel().tolist())
 
 
+@functools.lru_cache
+def _json_record(method: str, k: int, trade: bool) -> str:
+    """A moment record as json.dumps(..., indent=2) writes it, a %s slot for each value;
+    trade: with value and volume moments."""
+    def items(n_values: int) -> str:
+        return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
+
+    return (
+        '  {\n    "method": ' + json.dumps(method) + ',\n    "order": ' + str(k)
+        + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
+        + ',\n    "value_moments": ' + (items(k) if trade else "null")
+        + ',\n    "volume_moments": ' + (items(k) if trade else "null")
+        + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class MomentTable:
     """Moment sets of every window of a batch, as arrays; row i is window i.
@@ -221,19 +244,7 @@ class MomentTable:
 
     def json_records(self, rows: slice, text: np.ndarray) -> str:
         """The JSON records of the rows, ",\n"-joined; text is their value_text(rows)."""
-        k = self.order
-
-        def items(n_values: int) -> str:
-            return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
-
-        trade = self.trade_value_moments is not None
-        record = (
-            '  {\n    "method": ' + json.dumps(self.method) + ',\n    "order": ' + str(k)
-            + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
-            + ',\n    "value_moments": ' + (items(k) if trade else "null")
-            + ',\n    "volume_moments": ' + (items(k) if trade else "null")
-            + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
-        )
+        record = _json_record(self.method, self.order, self.trade_value_moments is not None)
         if self.non_finite[rows].any() or not np.isfinite(self.center_time[rows]).all():
             text = json_spelled(text)
         flags = _JSON_FLAGS[self.negative_variance[rows] + 2 * self.non_finite[rows], None]
@@ -272,15 +283,16 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
             raw = value_moms / volume_moms
         mean = raw[:, 0]
         variance = raw[:, 1] - mean * mean
+        negative = variance < 0.0
+        if method == "frequency":
+            # rounding noise on a (near-)constant window; true value is >= 0
+            noise = negative & np.isfinite(variance) & (
+                np.abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean)
+            variance[noise] = 0.0
+            negative &= ~noise
     computed = [raw, variance[:, None]] + ([] if value_moms is None else [value_moms, volume_moms])
     # each array checked on its own: no (windows, columns) copy of them all
     non_finite = ~np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in computed])
-    negative = variance < 0.0
-    if method == "frequency":
-        # rounding noise on a (near-)constant window; true value is >= 0
-        noise = negative & (np.abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean)
-        variance[noise] = 0.0
-        negative &= ~noise
     return MomentTable(method, k, batch.center_time, raw, value_moms, volume_moms,
                        variance, negative, non_finite)
 
@@ -296,8 +308,8 @@ def batch_decorrelation(
     flagged = np.empty(len(batch), dtype=bool)
     undefined = np.empty(len(batch), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        powers = [batch.rows(batch.ticks(name) ** n) for name in ("price", "volume")]
-        for (sl, a), (_, b) in zip(*map(_chunks, powers)):
+        for sl, span in _spans(batch):
+            a, b = (span.rows(span.ticks(name) ** n) for name in ("price", "volume"))
             da = a - _row_means(a)[:, None]
             db = b - _row_means(b)[:, None]
             sa = np.sqrt(_row_means(da * da))
@@ -323,14 +335,14 @@ def _paired_autocorrelation(first: WindowBatch, second: WindowBatch, method: str
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "frequency":
             out = np.empty(len(first))
-            for (sl, a), (_, b) in zip(_chunks(first.price), _chunks(second.price)):
-                out[sl] = _row_means((a - _row_means(a)[:, None]) * (b - _row_means(b)[:, None]))
+            for sl, a, b in _spans(first, second):
+                out[sl] = _row_means((a.price - _row_means(a.price)[:, None])
+                                     * (b.price - _row_means(b.price)[:, None]))
         else:
             cross = np.empty((len(first), 2))
-            for j, (rows1, rows2) in enumerate(((first.value, second.value),
-                                                (first.volume, second.volume))):
-                for (sl, a), (_, b) in zip(_chunks(rows1), _chunks(rows2)):
-                    cross[sl, j] = _row_means(a * b)
+            for sl, a, b in _spans(first, second):
+                cross[sl, 0] = _row_means(a.value * b.value)
+                cross[sl, 1] = _row_means(a.volume * b.volume)
             out = cross[:, 0] / cross[:, 1] - batch_vwap(first) * batch_vwap(second)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

@@ -8,10 +8,11 @@ are defined by tick COUNT, not wall-clock span; all averaging operators
 downstream treat a window as one averaging interval. A Window is a
 (series, start, stop) view of the columns, and a WindowBatch lays
 equal-length windows out as the rows of 2-D column views so that moment
-kernels can process them all at once. TradeTick is a plain record that
-window_from_ticks reads into a series. parse_ticks keeps the columns of
-each text it parses in a private on-disk cache, so a text is parsed once,
-and a file whose columns are there is hashed, never read whole.
+kernels can process them all at once; a slice of its rows is a span
+batch over only the ticks of those windows. TradeTick is a plain record
+that window_from_ticks reads into a series. parse_ticks keeps the columns
+of each text it parses in a private on-disk cache, so a text is parsed
+once, and a file whose columns are there is hashed, never read whole.
 Rendered outputs are made a chunk of about OUTPUT_FLOATS floats at a time
 (row_chunks, framed).
 """
@@ -25,10 +26,9 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -157,12 +157,22 @@ class TickSeries:
         return f"TickSeries(<{len(self)} ticks>, tick_spacing={self.tick_spacing!r})"
 
 
-def _median_times(time: np.ndarray, starts, window_len: int):
-    """Median tick time of each window [start, start + window_len); starts is an index or an array."""
+def _median_times(time: np.ndarray, first: int, count: int, window_len: int, step: int):
+    """Median tick time of each of count windows of window_len ticks, the first starting
+    at tick first and each next one step ticks on."""
+    def at(k: int):  # tick k of each window, as a view
+        return time[first + k:first + k + count * step:step]
+
     mid = window_len // 2
     if window_len % 2 == 1:
-        return time[starts + mid]
-    return 0.5 * (time[starts + mid - 1] + time[starts + mid])
+        return at(mid)
+    return 0.5 * (at(mid - 1) + at(mid))
+
+
+def _rows_of(x: np.ndarray, count: int, window_len: int, step: int) -> np.ndarray:
+    """x[i * step:i * step + window_len] for each i < count, as the rows of one view of a 1-d x."""
+    x = np.ascontiguousarray(x)  # a column, a slice of one or a power of one: no copy
+    return np.ndarray((count, window_len), x.dtype, x, 0, (step * x.itemsize, x.itemsize))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,8 +183,17 @@ class WindowBatch:
     is its median tick time. Moment kernels take a batch and return one
     result per row. rows(x) lays out a per-tick array x, such as
     ticks("price") ** n, as these rows, so an elementwise step runs once per
-    tick. A batch built by hand from its rows alone (no series) is its own
-    columns, with rows the identity.
+    tick.
+
+    A batch of a series (window_batch) holds the series and the slice span
+    of its ticks that the windows cover: window i starts at tick
+    span.start + i * step, with step N for disjoint windows and 1 for
+    sliding ones. A slice [lo:hi] of its rows is a span batch, those windows
+    over only the ticks they cover ([lo * step, (hi - 1) * step + N) of the
+    batch's ticks), so a kernel run on it works on those ticks alone. Its
+    rows have the whole batch's layout and ticks, so each reduces to the
+    same bits. A batch built by hand from its rows alone (no series) is its
+    own columns, with rows the identity.
     """
 
     center_time: np.ndarray
@@ -182,24 +201,44 @@ class WindowBatch:
     volume: np.ndarray
     value: np.ndarray
     series: TickSeries | None = None
-    rows: Callable[[np.ndarray], np.ndarray] = np.asarray
+    span: slice | None = None
+    step: int = 1
 
     def __len__(self):
         return len(self.center_time)
 
     def __getitem__(self, sl: slice) -> WindowBatch:
-        """The windows in a slice of rows, as a batch of views."""
-        rows = self.rows if self.series is None else (lambda x: self.rows(x)[sl])
-        return WindowBatch(self.center_time[sl], self.price[sl], self.volume[sl],
-                           self.value[sl], self.series, rows)
+        """The windows in a slice of rows: a span batch, or for a hand-built batch views of its rows."""
+        if self.series is None:
+            return WindowBatch(self.center_time[sl], self.price[sl], self.volume[sl], self.value[sl])
+        lo, hi, stride = sl.indices(len(self))
+        if stride != 1:
+            raise ValueError("a span batch is a slice of consecutive rows")
+        return _windows(self.series, self.span.start + lo * self.step, max(0, hi - lo),
+                        self.window_len, self.step)
 
     def ticks(self, name: str) -> np.ndarray:
         """The per-tick column that rows() lays out as the price, volume or value rows."""
-        return getattr(self if self.series is None else self.series, name)
+        return getattr(self, name) if self.series is None else getattr(self.series, name)[self.span]
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        if self.series is None:
+            return np.asarray(x)
+        return _rows_of(x, len(self), self.window_len, self.step)
 
     @property
     def window_len(self) -> int:
         return self.price.shape[1]
+
+
+def _windows(series: TickSeries, first: int, count: int, window_len: int, step: int):
+    """The WindowBatch of count windows of window_len ticks of series, the first starting at
+    tick first and each next one step ticks on, over only the ticks they cover."""
+    span = slice(first, first + (count - 1) * step + window_len if count else first)
+    price, volume, value = (_rows_of(getattr(series, name)[span], count, window_len, step)
+                            for name in ("price", "volume", "value"))
+    return WindowBatch(_median_times(series.time, first, count, window_len, step),
+                       price, volume, value, series, span, step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +259,7 @@ class Window:
     @property
     def center_time(self) -> float:
         """Median tick time."""
-        return float(_median_times(self.series.time, self.start, len(self)))
+        return float(_median_times(self.series.time, self.start, 1, len(self), 1)[0])
 
     def batch(self) -> WindowBatch:
         """This window as a one-row WindowBatch of its own ticks, not the whole series."""
@@ -446,10 +485,10 @@ def _infer_spacing(time: np.ndarray) -> float | None:
 OUTPUT_FLOATS = 1 << 14
 
 
-def row_chunks(n: int, floats_per_row: int) -> list[slice]:
+def row_chunks(n: int, floats_per_row: int, max_rows: int | None = None) -> list[slice]:
     """Slices that cover rows 0..n-1 in order, each of at most OUTPUT_FLOATS floats
-    (one row at least) when a row formats floats_per_row floats."""
-    step = max(1, OUTPUT_FLOATS // floats_per_row)
+    when a row formats floats_per_row floats and of at most max_rows rows (one row at least)."""
+    step = max(1, min(OUTPUT_FLOATS // floats_per_row, max_rows or n))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -491,8 +530,8 @@ def render_ticks(series: TickSeries) -> str:
     return "".join(framed(parts, TICK_CSV))
 
 
-def _window_starts(series: TickSeries, window_len: int, mode: str) -> np.ndarray:
-    """First tick index of each window, after checking the windowing request."""
+def _window_steps(series: TickSeries, window_len: int, mode: str) -> tuple[int, int]:
+    """(windows, ticks from one window's start to the next's), after checking the request."""
     if window_len < 1:
         raise DataError(f"window length must be >= 1, got {window_len}")
     n = len(series)
@@ -501,9 +540,9 @@ def _window_starts(series: TickSeries, window_len: int, mode: str) -> np.ndarray
     if window_len > n:
         raise DataError(f"window length {window_len} exceeds series length {n}")
     if mode == "disjoint":
-        return np.arange(n // window_len) * window_len
+        return n // window_len, window_len
     if mode == "sliding":
-        return np.arange(n - window_len + 1)
+        return n - window_len + 1, 1
     raise DataError(f"unknown windowing mode {mode!r}")
 
 
@@ -514,22 +553,16 @@ def partition_windows(series: TickSeries, window_len: int, mode: str = "disjoint
     remainder shorter than N is dropped). sliding: len-N+1 windows stepping
     one tick at a time. Window centers are median tick times.
     """
-    starts = _window_starts(series, window_len, mode)
-    return [Window(series, start, start + window_len) for start in starts.tolist()]
+    count, step = _window_steps(series, window_len, mode)
+    return [Window(series, i * step, i * step + window_len) for i in range(count)]
 
 
 def window_batch(series: TickSeries, window_len: int, mode: str = "disjoint") -> WindowBatch:
     """The windows of partition_windows(series, window_len, mode) as one WindowBatch.
 
-    Disjoint windows reshape the columns, sliding ones are strided views;
-    nothing is copied.
+    Its rows are strided views of the columns, nothing copied, and a slice
+    of them, batch[lo:hi], is a span batch over only the ticks of those
+    windows (see WindowBatch).
     """
-    starts = _window_starts(series, window_len, mode)
-
-    def rows(column: np.ndarray) -> np.ndarray:
-        if mode == "disjoint":
-            return column[:len(starts) * window_len].reshape(len(starts), window_len)
-        return sliding_window_view(column, window_len)
-
-    return WindowBatch(_median_times(series.time, starts, window_len),
-                       rows(series.price), rows(series.volume), rows(series.value), series, rows)
+    count, step = _window_steps(series, window_len, mode)
+    return _windows(series, 0, count, window_len, step)

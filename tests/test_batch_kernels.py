@@ -8,6 +8,7 @@ boundaries.
 
 import itertools
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -223,7 +224,7 @@ def test_non_finite_flags_equal_the_whole_table_check(monkeypatch, method):
     batch = window_batch(make_series(5, windows + 1, discrete=False), 2, "sliding")
     power_means = moments._power_means
     names = ("price",) if method == "frequency" else ("value", "volume")
-    alone = set()
+    alone, kept = set(), set()
     for name, row, col, special in itertools.product(names, range(windows), range(k),
                                                      (np.inf, -np.inf, np.nan, 0.0, 1e300)):
         def injected(batch, which, orders):
@@ -233,15 +234,80 @@ def test_non_finite_flags_equal_the_whole_table_check(monkeypatch, method):
             return out
 
         monkeypatch.setattr(moments, "_power_means", injected)
-        with np.errstate(over="ignore", invalid="ignore"):  # 1e300**2 in the noise test
+        with warnings.catch_warnings():  # the kernel warns about nothing it computes
+            warnings.simplefilter("error", RuntimeWarning)
             table = batch_moments(batch, k, method)
-            # the variance before frequency rounding noise is zeroed (-inf is zeroed too)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the variance before frequency rounding noise is zeroed
             variance = table.raw_moments[:, 1] - table.mean * table.mean
         arrays = {"raw": table.raw_moments, "variance": variance[:, None]}
         if method == "market":
             arrays.update(value=table.trade_value_moments, volume=table.trade_volume_moments)
         whole = ~np.isfinite(np.hstack(list(arrays.values()))).all(axis=1)
         assert table.non_finite.tolist() == whole.tolist()
+        # only a finite variance is ever zeroed as rounding noise; -inf stays -inf
+        unusable = ~np.isfinite(variance)
+        assert_bitwise(table.variance[unusable], variance[unusable])
+        assert table.negative_variance.tolist() == (
+            (variance < 0) & (unusable | (table.variance != 0.0))).tolist()
+        kept.update(variance[unusable].tolist())
         bad = [a for a, values in arrays.items() if not np.isfinite(values[row]).all()]
         alone.update(bad if len(bad) == 1 else ())
     assert alone == ({"raw", "variance"} if method == "frequency" else {"raw", "variance", "volume"})
+    assert -np.inf in kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window_len=st.sampled_from([1, 2, 3, 7, 8, 9, 16]),
+    k=st.integers(2, 5),
+    method=st.sampled_from(["frequency", "market"]),
+    mode=st.sampled_from(["disjoint", "sliding"]),
+    n_windows=st.integers(1, 60),
+    extra=st.integers(0, 99),
+    data=st.data(),
+    prices=st.sampled_from(["uniform", "discrete", "huge"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_batches_equal_the_whole_batch_rows_bitwise(
+    window_len, k, method, mode, n_windows, extra, data, prices, seed
+):
+    if mode == "disjoint":
+        n_ticks = n_windows * window_len + extra % window_len
+    else:
+        n_ticks = n_windows + window_len - 1
+    series = make_series(seed, n_ticks, prices == "discrete")
+    if prices == "huge":  # powers overflow in some windows: non_finite rows
+        price = series.price.copy()
+        price[::5] *= 1e80
+        series = TickSeries(series.time, price, series.volume)
+    whole = window_batch(series, window_len, mode)
+    # spans of 1, N-1, N and N+1 rows, or any bounds
+    count = data.draw(st.sampled_from([1, window_len - 1, window_len, window_len + 1])
+                      | st.integers(0, n_windows))
+    lo = data.draw(st.integers(0, max(0, n_windows - count)))
+    hi = min(n_windows, lo + count)
+    span = whole[lo:hi]
+    with pytest.raises(ValueError, match="consecutive rows"):
+        whole[lo:hi:2]
+    step = window_len if mode == "disjoint" else 1
+    assert len(span) == hi - lo
+    if hi > lo:  # the span holds the ticks of its windows alone
+        assert_bitwise(span.ticks("price"), series.price[lo * step:(hi - 1) * step + window_len])
+    assert_bitwise(span.center_time, whole.center_time[lo:hi])
+    for name in ("price", "volume", "value"):
+        assert_bitwise(getattr(span, name), getattr(whole, name)[lo:hi])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = batch_moments(span, k, method), batch_moments(whole, k, method)
+    for name in ("center_time", "raw_moments", "trade_value_moments", "trade_volume_moments",
+                 "variance"):
+        if getattr(want, name) is not None:
+            assert_bitwise(getattr(got, name), getattr(want, name)[lo:hi])
+    assert got.negative_variance.tolist() == want.negative_variance[lo:hi].tolist()
+    assert got.non_finite.tolist() == want.non_finite[lo:hi].tolist()
+    assert got.flag_codes(slice(None)) == want.flag_codes(slice(lo, hi))
+    if window_len >= 2:
+        for g, w in zip(batch_decorrelation(span, 2, THRESHOLD),
+                        batch_decorrelation(whole, 2, THRESHOLD)):
+            assert_bitwise(g, w[lo:hi])

@@ -432,6 +432,19 @@ def test_moments_strict_reports_non_finite_moments(tmp_path, capsys, mode, price
     assert [i for i, d in enumerate(data) if d["flags"] == ["non_finite"]] == non_finite
 
 
+def test_frequency_moments_of_overflowing_prices_warn_nothing(tmp_path, capsys):
+    # p**2 and the mean squared overflow; the rounding-noise test runs on them too
+    path = tmp_path / "huge.csv"
+    path.write_text("time,price,volume\n0,2e165,1\n1,3e165,1\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["moments", "--input", str(path), "--window", "2", "--order", "2",
+                     "--method", "frequency"])
+    assert code == 0
+    assert capsys.readouterr() == (
+        "window 0 center_time=0.5 mean=2.5e+165 variance=nan flags=non_finite\n", "")
+
+
 @pytest.mark.parametrize("line", ["sigma = nan", "log_sigma = inf", "length = nan", "seed = inf"])
 def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, line):
     key = line.split(" =")[0]

@@ -1,12 +1,13 @@
 """Outputs written in row chunks equal the whole-output rendering byte for byte.
 
 The CLI formats, prints and writes its large outputs a chunk of rows at a
-time, each chunk at most ticks.OUTPUT_FLOATS floats. These tests shrink
-that constant to R rows' floats of the command run, check that it then
-writes R rows per chunk, and check, for 0, 1, R-1, R, R+1 and 2R+1 rows,
-that stdout, stderr and the output file equal those of a run that renders
-the whole output as one chunk, and that the JSON files equal json.dumps of
-their records.
+time, each chunk at most ticks.OUTPUT_FLOATS floats; moments also computes
+a chunk at a time, each at most moments._CHUNK_ELEMENTS ticks of windows.
+These tests shrink a limit to R rows' floats or ticks, check that the
+command then writes R rows per chunk, and check, for 0, 1, R-1, R, R+1
+and 2R+1 rows, that stdout, stderr and the output file equal those of a
+run that renders the whole output as one chunk, and that the JSON files
+equal json.dumps of their records.
 """
 
 import json
@@ -20,6 +21,7 @@ import pytest
 
 import mbm
 import mbm.cli
+import mbm.moments
 import mbm.ticks
 from mbm.cli import main
 from mbm.moments import batch_autocorrelation, batch_decorrelation, batch_moments
@@ -44,18 +46,22 @@ def tick_text(windows: int, mode: str) -> str:
     return "time,price,volume\n" + "".join(f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(ticks))
 
 
-def run(capsys, argv, output: Path | None, rows: int | None = None):
-    """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given."""
+def run(capsys, argv, output: Path | None, rows: int | None = None, limit: str = "floats"):
+    """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given.
+
+    The chunks are limited by the floats of R rows, or with limit "ticks"
+    by the ticks of R windows (moments, whose kernels run a chunk at a time).
+    """
     if output is not None:
         output.unlink(missing_ok=True)
         argv = argv + ["--output", str(output)]
     calls = []  # the chunk sizes of each row_chunks call
 
     with pytest.MonkeyPatch.context() as patch:
-        def recording(n, per_row):
-            # chunks of `rows` rows of the width the command passes
-            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * per_row)
-            chunks = row_chunks(n, per_row)
+        def recording(n, per_row, max_rows=None):
+            # chunks of `rows` rows of the width the command passes, or more floats than n rows
+            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", (rows if limit == "floats" else n + 1) * per_row)
+            chunks = row_chunks(n, per_row, max_rows)
             calls.append([sl.stop - sl.start for sl in chunks])
             return chunks
 
@@ -63,6 +69,9 @@ def run(capsys, argv, output: Path | None, rows: int | None = None):
             # simulate makes its blocks of ticks before the writer's call
             patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
             patch.setattr(mbm.cli, "row_chunks", recording)
+            if limit == "ticks":
+                window = int(argv[argv.index("--window") + 1])
+                patch.setattr(mbm.moments, "_CHUNK_ELEMENTS", rows * window)
         code = main(argv)
     for sizes in calls:  # R rows per chunk, the last chunk holding the rest
         n = sum(sizes)
@@ -71,10 +80,10 @@ def run(capsys, argv, output: Path | None, rows: int | None = None):
     return code, out, err, None if output is None or not output.exists() else output.read_bytes()
 
 
-def same_chunked_and_whole(capsys, argv, output: Path | None = None):
+def same_chunked_and_whole(capsys, argv, output: Path | None = None, limit: str = "floats"):
     """The chunked run's result, after checking it equals the whole-output run's."""
     whole = run(capsys, argv, output)
-    chunked = run(capsys, argv, output, rows=R)
+    chunked = run(capsys, argv, output, rows=R, limit=limit)
     assert chunked == whole
     return chunked
 
@@ -109,7 +118,10 @@ def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode
     ticks.write_text(tick_text(windows, mode), encoding="utf-8")
     argv = ["moments", "--input", str(ticks), "--window", "2", "--mode", mode, "--order", "4",
             "--method", method, "--strict"]
+    # chunks of R rows' floats, then of R windows' ticks: both limits give the same bytes
     code, out, err, data = same_chunked_and_whole(capsys, argv, tmp_path / "m.json")
+    assert same_chunked_and_whole(capsys, argv, tmp_path / "m.json", "ticks") == (code, out, err,
+                                                                                   data)
     assert code == 3
     assert window_numbers(out) == list(range(windows))
     batch = window_batch(parse_ticks(ticks.read_text()), 2, mode)
@@ -132,6 +144,30 @@ def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode
             assert table.negative_variance[rows].any() and table.non_finite[rows].any()
     # without an output file, stdout and stderr are those of the run with one
     assert same_chunked_and_whole(capsys, argv) == (code, out, err, None)
+
+
+@pytest.mark.parametrize("limit", ["floats", "ticks"])
+def test_strict_report_names_the_windows_at_chunk_edges_by_their_series_index(tmp_path, capsys,
+                                                                              limit):
+    # disjoint two-tick windows; (A, B) has a negative market variance and a
+    # -1 correlation, (A, A) neither. Rows 0-2, 3-5 and 6 are the chunks, and
+    # the first and last window of each is flagged.
+    flagged = [0, 2, 3, 5, 6]
+    ticks = tmp_path / "ticks.csv"
+    rows = [(A, B) if i in flagged else (A, A) for i in range(2 * R + 1)]
+    ticks.write_text("time,price,volume\n" + "".join(
+        f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(t for row in rows for t in row)),
+        encoding="utf-8")
+    argv = ["moments", "--input", str(ticks), "--window", "2", "--order", "2", "--method",
+            "market", "--strict"]
+    code, out, err, _ = same_chunked_and_whole(capsys, argv, tmp_path / "m.json", limit)
+    assert code == 3
+    assert [i for i, line in enumerate(out.splitlines()) if "negative_variance" in line] == flagged
+    assert err.startswith("strict violation: ") and err.endswith("\n") and err.count("\n") == 1
+    messages = err[len("strict violation: "):-1].split("; ")
+    assert window_numbers("; ".join(messages), "; ") == [i for i in flagged for _ in range(2)]
+    assert all(m.split(": ", 1)[1].startswith(("negative market variance ", "order-2 "))
+               for m in messages)
 
 
 @pytest.mark.parametrize("windows", ROW_COUNTS)
@@ -269,20 +305,33 @@ def test_sliding_strict_peak_memory_does_not_grow_with_the_output(tmp_path):
     assert peak[25_000] - peak[5_000] < 25, peak
 
 
-@needs_wait4
-def test_sliding_strict_peak_memory_stays_near_the_imports(tmp_path):
-    # independent price and volume, as in the benchmark: 5,504 --strict messages
+def warm_sliding_strict_growth(tmp_path, pv_correlation: float) -> float:
+    """MB that a warm 20k-tick sliding --strict market k=4 run peaks above the imports."""
     args = ("moments", "--mode", "sliding", "--strict", "--window", "100", "--order", "4",
-            "--method", "market", "--input", str(simulated(tmp_path, 20_000, 0.0)),
+            "--method", "market", "--input", str(simulated(tmp_path, 20_000, pv_correlation)),
             "--output", str(tmp_path / "m.json"))
     assert peak_mb(*args)[0] == 3  # cold: parsed and stored
     code, peak = peak_mb(*args)
-    imports = peak_mb()[1]
     assert code == 3
-    # 0.6 MB of columns and 2.1 MB of moment table. The run peaked 21.3 MB above
-    # the imports with 4,096-row chunks, 512K-element kernel temporaries and the
-    # flag test's table copy; 9.3 MB since.
-    assert peak - imports < 14, (imports, peak)
+    return peak - peak_mb()[1]
+
+
+@needs_wait4
+def test_sliding_strict_peak_memory_stays_near_the_imports(tmp_path):
+    # independent price and volume, as in the benchmark: 5,504 --strict messages.
+    # 0.6 MB of columns. The run peaked 21.3 MB above the imports with 4,096-row
+    # chunks, 512K-element kernel temporaries and the flag test's table copy;
+    # 9.3 MB with the whole moment table; 4.1 MB computing a chunk at a time.
+    growth = warm_sliding_strict_growth(tmp_path, 0.0)
+    assert growth < 7, growth
+
+
+@needs_wait4
+def test_a_large_strict_report_is_written_as_it_is_made(tmp_path):
+    # 34,530 --strict messages. Held until the end, they and their join took
+    # the peak to 17.3 MB above the imports; 4.4 MB written a chunk at a time.
+    growth = warm_sliding_strict_growth(tmp_path, -0.3)
+    assert growth < 7, growth
 
 
 @needs_wait4
@@ -321,3 +370,25 @@ def test_a_write_that_fails_in_a_later_chunk_is_an_input_error(tmp_path, capsys,
     assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: cannot write /dev/full: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
+def test_a_strict_report_cut_by_a_failing_write_ends_its_line_before_the_error(tmp_path, capsys,
+                                                                               monkeypatch):
+    # sliding two-tick windows, most of them flagged; chunks of R rows, so
+    # messages are written before the file's buffer flushes, and fails
+    windows = 200
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(tick_text(windows, "sliding"), encoding="utf-8")
+    argv = ["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding", "--order", "4",
+            "--method", "market", "--strict"]
+    assert main(argv + ["--output", str(tmp_path / "m.json")]) == 3
+    report = capsys.readouterr().err
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)
+    assert main(argv + ["--output", "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    violations, error, end = err.split("\n")
+    # the messages of the chunks made before the write failed, then the error's own line
+    assert violations.startswith("strict violation: ") and report.startswith(violations + "; ")
+    assert error.startswith("input error: cannot write /dev/full: ") and end == ""
+    assert 0 < len(window_numbers(out)) < windows
