@@ -370,6 +370,8 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
         raise DataError(f"density_method must be gram_charlier or damped, got {density_method!r}")
 
     out = _require(settings, "output")
+    if Path(out).suffix == ".json":  # the summary goes to the .json path, so the CSV would be lost
+        raise DataError(f"output {out!r} is the path of the JSON summary; give the CSV another suffix")
     _write_text(out, approx.to_csv_text())
     _write_json(str(Path(out).with_suffix(".json")), approx.to_json_dict())
     print(
@@ -397,21 +399,18 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
     )
 
     scenario = _scenario_from_cfg(file_cfg)
-    kind = file_cfg["scenario"].get("kind", "single")
-    payload: dict = {"kind": kind}
-    if kind == "single":
+    if not isinstance(scenario, TwoTradeScenario):
         sol = solve_price_single(scenario)
-        payload["solution"] = sol.to_json_dict()
+        payload = {"kind": "single", "solution": sol.to_json_dict()}
         print(f"p0={sol.mean_price!r} residual={sol.residual!r} iterations={sol.iterations}")
     else:
-        assert isinstance(scenario, TwoTradeScenario)
         first = solve_price_first_purchase(scenario)
-        if kind == "two_purchase":
-            second = solve_price_second_purchase(scenario, first=first)
-        else:
+        if scenario.two_sale:
             second = solve_price_two_sales(scenario, first=first)
-        payload["first_purchase"] = first.to_json_dict()
-        payload["second_purchase"] = second.to_json_dict()
+        else:
+            second = solve_price_second_purchase(scenario, first=first)
+        payload = {"kind": "two_sales" if scenario.two_sale else "two_purchase",
+                   "first_purchase": first.to_json_dict(), "second_purchase": second.to_json_dict()}
         print(
             f"p0(t1)={first.mean_price!r} p0(t2)={second.mean_price!r} "
             f"residuals=({first.residual!r}, {second.residual!r})"

@@ -6,10 +6,11 @@ A TickSeries holds its ticks as four read-only float64 columns, built by
 its one constructor and validated there in one vectorized pass. Windows
 are defined by tick COUNT, not wall-clock span; all averaging operators
 downstream treat a window as one averaging interval. A Window is a
-(series, start, stop) view of the columns, and a WindowBatch lays
-equal-length windows out as the rows of 2-D column views so that moment
-kernels can process them all at once; a slice of its rows is a span
-batch over only the ticks of those windows. TradeTick is a plain record
+(series, start, stop) view of the columns. A WindowBatch is count
+equal-length windows of a series, (series, first, count, window_len,
+step), whose rows it lays out on access as 2-D views of the columns so
+that moment kernels can process them all at once; a slice of its rows is
+the batch of those windows alone. TradeTick is a plain record
 that window_from_ticks reads into a series. parse_ticks keeps the columns
 of each text it parses in a private on-disk cache, so a text is parsed
 once, and a file whose columns are there is hashed, never read whole.
@@ -157,88 +158,70 @@ class TickSeries:
         return f"TickSeries(<{len(self)} ticks>, tick_spacing={self.tick_spacing!r})"
 
 
-def _median_times(time: np.ndarray, first: int, count: int, window_len: int, step: int):
-    """Median tick time of each of count windows of window_len ticks, the first starting
-    at tick first and each next one step ticks on."""
-    def at(k: int):  # tick k of each window, as a view
-        return time[first + k:first + k + count * step:step]
-
-    mid = window_len // 2
-    if window_len % 2 == 1:
-        return at(mid)
-    return 0.5 * (at(mid - 1) + at(mid))
-
-
-def _rows_of(x: np.ndarray, count: int, window_len: int, step: int) -> np.ndarray:
-    """x[i * step:i * step + window_len] for each i < count, as the rows of one view of a 1-d x."""
-    x = np.ascontiguousarray(x)  # a column, a slice of one or a power of one: no copy
-    return np.ndarray((count, window_len), x.dtype, x, 0, (step * x.itemsize, x.itemsize))
-
-
 @dataclass(frozen=True, slots=True)
 class WindowBatch:
-    """Equal-length windows as (windows, N) read-only views of the tick columns.
+    """count equal-length windows of a series, laid out on access as (count, window_len) views.
 
-    Row i of price/volume/value holds the ticks of window i; center_time[i]
+    Window i is the window_len ticks from tick first + i * step: step is
+    window_len for disjoint windows and 1 for sliding ones. Row i of the
+    read-only views price/volume/value holds its ticks, and center_time[i]
     is its median tick time. Moment kernels take a batch and return one
-    result per row. rows(x) lays out a per-tick array x, such as
-    ticks("price") ** n, as these rows, so an elementwise step runs once per
-    tick.
-
-    A batch of a series (window_batch) holds the series and the slice span
-    of its ticks that the windows cover: window i starts at tick
-    span.start + i * step, with step N for disjoint windows and 1 for
-    sliding ones. A slice [lo:hi] of its rows is a span batch, those windows
-    over only the ticks they cover ([lo * step, (hi - 1) * step + N) of the
-    batch's ticks), so a kernel run on it works on those ticks alone. Its
-    rows have the whole batch's layout and ticks, so each reduces to the
-    same bits. A batch built by hand from its rows alone (no series) is its
-    own columns, with rows the identity.
+    result per row; rows(x) lays out a per-tick array x of the ticks(name)
+    that the windows cover, such as ticks("price") ** n, so an elementwise
+    step runs once per tick. A slice [lo:hi] of the rows is the batch of
+    those windows alone, over only the ticks they cover, so a kernel run on
+    it works on those ticks alone; its rows have the whole batch's layout
+    and ticks, so each reduces to the same bits.
     """
 
-    center_time: np.ndarray
-    price: np.ndarray
-    volume: np.ndarray
-    value: np.ndarray
-    series: TickSeries | None = None
-    span: slice | None = None
-    step: int = 1
+    series: TickSeries
+    first: int
+    count: int
+    window_len: int
+    step: int
+
+    def __post_init__(self):
+        if not (self.first >= 0 and self.count >= 0 and self.window_len >= 1 and self.step >= 1
+                and self._span.stop <= len(self.series)):
+            raise DataError(f"{self.count} windows of {self.window_len} ticks {self.step} apart "
+                            f"from tick {self.first} do not fit in {len(self.series)} ticks")
 
     def __len__(self):
-        return len(self.center_time)
+        return self.count
 
     def __getitem__(self, sl: slice) -> WindowBatch:
-        """The windows in a slice of rows: a span batch, or for a hand-built batch views of its rows."""
-        if self.series is None:
-            return WindowBatch(self.center_time[sl], self.price[sl], self.volume[sl], self.value[sl])
-        lo, hi, stride = sl.indices(len(self))
+        """The windows in a slice of rows, over only the ticks they cover."""
+        lo, hi, stride = sl.indices(self.count)
         if stride != 1:
             raise ValueError("a span batch is a slice of consecutive rows")
-        return _windows(self.series, self.span.start + lo * self.step, max(0, hi - lo),
-                        self.window_len, self.step)
-
-    def ticks(self, name: str) -> np.ndarray:
-        """The per-tick column that rows() lays out as the price, volume or value rows."""
-        return getattr(self, name) if self.series is None else getattr(self.series, name)[self.span]
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        if self.series is None:
-            return np.asarray(x)
-        return _rows_of(x, len(self), self.window_len, self.step)
+        return WindowBatch(self.series, self.first + lo * self.step, max(0, hi - lo),
+                           self.window_len, self.step)
 
     @property
-    def window_len(self) -> int:
-        return self.price.shape[1]
+    def _span(self) -> slice:
+        """The ticks of the series that the windows cover."""
+        stop = self.first + (self.count - 1) * self.step + self.window_len
+        return slice(self.first, stop if self.count else self.first)
 
+    def ticks(self, name: str) -> np.ndarray:
+        """The ticks of a column (time, price, volume or value) that the windows cover."""
+        return getattr(self.series, name)[self._span]
 
-def _windows(series: TickSeries, first: int, count: int, window_len: int, step: int):
-    """The WindowBatch of count windows of window_len ticks of series, the first starting at
-    tick first and each next one step ticks on, over only the ticks they cover."""
-    span = slice(first, first + (count - 1) * step + window_len if count else first)
-    price, volume, value = (_rows_of(getattr(series, name)[span], count, window_len, step)
-                            for name in ("price", "volume", "value"))
-    return WindowBatch(_median_times(series.time, first, count, window_len, step),
-                       price, volume, value, series, span, step)
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """x[i * step:i * step + window_len] for each window i, as the rows of one view of a 1-d x."""
+        x = np.ascontiguousarray(x)  # a column, a slice of one or a power of one: no copy
+        return np.ndarray((self.count, self.window_len), x.dtype, x, 0,
+                          (self.step * x.itemsize, x.itemsize))
+
+    price = property(lambda self: self.rows(self.ticks("price")))
+    volume = property(lambda self: self.rows(self.ticks("volume")))
+    value = property(lambda self: self.rows(self.ticks("value")))
+
+    @property
+    def center_time(self) -> np.ndarray:
+        """Median tick time of each window."""
+        time, mid = self.rows(self.ticks("time")), self.window_len // 2
+        return time[:, mid] if self.window_len % 2 else 0.5 * (time[:, mid - 1] + time[:, mid])
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,13 +242,11 @@ class Window:
     @property
     def center_time(self) -> float:
         """Median tick time."""
-        return float(_median_times(self.series.time, self.start, 1, len(self), 1)[0])
+        return float(self.batch().center_time[0])
 
     def batch(self) -> WindowBatch:
         """This window as a one-row WindowBatch of its own ticks, not the whole series."""
-        s, span = self.series, slice(self.start, self.stop)
-        return WindowBatch(np.array([self.center_time]), s.price[None, span],
-                           s.volume[None, span], s.value[None, span])
+        return WindowBatch(self.series, self.start, 1, len(self), 1)
 
 
 def window_from_ticks(ticks) -> Window:
@@ -565,4 +546,4 @@ def window_batch(series: TickSeries, window_len: int, mode: str = "disjoint") ->
     windows (see WindowBatch).
     """
     count, step = _window_steps(series, window_len, mode)
-    return _windows(series, 0, count, window_len, step)
+    return WindowBatch(series, 0, count, window_len, step)

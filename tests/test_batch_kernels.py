@@ -23,7 +23,7 @@ from mbm.moments import (
     batch_moments,
     batch_vwap,
 )
-from mbm.ticks import TickSeries, WindowBatch, window_batch
+from mbm.ticks import TickSeries, Window, window_batch
 
 THRESHOLD = 0.2
 
@@ -172,7 +172,7 @@ def test_moment_json_text_matches_json_dumps_with_non_finite_values():
         assert "Infinity" in text
     assert "NaN" in text and "negative_variance" in text
 
-    empty = WindowBatch(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+    empty = window_batch(series, 3, "disjoint")[:0]
     assert batch_moments(empty, 2, "market").to_json_text() == json.dumps([], indent=2) + "\n"
 
 
@@ -188,29 +188,56 @@ def test_moment_json_text_writes_every_flag_combination():
     assert table.to_json_text() == json.dumps(payload, indent=2) + "\n"
 
 
+def assert_same_kernel_bits(got, want):
+    """Every batch kernel gives the same bits on batch got as on batch want."""
+    for method in ("frequency", "market"):
+        g, w = batch_moments(got, 2, method), batch_moments(want, 2, method)
+        for name in ("center_time", "raw_moments", "variance"):
+            assert_bitwise(getattr(g, name), getattr(w, name))
+        assert g.flag_codes(slice(None)) == w.flag_codes(slice(None))
+        if got.window_len >= 2:
+            assert_bitwise(batch_autocorrelation(got, 0, method),
+                           batch_autocorrelation(want, 0, method))
+    assert_bitwise(batch_vwap(got), batch_vwap(want))
+    if got.window_len >= 2:
+        for g, w in zip(batch_decorrelation(got, 2, THRESHOLD),
+                        batch_decorrelation(want, 2, THRESHOLD)):
+            assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
 def test_sliced_batches_equal_fresh_batches_of_the_same_rows(mode):
-    # a batch built by hand from its rows (no series) and one from window_batch,
-    # sliced once and twice, against a hand-built batch of just those rows
+    # a batch from window_batch, sliced once and twice, against window_batch of
+    # a fresh series that holds only the ticks of those rows
     series = make_series(11, 40, discrete=False)
     full = window_batch(series, 4, mode)
-
-    def hand_built(batch):
-        return WindowBatch(*(np.array(a) for a in (batch.center_time, batch.price,
-                                                   batch.volume, batch.value)))
-
-    for sliced in (full[1:4], full[2:][:3], hand_built(full)[1:4], hand_built(full)[2:][:3]):
-        fresh = hand_built(sliced)
+    step = 4 if mode == "disjoint" else 1
+    for lo, sliced in ((1, full[1:4]), (2, full[2:][:3])):
+        ticks = slice(lo * step, (lo + 2) * step + 4)  # the ticks of rows lo..lo + 2
+        fresh = window_batch(TickSeries(*(getattr(series, c)[ticks]
+                                          for c in ("time", "price", "volume", "value"))), 4, mode)
+        assert sliced.series is series and len(sliced) == len(fresh) == 3
+        for name in ("center_time", "price", "volume", "value"):
+            assert_bitwise(getattr(sliced, name), getattr(fresh, name))
+        assert_same_kernel_bits(sliced, fresh)
         for method in ("frequency", "market"):
-            got, want = batch_moments(sliced, 2, method), batch_moments(fresh, 2, method)
-            assert_bitwise(got.raw_moments, want.raw_moments)
-            assert_bitwise(got.variance, want.variance)
             assert_bitwise(batch_autocorrelation(sliced, 1, method),
                            batch_autocorrelation(fresh, 1, method))
-        assert_bitwise(batch_vwap(sliced), batch_vwap(fresh))
-        for got, want in zip(batch_decorrelation(sliced, 2, THRESHOLD),
-                             batch_decorrelation(fresh, 2, THRESHOLD)):
-            assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_ticks=st.integers(1, 40), data=st.data(), discrete=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_window_batch_is_the_sliding_batch_row_of_that_window(n_ticks, data, discrete, seed):
+    series = make_series(seed, n_ticks, discrete)
+    a = data.draw(st.integers(0, n_ticks - 1))
+    b = data.draw(st.integers(a + 1, n_ticks))
+    got, want = Window(series, a, b).batch(), window_batch(series, b - a, "sliding")[a:a + 1]
+    assert got == want and got.series is want.series is series
+    assert (got.first, got.count, got.window_len, got.step) == (a, 1, b - a, 1)
+    for name in ("center_time", "price", "volume", "value"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    assert_same_kernel_bits(got, want)
 
 
 @pytest.mark.parametrize("method", ["frequency", "market"])

@@ -233,6 +233,25 @@ def test_density_emits_csv_and_json(tmp_path):
     assert abs(payload["total_mass"] - 1.0) <= 1e-6
 
 
+def test_density_output_at_the_summary_path_is_input_error(tmp_path, capsys, monkeypatch):
+    # the JSON summary goes to the output's .json path; a .json output used to lose its CSV to it
+    sim = tmp_path / "sim.cfg"
+    sim.write_text(SIM_CFG, encoding="utf-8")
+    assert main(["simulate", "--config", str(sim), "--output", str(tmp_path / "t.csv")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    for out, message in (("dens.json", "output 'dens.json' is the path of the JSON summary"),
+                         ("./dens.json", "output './dens.json' is the path of the JSON summary"),
+                         ("", "output must be a file path, got ''")):
+        code = main(["density", "--input", "t.csv", "--order", "4", "--method", "market",
+                     "--grid", "5:15:31", "--output", out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"input error: {message}" + (
+            "; give the CSV another suffix\n" if out else "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg", "t.csv"]
+
+
 def test_density_damped_method(tmp_path):
     sim = tmp_path / "sim.cfg"
     sim.write_text(SIM_CFG, encoding="utf-8")
@@ -288,19 +307,36 @@ def test_price_two_sales(tmp_path):
     assert payload["second_purchase"]["mean_price"] < payload["first_purchase"]["mean_price"]
 
 
+TWO_PURCHASE_CFG = "".join(
+    line for line in TWO_SALES_CFG.replace("kind = two_sales", "kind = two_purchase")
+    .splitlines(keepends=True) if not line.startswith(("payoff_autocorr", "T2"))
+)
+
+
 def test_price_two_purchase(tmp_path):
-    cfg_text = TWO_SALES_CFG.replace("kind = two_sales", "kind = two_purchase")
-    cfg_text = "\n".join(
-        line for line in cfg_text.splitlines()
-        if not line.startswith(("payoff_autocorr", "T2"))
-    )
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(cfg_text + "\n", encoding="utf-8")
+    cfg.write_text(TWO_PURCHASE_CFG, encoding="utf-8")
     out = tmp_path / "p.json"
     assert main(["price", "--config", str(cfg), "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["kind"] == "two_purchase"
     assert payload["second_purchase"]["converged"]
+
+
+@pytest.mark.parametrize("kind", ["single", "two_purchase", "two_sales"])
+def test_price_kind_padded_with_spaces_runs_as_the_unpadded_kind(tmp_path, capsys, kind):
+    # a padded kind used to fail an assert (single) or run the two-sales solver (two_purchase)
+    cfg, out = tmp_path / "p.cfg", tmp_path / "p.json"
+    cfg.write_text({"single": PRICE_CFG, "two_purchase": TWO_PURCHASE_CFG,
+                    "two_sales": TWO_SALES_CFG}[kind], encoding="utf-8")
+    runs = []
+    for spelled in (kind, f" {kind}", f"{kind} ", f"\t{kind}  "):
+        code = main(["price", "--config", str(cfg), "--set", f"scenario.kind={spelled}",
+                     "--output", str(out)])
+        runs.append((code, *capsys.readouterr(), out.read_bytes()))
+    code, _, err, data = runs[0]
+    assert (code, err, json.loads(data)["kind"]) == (0, "", kind)
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_price_non_convergence_exits_2(tmp_path, capsys):

@@ -358,9 +358,9 @@ def test_a_window_of_a_long_series_computes_on_its_own_ticks_alone(rng):
 
     batch = window.batch()
     assert batch.ticks("price").size == len(window)
-    assert batch.series is None and batch.rows(batch.ticks("price")).shape == (1, len(window))
+    assert batch.series is series and batch.rows(batch.ticks("price")).shape == (1, len(window))
     for name in ("price", "volume", "value"):
-        assert np.array_equal(batch.ticks(name)[0], getattr(series, name)[start:stop])
+        assert np.array_equal(batch.ticks(name), getattr(series, name)[start:stop])
     for w, a in ((window, alone), (after, alone_after)):
         assert vwap(w) == vwap(a)
         assert market_price_moment(w, 3) == market_price_moment(a, 3)

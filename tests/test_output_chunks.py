@@ -25,8 +25,7 @@ import mbm.moments
 import mbm.ticks
 from mbm.cli import main
 from mbm.moments import batch_autocorrelation, batch_decorrelation, batch_moments
-from mbm.ticks import (TICK_FLOATS, TickSeries, WindowBatch, parse_ticks, render_ticks, row_chunks,
-                       window_batch)
+from mbm.ticks import TICK_FLOATS, TickSeries, parse_ticks, render_ticks, row_chunks, window_batch
 
 R = 3
 ROW_COUNTS = (1, R - 1, R, R + 1, 2 * R + 1)
@@ -232,7 +231,7 @@ def test_library_renderings_join_the_chunks(monkeypatch):
         rows = zip(*(getattr(series, c).tolist() for c in ("time", "price", "volume", "value")))
         assert render_ticks(series) == "time,price,volume,value\n" + "".join(
             f"{t!r},{p!r},{v!r},{c!r}\n" for t, p, v, c in rows)
-    empty = WindowBatch(np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
+    empty = window_batch(series, 2)[:0]
     assert batch_moments(empty, 4, "market").to_json_text() == "[]\n"
 
 

@@ -3,8 +3,8 @@ import pytest
 
 import mbm
 from mbm.errors import DataError
-from mbm.ticks import (TickSeries, TradeTick, Window, parse_ticks, partition_windows, render_ticks,
-                       window_from_ticks)
+from mbm.ticks import (TickSeries, TradeTick, Window, WindowBatch, parse_ticks, partition_windows,
+                       render_ticks, window_batch, window_from_ticks)
 
 from conftest import make_series, make_window
 
@@ -131,6 +131,24 @@ def test_window_times_lie_in_centered_span():
 def test_empty_window_rejected():
     with pytest.raises(DataError):
         window_from_ticks(())
+
+
+@pytest.mark.parametrize("first, count, window_len, step", [
+    (-1, 1, 2, 1), (0, -1, 2, 1), (0, 1, 0, 1), (0, 1, 2, 0),
+    (0, 9, 3, 1), (2, 3, 3, 3), (9, 1, 2, 1), (10, 1, 1, 1), (11, 0, 2, 1),
+])
+def test_window_batch_rejects_geometry_outside_its_series(first, count, window_len, step):
+    series = make_series(range(1, 11))
+    with pytest.raises(DataError, match="10 ticks"):
+        WindowBatch(series, first, count, window_len, step)
+
+
+def test_window_batch_accepts_geometry_that_ends_at_its_series_end():
+    series = make_series(range(1, 11))
+    for geometry in ((0, 8, 3, 1), (1, 3, 3, 3), (9, 1, 1, 1), (10, 0, 2, 1), (0, 0, 11, 1)):
+        batch = WindowBatch(series, *geometry)
+        assert batch.price.shape == (batch.count, batch.window_len)
+    assert window_batch(series, 3, "sliding")[8:] == WindowBatch(series, 8, 0, 3, 1)
 
 
 def test_series_requires_sorted_times():
