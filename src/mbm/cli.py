@@ -12,7 +12,15 @@ reads are input errors.
 
 The density, utility, pricing and simulate layers are imported inside
 the commands that compute with them, so a tick command loads only ticks
-and moments.
+and moments; json, csv and configparser load only where they are used.
+
+main(argv) is the in-process API: it runs one command and touches no
+garbage-collector state, so it can be called again and again in one
+process. process_main() is the entry of the `mbm` console script and of
+`python -m mbm.cli`: it freezes the heap that the imports made
+(gc.freeze), so that neither a collection during the command nor the
+interpreter's teardown walks numpy's objects again, then returns main()'s
+exit code.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
 violation under --strict. Diagnostics go to stderr, summaries to stdout,
@@ -27,8 +35,8 @@ with that error's exit code.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
-import json
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -191,6 +199,8 @@ def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame,
 
 
 def _write_json(path: str | None, payload):
+    import json  # only density, price and optimize write JSON this way
+
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
@@ -528,5 +538,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def process_main() -> int:
+    """main() for a process of its own: the imported heap is frozen before the command runs."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

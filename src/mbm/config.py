@@ -12,7 +12,6 @@ loads no model layer.
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from dataclasses import MISSING, fields
@@ -54,6 +53,8 @@ def number(raw: str, name: str, *, integer: bool = False):
 
 def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     """Read a config file into {section: {key: value}}."""
+    import configparser  # only a run with a config file reads one
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
     try:

@@ -17,7 +17,6 @@ is a plain average over the window, nothing more.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +167,15 @@ def fill_records(record: str, cells: np.ndarray) -> str:
 @functools.lru_cache
 def _json_record(method: str, k: int, trade: bool) -> str:
     """A moment record as json.dumps(..., indent=2) writes it, a %s slot for each value;
-    trade: with value and volume moments."""
+    trade: with value and volume moments. method is one of METHODS, which json writes
+    as it is, in quotes."""
+    _check_method(method)
+
     def items(n_values: int) -> str:
         return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
 
     return (
-        '  {\n    "method": ' + json.dumps(method) + ',\n    "order": ' + str(k)
+        '  {\n    "method": "' + method + '",\n    "order": ' + str(k)
         + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
         + ',\n    "value_moments": ' + (items(k) if trade else "null")
         + ',\n    "volume_moments": ' + (items(k) if trade else "null")

@@ -20,7 +20,6 @@ Rendered outputs are made a chunk of about OUTPUT_FLOATS floats at a time
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import re
@@ -181,16 +180,24 @@ class WindowBatch:
     step: int
 
     def __post_init__(self):
-        if not (self.first >= 0 and self.count >= 0 and self.window_len >= 1 and self.step >= 1
-                and self._span.stop <= len(self.series)):
-            raise DataError(f"{self.count} windows of {self.window_len} ticks {self.step} apart "
-                            f"from tick {self.first} do not fit in {len(self.series)} ticks")
+        integral = all(isinstance(v, (int, np.integer))
+                       for v in (self.first, self.count, self.window_len, self.step))
+        if not (integral and self.first >= 0 and self.count >= 0 and self.window_len >= 1
+                and self.step >= 1 and self._span.stop <= len(self.series)):
+            where = (f"{self.count} windows of {self.window_len} ticks {self.step} apart "
+                     f"from tick {self.first}")
+            n = len(self.series)
+            raise DataError(f"{where} do not fit in {n} ticks" if integral else
+                            f"{where} in {n} ticks: first, count, window_len and step "
+                            "must be integers")
 
     def __len__(self):
         return self.count
 
     def __getitem__(self, sl: slice) -> WindowBatch:
         """The windows in a slice of rows, over only the ticks they cover."""
+        if not isinstance(sl, slice):
+            raise TypeError(f"a WindowBatch takes a slice of rows, got {type(sl).__name__}")
         lo, hi, stride = sl.indices(self.count)
         if stride != 1:
             raise ValueError("a span batch is a slice of consecutive rows")
@@ -391,6 +398,8 @@ def _store(path: Path, series: TickSeries) -> None:
 def _parse_csv(text: str) -> TickSeries:
     if not text:
         raise DataError("empty input: missing header")
+    import csv  # only a parse, not a cache hit, reads CSV
+
     first, _, body = text.partition("\n")
     header = [h.strip().lower() for h in next(csv.reader([first]), [])]
     if header == ["time", "price", "volume"]:
@@ -412,6 +421,8 @@ def _parse_csv(text: str) -> TickSeries:
 
 def _data_rows(body: str):
     """(line number, fields) of each non-blank CSV row after the header."""
+    import csv
+
     for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
         if row and (len(row) > 1 or row[0].strip()):
             yield lineno, row

@@ -6,6 +6,7 @@ bit, across window lengths, orders, methods, windowing modes and chunk
 boundaries.
 """
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbm import moments
+from mbm.errors import DataError
 from mbm.moments import (
     batch_autocorrelation,
     batch_decorrelation,
@@ -174,6 +176,14 @@ def test_moment_json_text_matches_json_dumps_with_non_finite_values():
 
     empty = window_batch(series, 3, "disjoint")[:0]
     assert batch_moments(empty, 2, "market").to_json_text() == json.dumps([], indent=2) + "\n"
+
+
+def test_moment_json_text_writes_only_a_known_method():
+    # the method is written unescaped, so a table of any other method is not rendered
+    table = batch_moments(window_batch(TickSeries(np.arange(4.0), [1.0, 2.0, 3.0, 4.0],
+                                                  [1.0, 1.0, 2.0, 2.0]), 2), 2, "market")
+    with pytest.raises(DataError, match="unknown method"):
+        dataclasses.replace(table, method='mar"ket').to_json_text()
 
 
 def test_moment_json_text_writes_every_flag_combination():

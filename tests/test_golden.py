@@ -8,6 +8,8 @@ moves any of them must re-record the digests and say why.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -237,35 +239,28 @@ MODEL_GOLDEN = {
 }
 
 
-def model_digests(tmp_path, capsys) -> dict:
-    digests = {}
-
-    def run(name, argv, *outputs):
-        code = main(argv)
-        captured = capsys.readouterr()
-        digests[name] = {"exit": code, "stdout": _sha(captured.out.encode()),
-                         "stderr": _sha(captured.err.encode())}
-        for out in outputs:
-            digests[name][out.suffix[1:]] = _sha(out.read_bytes())
-
+def model_commands(tmp_path) -> list:
+    """(name, argv, output paths) of each model-layer run, after writing their inputs."""
+    commands = []
     sim_cfg = tmp_path / "sim.cfg"
     sim_cfg.write_text(CONFIGS["ar1_positive_coupling"]["simulate"], encoding="utf-8")
     ticks = tmp_path / "ticks.csv"
-    main(["simulate", "--config", str(sim_cfg), "--output", str(ticks)])
-    capsys.readouterr()
+    with redirect_stdout(io.StringIO()):
+        main(["simulate", "--config", str(sim_cfg), "--output", str(ticks)])
     density = ["density", "--input", str(ticks), "--order", "4", "--method", "frequency",
                "--grid=4:16:241"]
     for name, extra in (("density_gram_charlier", []),
                         ("density_damped", ["--density-method", "damped",
                                             "--damping-sigma", "2"])):
         out = tmp_path / f"{name}.csv"
-        run(name, [*density, *extra, "--output", str(out)], out, out.with_suffix(".json"))
+        commands.append((name, [*density, *extra, "--output", str(out)],
+                         [out, out.with_suffix(".json")]))
 
     for name, text in MODEL_CONFIGS.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text, encoding="utf-8")
         out = tmp_path / f"{name}.json"
-        run(name, ["price", "--config", str(cfg), "--output", str(out)], out)
+        commands.append((name, ["price", "--config", str(cfg), "--output", str(out)], [out]))
 
     samples = tmp_path / "samples.csv"
     samples.write_text(MODEL_SAMPLES, encoding="utf-8")
@@ -273,12 +268,30 @@ def model_digests(tmp_path, capsys) -> dict:
     for name, cfg_name in (("optimize_averse", "price_averse_fallback"),
                            ("optimize_power", "price_single_power")):
         out = tmp_path / f"{name}.json"
-        run(name, [*optimize, "--config", str(tmp_path / f"{cfg_name}.cfg"), "--hi", "1.5",
-                   "--output", str(out)], out)
+        commands.append((name, [*optimize, "--config", str(tmp_path / f"{cfg_name}.cfg"),
+                                "--hi", "1.5", "--output", str(out)], [out]))
     # hi = 3 takes consumption out of the power domain: an input error naming
     # the bound (exit 1), no output
-    run("optimize_power_inadmissible",
-        [*optimize, "--config", str(tmp_path / "price_single_power.cfg"), "--hi", "3"])
+    commands.append(("optimize_power_inadmissible",
+                     [*optimize, "--config", str(tmp_path / "price_single_power.cfg"),
+                      "--hi", "3"], []))
+    return commands
+
+
+def run_digests(code: int, stdout: str, stderr: str, outputs) -> dict:
+    """The digests of a run: its exit code, stdout, stderr and each output by its suffix."""
+    digests = {"exit": code, "stdout": _sha(stdout.encode()), "stderr": _sha(stderr.encode())}
+    for out in outputs:
+        digests[out.suffix[1:]] = _sha(out.read_bytes())
+    return digests
+
+
+def model_digests(tmp_path, capsys) -> dict:
+    digests = {}
+    for name, argv, outputs in model_commands(tmp_path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        digests[name] = run_digests(code, captured.out, captured.err, outputs)
     return digests
 
 

@@ -136,6 +136,8 @@ def test_empty_window_rejected():
 @pytest.mark.parametrize("first, count, window_len, step", [
     (-1, 1, 2, 1), (0, -1, 2, 1), (0, 1, 0, 1), (0, 1, 2, 0),
     (0, 9, 3, 1), (2, 3, 3, 3), (9, 1, 2, 1), (10, 1, 1, 1), (11, 0, 2, 1),
+    # not integers: rejected before any view is made
+    (0.5, 1, 3, 1), (0, 1.0, 3, 1), (0, 1, 3.0, 1), (0, 1, 3, 1.5), (0, 1, "3", 1),
 ])
 def test_window_batch_rejects_geometry_outside_its_series(first, count, window_len, step):
     series = make_series(range(1, 11))
@@ -149,6 +151,14 @@ def test_window_batch_accepts_geometry_that_ends_at_its_series_end():
         batch = WindowBatch(series, *geometry)
         assert batch.price.shape == (batch.count, batch.window_len)
     assert window_batch(series, 3, "sliding")[8:] == WindowBatch(series, 8, 0, 3, 1)
+    assert WindowBatch(series, np.int64(1), np.int64(2), np.intp(3), np.int32(3)).count == 2
+
+
+@pytest.mark.parametrize("row", [0, -1, np.int64(2), [0, 1], (slice(0, 1),)])
+def test_window_batch_takes_a_slice_of_rows_only(row):
+    batch = window_batch(make_series(range(1, 11)), 3, "sliding")
+    with pytest.raises(TypeError, match="takes a slice of rows"):
+        batch[row]
 
 
 def test_series_requires_sorted_times():
