@@ -47,7 +47,7 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, TICK_FLOATS, Window, _data_rows, _decoded, framed, parse_ticks,
+from .ticks import (TICK_CSV, TICK_FLOATS, Window, _data_rows, framed, parse_ticks, read_text,
                     row_chunks, tick_rows, window_batch)
 
 EXIT_OK = 0
@@ -130,12 +130,6 @@ def _failing(action: str):
         yield
     except OSError as exc:
         raise DataError(f"cannot {action}: {exc}") from None
-
-
-def _read_text(path: str, what: str = "") -> str:
-    """A file's UTF-8 text with universal newlines; what ("samples ") prefixes the errors."""
-    with _failing(f"read {what}{path}"), open(path, "rb") as fh:
-        return _decoded(fh.read(), what)
 
 
 def _read_series(settings: dict):
@@ -431,7 +425,7 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
 
 
 def _read_samples(path: str):
-    header, _, body = _read_text(path, "samples ").partition("\n")
+    header, _, body = read_text(path, "samples ").partition("\n")
     if header.strip().lower() != "price,payoff":
         raise DataError("samples file needs header 'price,payoff' on line 1")
     prices, payoffs = [], []

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .ticks import _DECIMAL
+from .ticks import _DECIMAL, read_text
 
 if TYPE_CHECKING:
     from .pricing import PricingScenario, TwoTradeScenario
@@ -58,10 +58,7 @@ def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from None
+        parser.read_string(read_text(path, "config "), source=str(path))
     except configparser.Error as exc:
         raise DataError(f"malformed config {path}: {exc}") from None
     return {section: dict(parser[section]) for section in parser.sections()}

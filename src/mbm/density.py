@@ -51,6 +51,8 @@ class CharFnApprox:
             raise DataError(
                 f"need exactly {self.order} moments for order {self.order}, got {len(self.moments)}"
             )
+        if self.order > 170:  # 171! is past the largest float
+            raise DataError(f"order {self.order} is above 170, the largest whose factorial is a float")
 
     @classmethod
     def from_moment_set(cls, moments: MomentSet) -> "CharFnApprox":
@@ -274,10 +276,11 @@ def density_damped_inversion(
         raise DataError(f"density needs order >= 2, got {moments.order}")
     if not (damping_sigma > 0.0):
         raise DataError(f"damping_sigma must be positive, got {damping_sigma}")
+    charfn = CharFnApprox.from_moment_set(moments)  # it rejects an order whose n! is no float
     spec, grid = _parse_grid(grid_spec)
     coeffs = [1.0] + [
         p * damping_sigma ** n / math.factorial(n)
-        for n, p in enumerate(moments.raw_moments, start=1)
+        for n, p in enumerate(charfn.moments, start=1)
     ]
     values = _hermite_density(grid, 0.0, 1.0 / damping_sigma, coeffs)
     return _finalize(spec, grid, values, "damped_inversion")

@@ -49,7 +49,7 @@ _RULE_MESSAGES = (
 
 # A decimal number as written in tick-CSV: no inf/nan, no underscores, no hex.
 _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
-_DECIMAL_BYTES = b"0123456789.eE+-, \t\r\n"
+_DECIMAL_BYTES = b"0123456789.eE+-, \t\n"
 
 
 #: Ticks per block of the tick checks, so their temporaries do not grow with the series.
@@ -270,8 +270,8 @@ def parse_ticks(text) -> TickSeries:
     present it is validated against that identity (relative 1e-9).
     Fields must be finite decimal numbers (no inf/nan, underscores or hex).
     Raises DataError with the offending line number on any malformed row,
-    non-UTF-8 file, non-finite or non-positive price/volume, identity
-    violation, or decreasing times. A file's CRLF and CR line ends read as LF.
+    text that is not UTF-8, non-finite or non-positive price/volume, identity
+    violation, or decreasing times. Any input's CRLF and CR line ends read as LF.
 
     The columns of a parse that succeeds are cached in the private directory
     ``$XDG_CACHE_HOME/mbm/ticks`` (default ``~/.cache/mbm/ticks``) under a
@@ -279,47 +279,52 @@ def parse_ticks(text) -> TickSeries:
     version, so the same text is parsed once; a hit is checked like a parse,
     and any cache fault is a miss, so results and errors never depend on the
     cache. A file that can seek is hashed a buffer at a time before it is
-    read, so a hit never holds its text; one that cannot (a pipe) is read
-    once. A miss keys its entry by the text it parsed.
+    read, so a hit never holds its text; one that cannot (a pipe), and a
+    str, is read once whole. A miss keys its entry by the bytes it parsed.
     """
-    if not isinstance(text, str):
-        if text.seekable():
-            start = text.tell()
-            series = _cached(_cache_path(_lf_chunks(text)))
-            if series is not None:
-                return series
-            text.seek(start)
-        text = _decoded(text.read())
-    step = 1 << 16  # the text is hashed in slices: no copy of the whole text
-    path = _cache_path(text[i:i + step].encode("utf-8", "surrogatepass")
-                       for i in range(0, len(text), step))
+    if not isinstance(text, str) and text.seekable():
+        start = text.tell()
+        series = _cached(_cache_path(_lf_chunks(iter(lambda: text.read(1 << 16), b""))))
+        if series is not None:
+            return series
+        text.seek(start)
+    # a str is encoded once, its lone surrogates to bytes that no decode takes
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text.read()
+    data = b"".join(_lf_chunks([data]))
+    path = _cache_path([data])
     series = _cached(path)
     if series is None:
-        series = _parse_csv(text)
+        series = _parse_csv(data)
         if path is not None:
             with suppress(OSError):  # an unwritable cache costs the next call a parse
                 _store(path, series)
     return series
 
 
-def _decoded(data: bytes, what: str = "") -> str:
-    """data as UTF-8 text with universal newlines; what ("samples ") prefixes the error."""
+def read_text(path, what: str = "") -> str:
+    """A file's UTF-8 text, its line ends read as LF; what ("samples ") prefixes the errors."""
     try:
-        text = data.decode("utf-8")
+        with open(path, "rb") as fh:
+            return _decoded(b"".join(_lf_chunks([fh.read()])), what)
+    except OSError as exc:
+        raise DataError(f"cannot read {what}{path}: {exc}") from None
+
+
+def _decoded(data: bytes, what: str = "") -> str:
+    """data, UTF-8 text with LF line ends, as a str; the error names its line, after what."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{what}line {line}: not UTF-8 text ({exc.reason})") from None
-    if "\r" in text:  # as a text-mode read translates them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
-def _lf_chunks(fh, size: int = 1 << 16):
-    """The rest of a binary file a buffer at a time, its line ends read as _decoded reads them."""
+def _lf_chunks(chunks):
+    """The chunks of a binary text, in order, with its CRLF and CR line ends read as LF."""
     cr = False
-    while chunk := fh.read(size):
+    for chunk in chunks:
         if cr and chunk.startswith(b"\n"):
-            chunk = chunk[1:]  # the LF of a CRLF cut between two buffers
+            chunk = chunk[1:]  # the LF of a CRLF cut between two chunks
         cr = chunk.endswith(b"\r")
         yield chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk else chunk
 
@@ -395,12 +400,19 @@ def _store(path: Path, series: TickSeries) -> None:
             os.unlink(name)
 
 
-def _parse_csv(text: str) -> TickSeries:
+def _parse_csv(data: bytes) -> TickSeries:
+    """The series of tick-CSV bytes with LF line ends."""
+    start = data.find(b"\n") + 1 or len(data)  # where the body begins
+    # the body is decimal, so ASCII, when the header holds every byte outside the alphabet:
+    # then only the header line is decoded, else the whole text, naming its first bad line
+    decimal = (len(data.translate(None, _DECIMAL_BYTES))
+               == len(data[:start].translate(None, _DECIMAL_BYTES)))
+    text = _decoded(data[:start] if decimal else data)
     if not text:
         raise DataError("empty input: missing header")
     import csv  # only a parse, not a cache hit, reads CSV
 
-    first, _, body = text.partition("\n")
+    first = text.partition("\n")[0]
     header = [h.strip().lower() for h in next(csv.reader([first]), [])]
     if header == ["time", "price", "volume"]:
         ncols = 3
@@ -412,9 +424,9 @@ def _parse_csv(text: str) -> TickSeries:
             f"got {','.join(header)!r}"
         )
 
-    data = _parse_body(body, ncols)
-    series = TickSeries(*(data[:, j] for j in range(ncols)),
-                        where=lambda i: f"line {_data_line_numbers(body)[i]}")
+    values = _parse_body(data, start, ncols, decimal)
+    series = TickSeries(*(values[:, j] for j in range(ncols)),
+                        where=lambda i: f"line {list(_data_rows(data[start:].decode()))[i][0]}")
     series.tick_spacing = _infer_spacing(series.time)
     return series
 
@@ -428,26 +440,20 @@ def _data_rows(body: str):
             yield lineno, row
 
 
-def _data_line_numbers(body: str) -> list[int]:
-    return [lineno for lineno, _ in _data_rows(body)]
+def _parse_body(data: bytes, start: int, ncols: int, decimal: bool) -> np.ndarray:
+    """(rows, ncols) floats of the data rows, the bytes of data from start.
 
-
-def _parse_body(body: str, ncols: int) -> np.ndarray:
-    """(rows, ncols) floats of the data rows.
-
-    numpy's C reader takes bodies that hold nothing but decimal numbers;
-    anything else is read row by row, which names the first bad line.
+    numpy's C reader takes a decimal body that is not blank as it is, bytes;
+    anything else is decoded and read row by row, which names the first bad line.
     """
-    if not body.encode().translate(None, _DECIMAL_BYTES) and body.strip():
-        try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[1] == ncols:
-            return data
+    if decimal and re.compile(rb"\s*").match(data, start).end() < len(data):
+        with suppress(ValueError):  # what numpy cannot read is read again, row by row
+            values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2, skiprows=1)
+            if values.shape[1] == ncols:
+                return values
 
     rows = []
-    for lineno, row in _data_rows(body):
+    for lineno, row in _data_rows(data[start:].decode()):
         if len(row) != ncols:
             raise DataError(f"line {lineno}: expected {ncols} fields, got {len(row)}")
         for field in row:

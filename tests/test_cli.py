@@ -111,6 +111,14 @@ def test_a_samples_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert "input error: samples line 3: not UTF-8 text (" in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(SIM_CFG.encode().replace(b"500", b"5\xff00"))  # line 2
+    assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr() == ("", "input error: config line 2: not UTF-8 text (invalid start byte)\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_tick_commands_give_the_same_bytes_cold_and_warm(tmp_path, capsys, tick_cache,
                                                          monkeypatch):
     parses = []
@@ -264,6 +272,18 @@ def test_density_damped_method(tmp_path):
         "--grid=-60:80:301", "--output", str(out),
     ])
     assert code == 0
+
+
+def test_a_damped_density_above_order_170_is_an_input_error(tmp_path, capsys):
+    sim, ticks = tmp_path / "sim.cfg", tmp_path / "t.csv"
+    sim.write_text(SIM_CFG, encoding="utf-8")
+    main(["simulate", "--config", str(sim), "--output", str(ticks)])
+    capsys.readouterr()
+    code = main(["density", "--input", str(ticks), "--order", "200", "--method", "market",
+                 "--density-method", "damped", "--damping-sigma", "0.5", "--grid=5:15:11",
+                 "--output", str(tmp_path / "d.csv")])
+    assert (code, capsys.readouterr().err) == (
+        1, "input error: order 200 is above 170, the largest whose factorial is a float\n")
 
 
 def test_density_strict_rejects_flagged_set(tmp_path, capsys):

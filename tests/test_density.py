@@ -283,3 +283,20 @@ def test_csv_and_json_serialization():
     payload = dens.to_json_dict()
     assert payload["method"] == "gram_charlier"
     assert len(payload["grid"]) == len(payload["values"]) == 64
+
+
+@pytest.mark.parametrize("order", [171, 200])
+def test_an_order_whose_factorial_is_no_float_is_an_input_error(order):
+    message = f"^order {order} is above 170, the largest whose factorial is a float$"
+    with pytest.raises(DataError, match=message):
+        CharFnApprox(order=order, moments=(1.0,) * order)
+    ms = moment_set_from_points(DAMPED_POINTS, order=order)
+    with pytest.raises(DataError, match=message):
+        density_damped_inversion(ms, 0.5, (0.0, 2.0, 11))
+    assert density_gram_charlier(ms, (-4.0, 6.0, 11)).total_mass > 0.0  # it reads orders 1..4
+
+
+def test_order_170_is_the_largest_a_charfn_and_a_damped_density_take():
+    ms = moment_set_from_points(DAMPED_POINTS, order=170)
+    assert np.isfinite(CharFnApprox.from_moment_set(ms).evaluate(0.5))
+    assert np.isfinite(density_damped_inversion(ms, 0.5, (0.0, 2.0, 11)).values).all()

@@ -27,9 +27,10 @@ TEXT = "time,price,volume\n" + "".join(
 
 @pytest.fixture
 def parses(monkeypatch):
+    """Count the parses of a tick body; a cache hit, and a text that is not UTF-8, make none."""
     calls = []
-    parse = mbm.ticks._parse_csv
-    monkeypatch.setattr(mbm.ticks, "_parse_csv", lambda text: calls.append(1) or parse(text))
+    parse = mbm.ticks._parse_body
+    monkeypatch.setattr(mbm.ticks, "_parse_body", lambda *args: calls.append(1) or parse(*args))
     return calls
 
 

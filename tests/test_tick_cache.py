@@ -37,9 +37,9 @@ def parses(monkeypatch):
     calls = []
     real = ticks._parse_csv
 
-    def counting(text):
-        calls.append(text)
-        return real(text)
+    def counting(data):
+        calls.append(data)
+        return real(data)
 
     monkeypatch.setattr(ticks, "_parse_csv", counting)
     return calls
@@ -142,7 +142,7 @@ def test_an_unusable_cache_root_gives_the_same_result(tmp_path, monkeypatch):
 
 
 def test_a_failed_store_gives_the_same_result(tick_cache, monkeypatch):
-    expected = ticks._parse_csv(TEXT)
+    expected = ticks._parse_csv(TEXT.encode())
 
     def refuse(*args):
         raise PermissionError("read-only file system")
@@ -186,7 +186,7 @@ def test_eviction_keeps_the_byte_budget_and_the_recently_used(tick_cache, parses
         assert sum(p.stat().st_size for p in tick_cache.iterdir()) <= 3 * entry
     assert entries(tick_cache) == sorted(entry_path(t).name
                                          for t in (texts[0], texts[-2], texts[-1]))
-    assert parses == texts  # the first text was never evicted, so never parsed again
+    assert parses == [t.encode() for t in texts]  # the first was never evicted, so parsed once
 
 
 def test_a_hit_that_cannot_touch_its_entry_is_still_a_hit(parses, monkeypatch):
@@ -204,8 +204,11 @@ def test_a_hit_that_cannot_touch_its_entry_is_still_a_hit(parses, monkeypatch):
 def test_a_file_read_in_buffers_has_the_line_ends_of_its_text(size):
     for n in range(7):
         for data in map(bytes, itertools.product(b"a\r\n", repeat=n)):
-            chunks = list(ticks._lf_chunks(io.BytesIO(data), size))
-            assert b"".join(chunks) == ticks._decoded(data).encode()
+            fh = io.BytesIO(data)
+            chunks = list(ticks._lf_chunks(iter(lambda: fh.read(size), b"")))
+            # the line ends of a text-mode read, which translates CRLF and CR to LF
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None).read()
+            assert b"".join(chunks) == b"".join(ticks._lf_chunks([data])) == text.encode()
             assert all(len(chunk) <= size for chunk in chunks)
 
 
@@ -235,7 +238,7 @@ def test_a_file_shares_the_entry_of_its_text_and_a_hit_reads_it_in_buffers(parse
 
 @pytest.mark.parametrize("seekable", [True, False])
 def test_a_file_missing_from_the_cache_is_read_once_whole_and_stored(tick_cache, parses, seekable):
-    expected = ticks._parse_csv(TEXT)
+    expected = ticks._parse_csv(TEXT.encode())
     parses.clear()
     fh = Reads(TEXT.replace("\n", "\r\n").encode(), seekable)
     assert parse_ticks(fh) == expected
@@ -245,9 +248,22 @@ def test_a_file_missing_from_the_cache_is_read_once_whole_and_stored(tick_cache,
     assert len(parses) == 1  # the second call was a hit
 
 
-def test_an_entry_is_keyed_by_the_bytes_parsed_not_those_hashed(tick_cache, parses, monkeypatch):
-    # the file held TEXT when it was hashed and other text when it was read
+def test_a_cold_parse_of_a_decimal_body_decodes_its_header_line_alone(parses, monkeypatch):
+    decoded, decode = [], ticks._decoded
+    monkeypatch.setattr(ticks, "_decoded", lambda data, *args: decoded.append(data) or decode(data, *args))
+    series = parse_ticks(Reads(TEXT.replace("\n", "\r\n").encode()))
+    assert len(parses) == 1 and decoded == [b"time,price,volume\n"]
+    assert parse_ticks(TEXT) == series and len(parses) == 1
+
+
+class Rewritten(Reads):
+    """A file that holds TEXT while it is read in buffers and other text when it is read whole."""
+
+    def read(self, size=-1):
+        return super().read(size) if size >= 0 else TEXTS["four_columns"].encode()
+
+
+def test_an_entry_is_keyed_by_the_bytes_parsed_not_those_hashed(tick_cache, parses):
     other = TEXTS["four_columns"]
-    monkeypatch.setattr(ticks, "_lf_chunks", lambda fh: iter([TEXT.encode()]))
-    assert parse_ticks(Reads(other.encode())) == ticks._parse_csv(other)
+    assert parse_ticks(Rewritten(TEXT.encode())) == ticks._parse_csv(other.encode())
     assert entries(tick_cache) == [entry_path(other).name]

@@ -41,6 +41,20 @@ def test_parse_handles_crlf():
     assert len(series) == 2
 
 
+def test_parse_reads_a_str_with_cr_line_ends_as_its_lf_text():
+    expected = make_series([10, 11], [1, 2], spacing=1.0)  # not a parse: it would share the entry
+    assert parse_ticks("time,price,volume\r0,10,1\r1,11,2\r") == expected
+
+
+@pytest.mark.parametrize("text, line", [
+    ("time,price,volume\n0,10,1\n1,1\ud800,2\n", 3),
+    ("time,price,\udcffvolume\n0,10,1\n", 1),
+])
+def test_parse_names_the_line_of_a_lone_surrogate(text, line):
+    with pytest.raises(DataError, match=rf"^line {line}: not UTF-8 text \("):
+        parse_ticks(text)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
