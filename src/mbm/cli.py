@@ -24,9 +24,11 @@ exit code.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
 violation under --strict. Diagnostics go to stderr, summaries to stdout,
-results to the output files. moments computes, flags and writes a chunk
-of windows at a time, and writes its --strict report to stderr as it is
-made: one line, "strict violation: " and the messages "; "-joined. A run
+results to the output files. This module alone spells output: moments,
+vwap and autocorr print a line and write a record per row through
+_write_table, templates filled from each float's repr, made once. moments
+computes, flags and writes a chunk of windows at a time, and writes its
+--strict report to stderr as it is made: one line, "strict violation: " and the messages "; "-joined. A run
 that fails after part of the report was written (an output that cannot
 be written) ends that line, then reports its error on a line of its own
 with that error's exit code.
@@ -47,8 +49,8 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, TICK_FLOATS, Window, _data_rows, framed, parse_ticks, read_text,
-                    row_chunks, tick_rows, window_batch)
+from .ticks import (TICK_CSV, Window, _data_rows, framed, parse_ticks, read_text, row_chunks,
+                    tick_rows, window_batch)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -167,22 +169,36 @@ def _write_text(path: str | None, text: str):
     _write_pieces(path, (text,))
 
 
-def _write_rows(path: str | None, n: int, floats_per_row: int, chunk, frame,
-                max_rows: int | None = None):
-    """Print and write an n-row output a chunk of rows at a time (ticks.row_chunks).
+def _filled(template: str, sep: str, cells: np.ndarray) -> str:
+    """One template per row of cells, sep-joined, the %s slots of each filled from its row.
 
-    A row formats floats_per_row floats, so a chunk formats at most about
-    ticks.OUTPUT_FLOATS. chunk(rows, to_file) formats the floats of a slice
-    of rows once and returns their stdout lines and, if to_file, their part
-    of the file; frame (as in ticks.framed) joins the parts. A chunk's lines
-    are printed and its part written before the next chunk is formatted, so
-    the text of the output is never held whole. Without a path only lines
-    are printed. A chunk holds at most max_rows rows, if given.
+    One % over the whole chunk: several times faster than formatting, or
+    json's indenting encoder (pure Python), row by row, for the same bytes.
+    """
+    return sep.join([template] * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _write_table(path: str | None, n: int, per_row: int, chunk, line: str, record: str, frame,
+                 max_rows: int | None = None):
+    """Print a line and write a record for each of n rows, a chunk of rows at a time.
+
+    The chunks are ticks.row_chunks of rows of per_row floats, at most
+    max_rows rows each if given, so a chunk formats about ticks.OUTPUT_FLOATS
+    floats and no output's text is held whole. chunk(rows, to_file) returns
+    two (rows, slots) object arrays of cells for a slice of rows: the line
+    cells after the row's index and, if to_file, the record cells (else
+    None). The lines are printed; the records are written to path,
+    frame[1]-joined within a chunk and framed (as in ticks.framed) around the
+    chunks. A chunk is printed and written before the next one is made.
+    Without a path only lines are printed.
     """
     def parts():
-        for rows in row_chunks(n, floats_per_row, max_rows):
-            lines, part = chunk(rows, path is not None)
-            _print_lines(lines)
+        for rows in row_chunks(n, per_row, max_rows):
+            lines, records = chunk(rows, path is not None)
+            print(_filled(line, "\n", np.hstack(
+                [np.arange(rows.start, rows.stop, dtype=object)[:, None], lines])))
+            part = "" if records is None else _filled(record, frame[1], records)
+            del lines, records  # no chunk's cells outlive it
             yield part
 
     if path is None:
@@ -200,11 +216,6 @@ def _write_json(path: str | None, payload):
 
 def _window_batch(settings: dict, series):
     return window_batch(series, _require(settings, "window"), settings["mode"])
-
-
-def _print_lines(lines):
-    if lines:
-        print("\n".join(lines))
 
 
 def _apply_overrides(file_cfg: dict, overrides):
@@ -234,6 +245,37 @@ def cmd_validate(settings: dict, file_cfg: dict) -> int:
     return EXIT_OK
 
 
+# moments_mod.FLAG_SETS as a stdout line and as a record's json.dumps(..., indent=2) write them
+_FLAG_CELLS = np.array([[",".join(names) or "-",
+                         "[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]"
+                         if names else "[]"] for names in moments_mod.FLAG_SETS], dtype=object)
+
+#: The frame (see ticks.framed) of a JSON array of records as
+#: ``json.dumps(records, indent=2) + "\n"`` writes it.
+JSON_ARRAY = ("[\n", ",\n", "\n]\n", "[]\n")
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each float of values, as an object array of the same shape."""
+    return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
+
+
+def _moment_record(method: str, k: int, trade: bool) -> str:
+    """A moment set as json.dumps(MomentSet.to_json_dict(), indent=2) writes it in an array,
+    a %s slot for each value; trade: with value and volume moments. method is one of
+    moments.METHODS, which json writes as it is, in quotes."""
+    def items(n_values: int) -> str:
+        return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
+
+    return (
+        '  {\n    "method": "' + method + '",\n    "order": ' + str(k)
+        + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
+        + ',\n    "value_moments": ' + (items(k) if trade else "null")
+        + ',\n    "volume_moments": ' + (items(k) if trade else "null")
+        + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
+    )
+
+
 def cmd_moments(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
@@ -243,8 +285,8 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
     # a table of no rows checks order and method before the output is opened
-    row_floats = moments_mod.batch_moments(batch[:0], order, method).row_floats
-    flags = [",".join(names) or "-" for names in moments_mod.FLAG_SETS]
+    moments_mod.batch_moments(batch[:0], order, method)
+    trade = method == "market"
     strict = settings["strict"]
     if strict:
         # 9 bytes a window, in one pass over spans: a call per chunk measured
@@ -256,21 +298,19 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
 
     def chunk(rows, to_file):
         nonlocal reported
-        span = batch[rows]  # the windows of these rows over only their ticks
-        table = moments_mod.batch_moments(span, order, method)
-        text = table.value_text(slice(None))
-        centers, means, variances = (text[:, j].tolist() for j in (0, 1, -1))
-        lines = [f"window {i} center_time={c} mean={m} variance={v} flags={flags[code]}"
-                 for i, (c, m, v, code) in enumerate(zip(centers, means, variances,
-                                                         table.flag_codes(slice(None))),
-                                                     rows.start)]
+        table = moments_mod.batch_moments(batch[rows], order, method)  # over only their ticks
+        negative, non_finite = table.negative_variance, table.non_finite
+        # each float written once: center_time, raw moments, [value, volume moments,] variance
+        text = _reprs(np.hstack([table.center_time[:, None], table.raw_moments,
+                                 *([table.trade_value_moments, table.trade_volume_moments]
+                                   if trade else []), table.variance[:, None]]))
+        flags = _FLAG_CELLS[negative + 2 * non_finite]
         if strict:
-            negative, non_finite = table.negative_variance, table.non_finite
             messages = []
             for j in np.flatnonzero(negative | non_finite | correlated[rows]).tolist():
                 i = rows.start + j
                 if negative[j]:
-                    messages.append(f"window {i}: negative market variance {variances[j]}")
+                    messages.append(f"window {i}: negative market variance {text[j, -1]}")
                 if non_finite[j]:
                     # the set itself is unusable; its correlation is usually a NaN clipped to -1
                     messages.append(f"window {i}: non-finite moments")
@@ -282,11 +322,22 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
             if messages:  # sys.stderr looked up here, so a redirected stderr gets them
                 sys.stderr.write(("; " if reported else "strict violation: ") + "; ".join(messages))
                 reported = True
-        return lines, table.json_records(slice(None), text) if to_file else ""
+        # a line: center_time, mean (the first raw moment), variance and flags
+        lines = np.hstack([text[:, :2], text[:, -1:], flags[:, :1]])
+        if not to_file:
+            return lines, None
+        if non_finite.any():  # json's spelling of repr's nan, inf and -inf
+            for spelled, json_spelling in (("nan", "NaN"), ("inf", "Infinity"),
+                                           ("-inf", "-Infinity")):
+                text[text == spelled] = json_spelling
+        # a record: center_time and the moments, then the mean, variance and flags
+        return lines, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags[:, 1:]])
 
     try:
-        _write_rows(settings["output"], len(batch), row_floats, chunk, moments_mod.JSON_ARRAY,
-                    moments_mod.span_rows(batch.window_len))
+        _write_table(settings["output"], len(batch), 2 + order * (3 if trade else 1), chunk,
+                     "window %s center_time=%s mean=%s variance=%s flags=%s",
+                     _moment_record(method, order, trade), JSON_ARRAY,
+                     moments_mod.span_rows(batch.window_len))
     finally:
         if reported:  # the report's one line ends before any error's message
             sys.stderr.write("\n")
@@ -294,28 +345,21 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
 
 
 _VWAP_HEADER = "center_time,vwap\n"
-_VWAP_FLOATS = _VWAP_HEADER.count(",") + 1  # floats per row
 
 
 def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
-    centers, values = batch.center_time, moments_mod.batch_vwap(batch)
-
-    def chunk(rows, to_file):
-        pairs = list(zip(map(repr, centers[rows].tolist()), map(repr, values[rows].tolist())))
-        lines = [f"window {i} center_time={c} vwap={v}" for i, (c, v) in enumerate(pairs, rows.start)]
-        return lines, "".join([f"{c},{v}\n" for c, v in pairs]) if to_file else ""
-
-    _write_rows(settings["output"], len(batch), _VWAP_FLOATS, chunk,
-                (_VWAP_HEADER, "", "", _VWAP_HEADER))
+    floats = np.column_stack([batch.center_time, moments_mod.batch_vwap(batch)])
+    _write_table(settings["output"], *floats.shape, lambda rows, _: (_reprs(floats[rows]),) * 2,
+                 "window %s center_time=%s vwap=%s", "%s,%s\n",
+                 (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
 
 
 # a record of the autocorr JSON as json.dumps(..., indent=2) writes it
 _AUTOCORR_RECORD = ('  {\n    "center_time_1": %s,\n    "center_time_2": %s,\n'
                     '    "autocorrelation": %s\n  }')
-_AUTOCORR_FLOATS = _AUTOCORR_RECORD.count("%s")  # floats per record
 
 
 def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
@@ -326,20 +370,10 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     if len(batch) <= lag:
         raise DataError(f"need more than {lag} windows for lag {lag}, got {len(batch)}")
     values = moments_mod.batch_autocorrelation(batch, lag, method)  # finite, or it raised
-    centers = batch.center_time
-    finite = bool(np.isfinite(centers).all())
-
-    def chunk(rows, to_file):
-        text = moments_mod.reprs(np.column_stack(
-            [centers[rows], centers[rows.start + lag:rows.stop + lag], values[rows]]))
-        lines = [f"window {i} t1={t1} t2={t2} autocorr={v}"
-                 for i, (t1, t2, v) in enumerate(text.tolist(), rows.start)]
-        if not to_file:
-            return lines, ""
-        return lines, moments_mod.fill_records(
-            _AUTOCORR_RECORD, text if finite else moments_mod.json_spelled(text))
-
-    _write_rows(settings["output"], len(values), _AUTOCORR_FLOATS, chunk, moments_mod.JSON_ARRAY)
+    centers = batch.center_time  # finite, as the tick times are
+    floats = np.column_stack([centers[:len(values)], centers[lag:], values])
+    _write_table(settings["output"], *floats.shape, lambda rows, _: (_reprs(floats[rows]),) * 2,
+                 "window %s t1=%s t2=%s autocorr=%s", _AUTOCORR_RECORD, JSON_ARRAY)
     return EXIT_OK
 
 
@@ -467,8 +501,8 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     spec = build_sim_spec(section)
     blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
     blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
-    _write_rows(_require(settings, "output"), spec.length, TICK_FLOATS,
-                lambda rows, to_file: ((), tick_rows(next(blocks), slice(None))), TICK_CSV)
+    _write_pieces(_require(settings, "output"),
+                  framed((tick_rows(block, slice(None)) for block in blocks), TICK_CSV))
     print(f"simulated ticks={spec.length} seed={spec.seed}")
     return EXIT_OK
 

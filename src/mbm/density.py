@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
 from .errors import DataError, DomainError
-from .moments import MomentSet
+from .moments import MomentSet, check_factorial_order
 
 GC_MAX_ORDER = 4
 
@@ -51,8 +51,7 @@ class CharFnApprox:
             raise DataError(
                 f"need exactly {self.order} moments for order {self.order}, got {len(self.moments)}"
             )
-        if self.order > 170:  # 171! is past the largest float
-            raise DataError(f"order {self.order} is above 170, the largest whose factorial is a float")
+        check_factorial_order(self.order)
 
     @classmethod
     def from_moment_set(cls, moments: MomentSet) -> "CharFnApprox":
@@ -197,7 +196,10 @@ def _parse_grid(grid_spec) -> tuple[tuple[float, float, int], np.ndarray]:
     if not (hi > lo) or points < 2:
         raise DataError(f"grid needs hi > lo and points >= 2, got ({lo}, {hi}, {points})")
     spec = float(lo), float(hi), points
-    return spec, np.linspace(*spec)
+    try:
+        return spec, np.linspace(*spec)
+    except MemoryError:
+        raise DataError(f"grid of {points} points does not fit in memory") from None
 
 
 def _hermite_density(grid: np.ndarray, center: float, scale: float, coeffs) -> np.ndarray:

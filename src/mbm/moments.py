@@ -12,17 +12,18 @@ Two averaging conventions coexist:
 
 All expectations use population (1/N) normalization: an expectation here
 is a plain average over the window, nothing more.
+
+This module only computes; the CLI spells its results as text.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .ticks import Window, WindowBatch, framed, row_chunks
+from .ticks import Window, WindowBatch
 
 METHODS = ("frequency", "market")
 
@@ -127,60 +128,14 @@ def _check_method(method: str):
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-# json's spelling of the floats that repr writes as nan/inf/-inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-#: The frame (see ticks.framed) of a JSON array of records as
-#: ``json.dumps(records, indent=2) + "\n"`` writes it.
-JSON_ARRAY = ("[\n", ",\n", "\n]\n", "[]\n")
-
 #: Flags of a moment set, indexed by negative_variance + 2 * non_finite.
 FLAG_SETS = ((), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite"))
 
-# FLAG_SETS as json.dumps(..., indent=2) writes them inside a record
-_JSON_FLAGS = np.array(["[\n" + ",\n".join(f'      "{name}"' for name in names) + "\n    ]"
-                        if names else "[]" for names in FLAG_SETS], dtype=object)
 
-
-def reprs(values: np.ndarray) -> np.ndarray:
-    """repr of each float of values, as an object array of the same shape."""
-    return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
-
-
-def json_spelled(text: np.ndarray) -> np.ndarray:
-    """A copy of repr strings with nan, inf and -inf spelled as json writes them."""
-    text = text.copy()
-    for spelled, json_spelling in _JSON_NONFINITE.items():
-        text[text == spelled] = json_spelling
-    return text
-
-
-def fill_records(record: str, cells: np.ndarray) -> str:
-    """One record per row of cells, ",\n"-joined: the %s slots of record filled from the row.
-
-    json's indenting encoder runs in pure Python; filling a template per
-    record gives the same bytes several times faster.
-    """
-    return ",\n".join([record] * len(cells)) % tuple(cells.ravel().tolist())
-
-
-@functools.lru_cache
-def _json_record(method: str, k: int, trade: bool) -> str:
-    """A moment record as json.dumps(..., indent=2) writes it, a %s slot for each value;
-    trade: with value and volume moments. method is one of METHODS, which json writes
-    as it is, in quotes."""
-    _check_method(method)
-
-    def items(n_values: int) -> str:
-        return "[\n" + ",\n".join(["      %s"] * n_values) + "\n    ]"
-
-    return (
-        '  {\n    "method": "' + method + '",\n    "order": ' + str(k)
-        + ',\n    "center_time": %s,\n    "raw_moments": ' + items(k)
-        + ',\n    "value_moments": ' + (items(k) if trade else "null")
-        + ',\n    "volume_moments": ' + (items(k) if trade else "null")
-        + ',\n    "mean": %s,\n    "variance": %s,\n    "flags": %s\n  }'
-    )
+def check_factorial_order(k: int):
+    """An input error for a moment order k whose factorial is past the largest float."""
+    if k > 170:
+        raise DataError(f"order {k} is above 170, the largest whose factorial is a float")
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,10 +164,6 @@ class MomentTable:
     def mean(self) -> np.ndarray:
         return self.raw_moments[:, 0]
 
-    def flag_codes(self, rows: slice) -> list[int]:
-        """Per row in rows, the index into FLAG_SETS of that row's flags."""
-        return (self.negative_variance[rows] + 2 * self.non_finite[rows]).tolist()
-
     def moment_set(self, i: int) -> MomentSet:
         def row(a):
             return None if a is None else tuple(a[i].tolist())
@@ -230,38 +181,6 @@ class MomentTable:
             flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
 
-    @property
-    def row_floats(self) -> int:
-        """Floats per row of value_text."""
-        return 2 + self.order * (1 if self.trade_value_moments is None else 3)
-
-    def value_text(self, rows: slice) -> np.ndarray:
-        """repr of each float the outputs write for the rows, once, as a (rows, columns)
-        object array: center_time, raw moments, [trade value, volume moments,] variance
-        (the mean is the first raw moment). JSON, stdout and --strict messages share it."""
-        columns = [self.center_time[rows, None], self.raw_moments[rows]]
-        if self.trade_value_moments is not None:
-            columns += [self.trade_value_moments[rows], self.trade_volume_moments[rows]]
-        return reprs(np.hstack(columns + [self.variance[rows, None]]))
-
-    def json_records(self, rows: slice, text: np.ndarray) -> str:
-        """The JSON records of the rows, ",\n"-joined; text is their value_text(rows)."""
-        record = _json_record(self.method, self.order, self.trade_value_moments is not None)
-        if self.non_finite[rows].any() or not np.isfinite(self.center_time[rows]).all():
-            text = json_spelled(text)
-        flags = _JSON_FLAGS[self.negative_variance[rows] + 2 * self.non_finite[rows], None]
-        # per record: center_time and the moments, then the mean, variance and flags
-        return fill_records(record, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags]))
-
-    def to_json_text(self) -> str:
-        """``json.dumps([set.to_json_dict() ...], indent=2) + "\n"``, from the arrays.
-
-        The text is the join of the chunks that ``mbm moments`` writes.
-        """
-        parts = (self.json_records(rows, self.value_text(rows))
-                 for rows in row_chunks(len(self), self.row_floats))
-        return "".join(framed(parts, JSON_ARRAY))
-
 
 def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
     """Raw moments 1..k of every window in the batch, with diagnostics.
@@ -271,6 +190,7 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
     """
     if k < 2:
         raise DataError(f"moment set order must be >= 2, got {k}")
+    check_factorial_order(k)
     _check_method(method)
 
     orders = range(1, k + 1)

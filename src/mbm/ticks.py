@@ -14,8 +14,8 @@ the batch of those windows alone. TradeTick is a plain record
 that window_from_ticks reads into a series. parse_ticks keeps the columns
 of each text it parses in a private on-disk cache, so a text is parsed
 once, and a file whose columns are there is hashed, never read whole.
-Rendered outputs are made a chunk of about OUTPUT_FLOATS floats at a time
-(row_chunks, framed).
+The CLI writes its row outputs a chunk of about OUTPUT_FLOATS floats at a
+time (row_chunks), each framed by its head, separators and tail (framed).
 """
 
 from __future__ import annotations
@@ -226,9 +226,14 @@ class WindowBatch:
 
     @property
     def center_time(self) -> np.ndarray:
-        """Median tick time of each window."""
+        """Median tick time of each window; finite, as the tick times are."""
         time, mid = self.rows(self.ticks("time")), self.window_len // 2
-        return time[:, mid] if self.window_len % 2 else 0.5 * (time[:, mid - 1] + time[:, mid])
+        if self.window_len % 2:
+            return time[:, mid]
+        a, b = time[:, mid - 1], time[:, mid]
+        with np.errstate(over="ignore"):  # two times whose sum is past the largest float
+            center = 0.5 * (a + b)
+        return np.where(np.isinf(center), 0.5 * a + 0.5 * b, center)
 
 
 @dataclass(frozen=True, slots=True)

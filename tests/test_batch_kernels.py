@@ -6,7 +6,8 @@ bit, across window lengths, orders, methods, windowing modes and chunk
 boundaries.
 """
 
-import dataclasses
+import contextlib
+import io
 import itertools
 import json
 import warnings
@@ -18,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbm import moments
-from mbm.errors import DataError
+from mbm.cli import main
 from mbm.moments import (
     batch_autocorrelation,
     batch_decorrelation,
     batch_moments,
     batch_vwap,
 )
-from mbm.ticks import TickSeries, Window, window_batch
+from mbm.ticks import TickSeries, Window, render_ticks, window_batch
 
 THRESHOLD = 0.2
 
@@ -160,7 +161,22 @@ def test_batched_kernels_cross_default_chunk_boundaries(method):
     check_against_reference(series, window_len, "sliding", 4, method, 1, 2)
 
 
-def test_moment_json_text_matches_json_dumps_with_non_finite_values():
+def moments_file_text(tmp_path, series: TickSeries, window: int, method: str) -> str:
+    """The JSON file of ``mbm moments`` at order 4 over a series' disjoint windows."""
+    ticks, out = tmp_path / "ticks.csv", tmp_path / "m.json"
+    ticks.write_text(render_ticks(series), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["moments", "--input", str(ticks), "--window", str(window), "--order", "4",
+                     "--method", method, "--output", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def json_dumps_text(table) -> str:
+    return json.dumps([table.moment_set(i).to_json_dict() for i in range(len(table))],
+                      indent=2) + "\n"
+
+
+def test_moment_json_text_matches_json_dumps_with_non_finite_values(tmp_path):
     # prices near 1e80: c**4 and u**4 overflow, so moments come out inf/nan
     price = [10.0, 1.0, 12.0, 1e80, 2e80, 3e80, 1e80, 3e80, 2e80, 5.0, 5.0, 5.0]
     volume = [1.0, 10.0, 2.0, 1.0, 2.0, 1.0, 1e80, 1e80, 2e80, 1.0, 2.0, 3.0]
@@ -168,25 +184,13 @@ def test_moment_json_text_matches_json_dumps_with_non_finite_values():
     for method in ("frequency", "market"):
         with np.errstate(over="ignore", invalid="ignore"):
             table = batch_moments(window_batch(series, 3, "disjoint"), 4, method)
-        payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
-        text = table.to_json_text()
-        assert text == json.dumps(payload, indent=2) + "\n"
+        text = moments_file_text(tmp_path, series, 3, method)
+        assert text == json_dumps_text(table)
         assert "Infinity" in text
     assert "NaN" in text and "negative_variance" in text
 
-    empty = window_batch(series, 3, "disjoint")[:0]
-    assert batch_moments(empty, 2, "market").to_json_text() == json.dumps([], indent=2) + "\n"
 
-
-def test_moment_json_text_writes_only_a_known_method():
-    # the method is written unescaped, so a table of any other method is not rendered
-    table = batch_moments(window_batch(TickSeries(np.arange(4.0), [1.0, 2.0, 3.0, 4.0],
-                                                  [1.0, 1.0, 2.0, 2.0]), 2), 2, "market")
-    with pytest.raises(DataError, match="unknown method"):
-        dataclasses.replace(table, method='mar"ket').to_json_text()
-
-
-def test_moment_json_text_writes_every_flag_combination():
+def test_moment_json_text_writes_every_flag_combination(tmp_path):
     # windows: plain, negative variance, overflowing, both (values near 1e78)
     price = [10.0, 11.0, 10.0, 1.0, 1e160, 3e160, 1e78, 1e77]
     volume = [1.0, 2.0, 1.0, 10.0, 1.0, 2.0, 1.0, 10.0]
@@ -194,8 +198,12 @@ def test_moment_json_text_writes_every_flag_combination():
     table = batch_moments(window_batch(series, 2, "disjoint"), 4, "market")
     flags = [table.moment_set(i).flags for i in range(len(table))]
     assert flags == [(), ("negative_variance",), ("non_finite",), ("negative_variance", "non_finite")]
-    payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
-    assert table.to_json_text() == json.dumps(payload, indent=2) + "\n"
+    assert moments_file_text(tmp_path, series, 2, "market") == json_dumps_text(table)
+
+
+def assert_same_flags(got, want):
+    assert got.negative_variance.tolist() == want.negative_variance.tolist()
+    assert got.non_finite.tolist() == want.non_finite.tolist()
 
 
 def assert_same_kernel_bits(got, want):
@@ -204,7 +212,7 @@ def assert_same_kernel_bits(got, want):
         g, w = batch_moments(got, 2, method), batch_moments(want, 2, method)
         for name in ("center_time", "raw_moments", "variance"):
             assert_bitwise(getattr(g, name), getattr(w, name))
-        assert g.flag_codes(slice(None)) == w.flag_codes(slice(None))
+        assert_same_flags(g, w)
         if got.window_len >= 2:
             assert_bitwise(batch_autocorrelation(got, 0, method),
                            batch_autocorrelation(want, 0, method))
@@ -343,7 +351,6 @@ def test_span_batches_equal_the_whole_batch_rows_bitwise(
             assert_bitwise(getattr(got, name), getattr(want, name)[lo:hi])
     assert got.negative_variance.tolist() == want.negative_variance[lo:hi].tolist()
     assert got.non_finite.tolist() == want.non_finite[lo:hi].tolist()
-    assert got.flag_codes(slice(None)) == want.flag_codes(slice(lo, hi))
     if window_len >= 2:
         for g, w in zip(batch_decorrelation(span, 2, THRESHOLD),
                         batch_decorrelation(whole, 2, THRESHOLD)):

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mbm
 import mbm.ticks
 from mbm.cli import SETTINGS, build_parser, main
 from mbm.errors import DataError
@@ -274,6 +279,9 @@ def test_density_damped_method(tmp_path):
     assert code == 0
 
 
+ORDER_BOUND = "input error: order {} is above 170, the largest whose factorial is a float\n"
+
+
 def test_a_damped_density_above_order_170_is_an_input_error(tmp_path, capsys):
     sim, ticks = tmp_path / "sim.cfg", tmp_path / "t.csv"
     sim.write_text(SIM_CFG, encoding="utf-8")
@@ -282,8 +290,31 @@ def test_a_damped_density_above_order_170_is_an_input_error(tmp_path, capsys):
     code = main(["density", "--input", str(ticks), "--order", "200", "--method", "market",
                  "--density-method", "damped", "--damping-sigma", "0.5", "--grid=5:15:11",
                  "--output", str(tmp_path / "d.csv")])
+    assert (code, capsys.readouterr().err) == (1, ORDER_BOUND.format(200))
+
+
+@pytest.mark.parametrize("command", ["moments", "density"])
+@pytest.mark.parametrize("order", [171, 10**11])
+def test_a_moment_order_above_170_is_an_input_error_before_any_output(ticks_path, tmp_path,
+                                                                       command, order):
+    # in a process of its own: a loop over 10**11 orders would not end
+    out = tmp_path / "out.csv"
+    args = ["--window", "2"] if command == "moments" else ["--grid=0:40:11"]
+    ran = subprocess.run([sys.executable, "-m", "mbm.cli", command, "--input", str(ticks_path),
+                          "--order", str(order), "--method", "market", *args, "--output", str(out)],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=str(Path(mbm.__file__).parents[1])))
+    assert (ran.returncode, ran.stdout, ran.stderr) == (1, "", ORDER_BOUND.format(order))
+    assert not out.exists()
+
+
+def test_a_density_grid_too_large_to_allocate_is_an_input_error(ticks_path, tmp_path, capsys):
+    # 8 PB of grid: the allocation is refused at once, taking no memory
+    points = 10**15
+    code = main(["density", "--input", str(ticks_path), "--order", "4", "--method", "frequency",
+                 f"--grid=0:100:{points}", "--output", str(tmp_path / "d.csv")])
     assert (code, capsys.readouterr().err) == (
-        1, "input error: order 200 is above 170, the largest whose factorial is a float\n")
+        1, f"input error: grid of {points} points does not fit in memory\n")
 
 
 def test_density_strict_rejects_flagged_set(tmp_path, capsys):

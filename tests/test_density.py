@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -290,7 +291,11 @@ def test_an_order_whose_factorial_is_no_float_is_an_input_error(order):
     message = f"^order {order} is above 170, the largest whose factorial is a float$"
     with pytest.raises(DataError, match=message):
         CharFnApprox(order=order, moments=(1.0,) * order)
-    ms = moment_set_from_points(DAMPED_POINTS, order=order)
+    with pytest.raises(DataError, match=message):
+        moment_set_from_points(DAMPED_POINTS, order=order)
+    # a set of that order made by hand, its moments past 170 made up
+    ms = moment_set_from_points(DAMPED_POINTS, order=170)
+    ms = dataclasses.replace(ms, order=order, raw_moments=ms.raw_moments + (1.0,) * (order - 170))
     with pytest.raises(DataError, match=message):
         density_damped_inversion(ms, 0.5, (0.0, 2.0, 11))
     assert density_gram_charlier(ms, (-4.0, 6.0, 11)).total_mass > 0.0  # it reads orders 1..4

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,11 +103,21 @@ def test_row_chunks_read_the_row_constant_at_each_call(monkeypatch):
     assert row_chunks(2, 2 * R + 2) == [slice(0, 1), slice(1, 2)]
 
 
-def test_moment_rows_format_the_floats_they_are_chunked_by():
-    batch = window_batch(parse_ticks(tick_text(4, "sliding")), 2, "sliding")
+def test_moment_rows_format_the_floats_they_are_chunked_by(tmp_path, capsys, monkeypatch):
+    ticks, out = tmp_path / "ticks.csv", tmp_path / "m.json"
+    ticks.write_text(tick_text(4, "sliding"), encoding="utf-8")
+    chunked_by = []
+    monkeypatch.setattr(mbm.cli, "row_chunks", lambda n, per_row, max_rows=None: (
+        chunked_by.append(per_row) or row_chunks(n, per_row, max_rows)))
     for k, method, floats in ((4, "frequency", 6), (4, "market", 14), (3, "market", 11)):
-        table = batch_moments(batch, k, method)
-        assert table.row_floats == floats == table.value_text(slice(None)).shape[1]
+        assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
+                     "--order", str(k), "--method", method, "--output", str(out)]) == 0
+        record = json.loads(out.read_text(encoding="utf-8"))[0]
+        # center_time, the moments and the variance; the mean is the first raw moment
+        written = 2 + sum(len(record[name] or ()) for name in ("raw_moments", "value_moments",
+                                                                "volume_moments"))
+        assert chunked_by.pop() == floats == written
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("windows", ROW_COUNTS)
@@ -202,16 +213,26 @@ def test_autocorr_json_in_chunks_equals_json_dumps(tmp_path, capsys, method, mod
     assert data.decode() == json.dumps(payload, indent=2) + "\n"
 
 
-def test_autocorr_json_spells_an_infinite_center_time_as_json_does(tmp_path, capsys):
-    # the mean of two finite times near the float maximum overflows
+@pytest.mark.parametrize("command, args", [("moments", ["--order", "4", "--method", "market"]),
+                                           ("vwap", []), ("autocorr", ["--method", "market"])],
+                         ids=["moments", "vwap", "autocorr"])
+def test_tick_times_near_the_float_maximum_give_finite_center_times(tmp_path, capsys, command,
+                                                                     args):
+    # the sum of two such times overflows; half of each added does not
+    times = [1e308, 1.5e308, 1.6e308, 1.7e308]
     ticks = tmp_path / "ticks.csv"
-    ticks.write_text("time,price,volume\n0,1,1\n1,2,1\n1e308,3,1\n1.7e308,1,2\n", encoding="utf-8")
-    with np.errstate(over="ignore"):
-        code, out, _, data = same_chunked_and_whole(
-            capsys, ["autocorr", "--input", str(ticks), "--window", "2", "--method", "market"],
-            tmp_path / "a.json")
-    assert code == 0 and "t2=inf" in out
-    assert b'"center_time_1": 0.5,\n    "center_time_2": Infinity,' in data
+    ticks.write_text("time,price,volume\n" + "".join(f"{t!r},{p},1\n"
+                                                      for t, p in zip(times, (1, 2, 3, 1))),
+                     encoding="utf-8")
+    argv = [command, "--input", str(ticks), "--window", "2", "--mode", "sliding", *args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err, data = same_chunked_and_whole(capsys, argv, tmp_path / "out")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    centers = [repr(0.5 * a + 0.5 * b) for a, b in zip(times, times[1:])]
+    assert [line.split()[2].split("=")[1] for line in lines] == centers[:len(lines)]
+    assert "inf" not in out and b"inf" not in data.lower()
 
 
 @pytest.mark.parametrize("length", ROW_COUNTS)
@@ -224,15 +245,18 @@ def test_simulate_in_chunks_equals_one_chunk(tmp_path, capsys, length):
     assert data.decode().count("\n") == length + 1
 
 
-def test_library_renderings_join_the_chunks(monkeypatch):
+def test_library_renderings_join_the_chunks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * TICK_FLOATS)
     for n in (0, *ROW_COUNTS):
         series = TickSeries(np.arange(float(n)), 1.0 + np.arange(n) / 7, np.full(n, 3.0))
         rows = zip(*(getattr(series, c).tolist() for c in ("time", "price", "volume", "value")))
         assert render_ticks(series) == "time,price,volume,value\n" + "".join(
             f"{t!r},{p!r},{v!r},{c!r}\n" for t, p, v, c in rows)
-    empty = window_batch(series, 2)[:0]
-    assert batch_moments(empty, 4, "market").to_json_text() == "[]\n"
+    # an output of no rows is its frame's empty text, with no lines
+    path = tmp_path / "empty.json"
+    mbm.cli._write_table(str(path), 0, 14, None, "", "", mbm.cli.JSON_ARRAY)
+    assert path.read_text(encoding="utf-8") == json.dumps([], indent=2) + "\n"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, monkeypatch):
@@ -245,8 +269,7 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
         write_pieces(path, (written.append(piece) or piece for piece in pieces))
 
     monkeypatch.setattr(mbm.cli, "_write_pieces", recording)
-    table = batch_moments(window_batch(parse_ticks(ticks.read_text()), 2, "sliding"), 4, "market")
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * table.row_floats)
+    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)  # a market k=4 row formats 14 floats
     assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
                  "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
     assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
