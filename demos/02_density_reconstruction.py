@@ -12,19 +12,19 @@ import math
 from mbm import (
     CharFnApprox,
     SimSpec,
-    Window,
     charfn_eval,
     compute_moment_set,
     density_damped_inversion,
     density_gram_charlier,
     gen_trades,
     recover_moment,
+    window_batch,
 )
 
 spec = SimSpec(length=5000, seed=11, phi=0.0, sigma=0.12,
                median_volume=30.0, log_sigma=0.3)
 series = gen_trades(spec)
-window = Window(series, 0, len(series))
+window = window_batch(series, len(series))
 ms = compute_moment_set(window, 4, "market")
 print(f"market moment set: mean={ms.mean:.4f} variance={ms.variance:.4f}")
 
@@ -34,7 +34,7 @@ print(f"\nF(0) = {charfn_eval(ms, 0.0)}")
 print(f"F(0.01) = {charfn_eval(ms, 0.01):.6f}")
 
 cf = CharFnApprox.from_moment_set(ms)
-print("\nmoment recovery by finite differences at x = 0:")
+print("\nmoment recovery from the Taylor coefficients of F_k at x = 0:")
 for n in range(1, 5):
     got = recover_moment(cf, n)
     stored = ms.raw_moments[n - 1]

@@ -11,13 +11,13 @@ from mbm import (
     PricingScenario,
     SimSpec,
     UtilitySpec,
-    Window,
     freq_moment,
     gen_payoff_samples,
     gen_trades,
     optimize_holdings,
     payoff_autocorrelation,
     vwap,
+    window_batch,
 )
 
 LOG = UtilitySpec("log")
@@ -64,7 +64,7 @@ for n in lengths:
         spec = SimSpec(length=n, seed=600 + seed, phi=0.3, sigma=0.1,
                        median_volume=50.0, log_sigma=0.4)
         series = gen_trades(spec)
-        w = Window(series, 0, len(series))
+        w = window_batch(series, len(series))
         errs.append(abs(vwap(w) - freq_moment(w, 1)))
     gaps.append(np.mean(errs))
     print(f"{n:<8d} {gaps[-1]:.6f}")

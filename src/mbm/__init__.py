@@ -3,7 +3,7 @@
 The package splits into small, composable layers:
 
 * ticks: columnar tick series, tick-CSV parsing, the value = price * volume
-  identity, windowing into single windows or whole window batches
+  identity, windowing into window batches (a single window is a one-row batch)
 * moments: frequency vs market price moments, VWAP, autocorrelations, as
   batched kernels over all windows at once and their one-window forms
 * density: truncated characteristic functions and density reconstructions
@@ -23,8 +23,8 @@ from importlib import import_module
 #: Layer module -> the public names it exports; the table yields __all__.
 _EXPORTS = {
     "errors": ("ConvergenceError", "DataError", "DomainError", "MbmError"),
-    "ticks": ("TickSeries", "TradeTick", "Window", "WindowBatch", "parse_ticks",
-              "partition_windows", "render_ticks", "window_batch", "window_from_ticks"),
+    "ticks": ("TickSeries", "TradeTick", "WindowBatch", "parse_ticks", "partition_windows",
+              "render_ticks", "window_batch", "window_from_ticks"),
     "moments": ("CorrelationDiagnostic", "MomentSet", "MomentTable", "batch_autocorrelation",
                 "batch_decorrelation", "batch_moments", "batch_vwap", "compute_moment_set",
                 "decorrelation_diagnostic", "freq_moment", "market_price_moment",

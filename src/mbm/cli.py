@@ -49,7 +49,7 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, Window, _data_rows, framed, parse_ticks, read_text, row_chunks,
+from .ticks import (TICK_CSV, _data_rows, framed, parse_ticks, read_text, row_chunks,
                     tick_rows, window_batch)
 
 EXIT_OK = 0
@@ -389,10 +389,9 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
     from . import density as density_mod
 
     series = _read_series(settings)
-    window = Window(series, 0, len(series))
     order = _require(settings, "order")
     method = _require(settings, "method")
-    ms = moments_mod.compute_moment_set(window, order, method)
+    ms = moments_mod.compute_moment_set(window_batch(series, len(series)), order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
         raise StrictViolation(
             f"moment set has negative market variance {ms.variance!r}; density undefined"

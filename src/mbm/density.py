@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DataError, DomainError
 from .moments import MomentSet, check_factorial_order
 
 GC_MAX_ORDER = 4
-
-#: step scale for derivative-at-zero moment recovery
-_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,25 +56,11 @@ class CharFnApprox:
         return cls(order=moments.order, moments=tuple(moments.raw_moments))
 
     def evaluate(self, x):
-        """F_k(x); accepts scalars or arrays, returns complex."""
-        re, im = self._deviation_parts(x)
-        out = (1.0 + re) + 1j * im
+        """F_k(x) for scalar or array x, as complex: the polynomial of coefficients 1, i^n p_n / n!."""
+        coeffs = [1.0] + [(1, 1j, -1, -1j)[n % 4] * (p / math.factorial(n))
+                          for n, p in enumerate(self.moments, start=1)]
+        out = polyval(np.asarray(x, dtype=float), coeffs)
         return complex(out) if np.ndim(x) == 0 else out
-
-    def _deviation_parts(self, x):
-        # F_k(x) - 1 split into real/imaginary parts. Kept free of the
-        # constant term so high-order finite differences do not lose the
-        # tiny even-order signal to cancellation against 1.
-        x = np.asarray(x, dtype=float)
-        re = np.zeros_like(x)
-        im = np.zeros_like(x)
-        for n, p in enumerate(self.moments, start=1):
-            term = p * x ** n / math.factorial(n)
-            if n % 2 == 0:
-                re = re + term * (-1.0) ** (n // 2)
-            else:
-                im = im + term * (-1.0) ** ((n - 1) // 2)
-        return re, im
 
 
 def charfn_eval(moments: MomentSet, x):
@@ -95,26 +79,11 @@ class RecoveredMoment(float):
         return obj
 
 
-# central-difference stencils (node offsets in units of h, weights, h power);
-# the x=0 node is dropped everywhere because the deviation parts vanish there
-_STENCILS = {
-    1: ((1, -1), (0.5, -0.5), 1),
-    2: ((1, -1), (1.0, 1.0), 2),
-    3: ((2, 1, -1, -2), (0.5, -1.0, 1.0, -0.5), 3),
-    4: ((2, 1, -1, -2), (1.0, -4.0, -4.0, 1.0), 4),
-}
-# sign of Re/Im(i^n): even n read the real part, odd n the imaginary part
-_PART_SIGN = {1: 1.0, 2: -1.0, 3: -1.0, 4: 1.0}
-
-
 def recover_moment(charfn: CharFnApprox, n: int) -> RecoveredMoment:
     """Recover the n-th moment as the n-th derivative of F_k at 0 over i^n.
 
-    Uses central finite differences with one Richardson extrapolation on the
-    constant-free real/imaginary parts of F_k. For the stored polynomial that
-    makes the differentiation error exactly zero up to order 4; the residual
-    error is pure rounding, far below the 1e-6 relative contract.
-
+    F_k is a polynomial, so that derivative is n! times its n-th Taylor
+    coefficient i^n p_n / n!, and the moment comes back exactly: p_n.
     Orders above the expansion are exact zeros of the polynomial: returns
     0.0 with .truncated set.
     """
@@ -122,21 +91,7 @@ def recover_moment(charfn: CharFnApprox, n: int) -> RecoveredMoment:
         raise DataError(f"moment order must be >= 1, got {n}")
     if n > charfn.order:
         return RecoveredMoment(0.0, truncated=True)
-    if n > 4:
-        raise DataError(f"derivative recovery supports orders 1..4, got {n}")
-
-    scale = max(1.0, abs(charfn.moments[0]))
-    h = _FD_STEP / scale
-    part = 1 if n % 2 else 0  # 0 -> real part, 1 -> imaginary part
-
-    def stencil(hh: float) -> float:
-        offsets, weights, power = _STENCILS[n]
-        xs = np.array([o * hh for o in offsets])
-        vals = charfn._deviation_parts(xs)[part]
-        return float(np.dot(weights, vals)) / hh ** power
-
-    d = (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
-    return RecoveredMoment(_PART_SIGN[n] * d)
+    return RecoveredMoment(charfn.moments[n - 1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,6 +233,8 @@ def density_damped_inversion(
         raise DataError(f"density needs order >= 2, got {moments.order}")
     if not (damping_sigma > 0.0):
         raise DataError(f"damping_sigma must be positive, got {damping_sigma}")
+    if damping_sigma == math.inf:
+        raise DataError("damping_sigma must be finite, got inf")
     charfn = CharFnApprox.from_moment_set(moments)  # it rejects an order whose n! is no float
     spec, grid = _parse_grid(grid_spec)
     coeffs = [1.0] + [

@@ -13,6 +13,10 @@ Two averaging conventions coexist:
 All expectations use population (1/N) normalization: an expectation here
 is a plain average over the window, nothing more.
 
+The batch_* kernels return one result per window of a WindowBatch. The
+one-window helpers (compute_moment_set, vwap, ...) take a single window, a
+one-row WindowBatch, hand it to those kernels, and reject any other batch.
+
 This module only computes; the CLI spells its results as text.
 """
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .ticks import Window, WindowBatch
+from .ticks import WindowBatch
 
 METHODS = ("frequency", "market")
 
@@ -283,21 +287,28 @@ def batch_autocorrelation(batch: WindowBatch, lag: int, method: str) -> np.ndarr
     return _paired_autocorrelation(batch[:pairs], batch[lag:lag + pairs], method)
 
 
-def freq_moment(window: Window, n: int) -> float:
+def _one_window(window: WindowBatch) -> WindowBatch:
+    """The batch a one-window helper reads: an input error unless it has exactly one row."""
+    if len(window) != 1:
+        raise DataError(f"a single window is a one-row WindowBatch, got {len(window)} rows")
+    return window
+
+
+def freq_moment(window: WindowBatch, n: int) -> float:
     """Frequency-based n-th price moment: (1/N) sum p_i^n."""
     _check_order(n)
-    return float(_power_means(window.batch(), "price", (n,))[0, 0])
+    return float(_power_means(_one_window(window), "price", (n,))[0, 0])
 
 
-def trade_moments(window: Window, n: int) -> tuple[float, float]:
+def trade_moments(window: WindowBatch, n: int) -> tuple[float, float]:
     """n-th moments of trade value and volume: ((1/N) sum C_i^n, (1/N) sum U_i^n)."""
     _check_order(n)
-    batch = window.batch()
+    batch = _one_window(window)
     return (float(_power_means(batch, "value", (n,))[0, 0]),
             float(_power_means(batch, "volume", (n,))[0, 0]))
 
 
-def market_price_moment(window: Window, n: int) -> float:
+def market_price_moment(window: WindowBatch, n: int) -> float:
     """Market-based n-th price moment: C(t;n) / U(t;n).
 
     A convex combination of p_i^n with weights U_i^n, so it always lies in
@@ -307,22 +318,22 @@ def market_price_moment(window: Window, n: int) -> float:
     return c_n / u_n
 
 
-def vwap(window: Window) -> float:
+def vwap(window: WindowBatch) -> float:
     """Volume weighted average price; identical to the market first moment."""
-    return float(batch_vwap(window.batch())[0])
+    return float(batch_vwap(_one_window(window))[0])
 
 
-def compute_moment_set(window: Window, k: int, method: str) -> MomentSet:
+def compute_moment_set(window: WindowBatch, k: int, method: str) -> MomentSet:
     """Compute raw moments 1..k by the chosen method, with diagnostics.
 
     Market variance may legitimately come out negative when the price/volume
     no-correlation assumption fails; the set is then flagged, never adjusted.
     """
-    return batch_moments(window.batch(), k, method).moment_set(0)
+    return batch_moments(_one_window(window), k, method).moment_set(0)
 
 
 def decorrelation_diagnostic(
-    window: Window, n: int, threshold: float = DEFAULT_DECORRELATION_THRESHOLD
+    window: WindowBatch, n: int, threshold: float = DEFAULT_DECORRELATION_THRESHOLD
 ) -> CorrelationDiagnostic:
     """Sample correlation between p^n and U^n over the window.
 
@@ -330,12 +341,12 @@ def decorrelation_diagnostic(
     |coefficient| means market and frequency moments will disagree and the
     market variance may misbehave.
     """
-    coef, flagged, undefined = batch_decorrelation(window.batch(), n, threshold)
+    coef, flagged, undefined = batch_decorrelation(_one_window(window), n, threshold)
     return CorrelationDiagnostic(order=n, coefficient=float(coef[0]), flagged=bool(flagged[0]),
                                  undefined=bool(undefined[0]))
 
 
-def price_autocorrelation(window1: Window, window2: Window, method: str) -> float:
+def price_autocorrelation(window1: WindowBatch, window2: WindowBatch, method: str) -> float:
     """Covariance of prices across two equal-length windows, tick i with tick i.
 
     frequency: (1/N) sum (p1_i - mean1)(p2_i - mean2) with frequency means.
@@ -344,11 +355,11 @@ def price_autocorrelation(window1: Window, window2: Window, method: str) -> floa
     method reproduces that method's variance.
     """
     _check_method(method)
-    if len(window1) != len(window2):
-        raise DataError(
-            f"windows must have equal tick counts, got {len(window1)} and {len(window2)}"
-        )
-    return float(_paired_autocorrelation(window1.batch(), window2.batch(), method)[0])
+    first, second = _one_window(window1), _one_window(window2)
+    if first.window_len != second.window_len:
+        raise DataError(f"windows must have equal tick counts, got {first.window_len} "
+                        f"and {second.window_len}")
+    return float(_paired_autocorrelation(first, second, method)[0])
 
 
 def payoff_autocorrelation(dev12, dev2) -> float:
@@ -364,7 +375,9 @@ def payoff_autocorrelation(dev12, dev2) -> float:
     if d12.size < 2:
         raise DataError("payoff autocorrelation needs at least 2 pairs")
     for name, d in (("first", d12), ("second", d2)):
-        scale = max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
+        if not np.isfinite(d).all():
+            raise DataError(f"{name} deviation sequence has a non-finite value")
+        scale = max(1.0, float(np.max(np.abs(d))))
         if abs(float(np.mean(d))) > 1e-9 * scale:
             raise DataError(f"{name} deviation sequence is not centered (mean {np.mean(d):g})")
     return float(np.mean(d12 * d2))

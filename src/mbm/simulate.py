@@ -237,6 +237,8 @@ def gen_payoff_samples(
     deviations sit around; deviations themselves are mean-free).
     """
     del mean  # deviations are reported around the mean, which never enters
+    if not (math.isfinite(variance) and math.isfinite(autocorr)):
+        raise DataError(f"variance and autocorr must be finite, got {variance} and {autocorr}")
     if variance < 0.0:
         raise DataError(f"variance must be non-negative, got {variance}")
     if abs(autocorr) > variance + 1e-12 * max(1.0, variance):

@@ -5,15 +5,15 @@ value) with the identity value = price * volume enforced on ingestion.
 A TickSeries holds its ticks as four read-only float64 columns, built by
 its one constructor and validated there in one vectorized pass. Windows
 are defined by tick COUNT, not wall-clock span; all averaging operators
-downstream treat a window as one averaging interval. A Window is a
-(series, start, stop) view of the columns. A WindowBatch is count
-equal-length windows of a series, (series, first, count, window_len,
-step), whose rows it lays out on access as 2-D views of the columns so
-that moment kernels can process them all at once; a slice of its rows is
-the batch of those windows alone. TradeTick is a plain record
-that window_from_ticks reads into a series. parse_ticks keeps the columns
-of each text it parses in a private on-disk cache, so a text is parsed
-once, and a file whose columns are there is hashed, never read whole.
+downstream treat a window as one averaging interval. A WindowBatch is
+count equal-length windows of a series, (series, first, count,
+window_len, step), whose rows it lays out on access as 2-D views of the
+columns so that moment kernels can process them all at once; a slice of
+its rows is the batch of those windows alone, and a single window is a
+one-row batch. TradeTick is a plain record that window_from_ticks reads
+into a series. parse_ticks keeps the columns of each text it parses in a
+private on-disk cache, so a text is parsed once, and a file whose
+columns are there is hashed, never read whole.
 The CLI writes its row outputs a chunk of about OUTPUT_FLOATS floats at a
 time (row_chunks), each framed by its head, separators and tail (framed).
 """
@@ -236,35 +236,10 @@ class WindowBatch:
         return np.where(np.isinf(center), 0.5 * a + 0.5 * b, center)
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
-    """A contiguous run of ticks [start, stop) of a series, forming one averaging interval."""
-
-    series: TickSeries
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.stop <= len(self.series):
-            raise DataError("window must contain at least one tick")
-
-    def __len__(self):
-        return self.stop - self.start
-
-    @property
-    def center_time(self) -> float:
-        """Median tick time."""
-        return float(self.batch().center_time[0])
-
-    def batch(self) -> WindowBatch:
-        """This window as a one-row WindowBatch of its own ticks, not the whole series."""
-        return WindowBatch(self.series, self.start, 1, len(self), 1)
-
-
-def window_from_ticks(ticks) -> Window:
-    """Build a Window over exactly these TradeTick records; its center is the median tick time."""
+def window_from_ticks(ticks) -> WindowBatch:
+    """The one window of exactly these TradeTick records, as a one-row WindowBatch."""
     series = TickSeries(*np.array(list(ticks), dtype=float).reshape(-1, 4).T)
-    return Window(series, 0, len(series))
+    return WindowBatch(series, 0, 1, len(series), 1)
 
 
 def parse_ticks(text) -> TickSeries:
@@ -535,11 +510,11 @@ def render_ticks(series: TickSeries) -> str:
 
 def _window_steps(series: TickSeries, window_len: int, mode: str) -> tuple[int, int]:
     """(windows, ticks from one window's start to the next's), after checking the request."""
-    if window_len < 1:
-        raise DataError(f"window length must be >= 1, got {window_len}")
     n = len(series)
     if n == 0:
         raise DataError("cannot window an empty series")
+    if window_len < 1:
+        raise DataError(f"window length must be >= 1, got {window_len}")
     if window_len > n:
         raise DataError(f"window length {window_len} exceeds series length {n}")
     if mode == "disjoint":
@@ -549,15 +524,15 @@ def _window_steps(series: TickSeries, window_len: int, mode: str) -> tuple[int, 
     raise DataError(f"unknown windowing mode {mode!r}")
 
 
-def partition_windows(series: TickSeries, window_len: int, mode: str = "disjoint") -> list[Window]:
-    """Split a series into count-based windows.
+def partition_windows(series: TickSeries, window_len: int, mode: str = "disjoint") -> list[WindowBatch]:
+    """Split a series into count-based windows, each a one-row WindowBatch.
 
     disjoint: floor(len/N) consecutive non-overlapping windows (a trailing
     remainder shorter than N is dropped). sliding: len-N+1 windows stepping
     one tick at a time. Window centers are median tick times.
     """
     count, step = _window_steps(series, window_len, mode)
-    return [Window(series, i * step, i * step + window_len) for i in range(count)]
+    return [WindowBatch(series, i * step, 1, window_len, 1) for i in range(count)]
 
 
 def window_batch(series: TickSeries, window_len: int, mode: str = "disjoint") -> WindowBatch:

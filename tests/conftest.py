@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mbm.ticks import TickSeries, Window
+from mbm.ticks import TickSeries, WindowBatch
 
 
 def make_series(prices, volumes=None, times=None, spacing=None):
@@ -14,8 +14,9 @@ def make_series(prices, volumes=None, times=None, spacing=None):
 
 
 def make_window(prices, volumes=None, times=None):
+    """The one window of these ticks, a one-row WindowBatch."""
     series = make_series(prices, volumes, times)
-    return Window(series, 0, len(series))
+    return WindowBatch(series, 0, 1, len(series), 1)
 
 
 def random_window(rng, size=None, price_lo=1.0, price_hi=50.0, vol_sigma=0.5):

@@ -33,7 +33,7 @@ from mbm.pricing import (
     solve_price_two_sales,
 )
 from mbm.simulate import SimSpec, gen_trades
-from mbm.ticks import Window, partition_windows
+from mbm.ticks import partition_windows, window_batch
 from mbm.utility import UtilitySpec, eval_utility
 
 from conftest import make_window
@@ -99,7 +99,7 @@ def test_c02_vwap_identity(many_windows):
         for w in many_windows:
             v = vwap(w)
             assert v == market_price_moment(w, 1)
-            prices = w.batch().price[0]
+            prices = w.price[0]
             assert prices.min() <= v <= prices.max()
         passes.append(time.perf_counter() - start)
     elapsed = min(passes)
@@ -114,7 +114,7 @@ def test_c02_vwap_identity(many_windows):
 def test_c03_convexity_bound(many_windows):
     violations = 0
     for w in many_windows:
-        prices = w.batch().price[0]
+        prices = w.price[0]
         for n in range(1, 7):
             m = market_price_moment(w, n)
             powers = prices ** n
@@ -400,7 +400,7 @@ def test_c13_statistical_convergence():
                 median_volume=50.0, log_sigma=0.4, pv_correlation=0.0,
             )
             series = gen_trades(spec)
-            w = Window(series, 0, len(series))
+            w = window_batch(series, len(series))
             errors.append(abs(vwap(w) - freq_moment(w, 1)))
         mean_errors.append(float(np.mean(errors)))
     slope = float(np.polyfit(np.log(lengths), np.log(mean_errors), 1)[0])

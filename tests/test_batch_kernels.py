@@ -26,7 +26,7 @@ from mbm.moments import (
     batch_moments,
     batch_vwap,
 )
-from mbm.ticks import TickSeries, Window, render_ticks, window_batch
+from mbm.ticks import TickSeries, partition_windows, render_ticks, window_batch
 
 THRESHOLD = 0.2
 
@@ -250,7 +250,8 @@ def test_a_window_batch_is_the_sliding_batch_row_of_that_window(n_ticks, data, d
     series = make_series(seed, n_ticks, discrete)
     a = data.draw(st.integers(0, n_ticks - 1))
     b = data.draw(st.integers(a + 1, n_ticks))
-    got, want = Window(series, a, b).batch(), window_batch(series, b - a, "sliding")[a:a + 1]
+    got = partition_windows(series, b - a, "sliding")[a]
+    want = window_batch(series, b - a, "sliding")[a:a + 1]
     assert got == want and got.series is want.series is series
     assert (got.first, got.count, got.window_len, got.step) == (a, 1, b - a, 1)
     for name in ("center_time", "price", "volume", "value"):

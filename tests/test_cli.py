@@ -317,6 +317,14 @@ def test_a_density_grid_too_large_to_allocate_is_an_input_error(ticks_path, tmp_
         1, f"input error: grid of {points} points does not fit in memory\n")
 
 
+def test_density_of_a_file_without_ticks_is_an_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("time,price,volume\n", encoding="utf-8")
+    code = main(["density", "--input", str(empty), "--order", "4", "--method", "market",
+                 "--grid=0:1:11", "--output", str(tmp_path / "d.csv")])
+    assert (code, capsys.readouterr().err) == (1, "input error: cannot window an empty series\n")
+
+
 def test_density_strict_rejects_flagged_set(tmp_path, capsys):
     path = tmp_path / "anti.csv"
     path.write_text(ANTI_CSV, encoding="utf-8")

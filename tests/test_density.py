@@ -81,6 +81,13 @@ def test_recover_round_trips_stored_moments(rng):
             assert got == pytest.approx(ms.raw_moments[n - 1], rel=1e-6)
 
 
+def test_recover_round_trips_stored_moments_bit_for_bit():
+    moments = (3.0, 10.0, 34.5, 130.25, 520.0, 2201.5)
+    for order in (3, 6):
+        cf = CharFnApprox(order=order, moments=moments[:order])
+        assert [recover_moment(cf, n) for n in range(1, order + 1)] == list(moments[:order])
+
+
 def test_recover_hand_set():
     cf = CharFnApprox(order=2, moments=(17.5, 370.0))
     assert recover_moment(cf, 1) == pytest.approx(17.5, rel=1e-6)
@@ -219,6 +226,17 @@ def test_damped_inversion_rejects_bad_damping():
     ms = compute_moment_set(make_window([10, 20], [1, 3]), 2, "market")
     with pytest.raises(DataError):
         density_damped_inversion(ms, 0.0, (-100.0, 100.0, 101))
+
+
+@pytest.mark.parametrize("damping, message", [
+    (math.inf, "damping_sigma must be finite, got inf"),
+    (math.nan, "damping_sigma must be positive, got nan"),
+    (-1.0, "damping_sigma must be positive, got -1.0"),
+])
+def test_damped_inversion_rejects_a_damping_that_is_not_positive_and_finite(damping, message):
+    ms = compute_moment_set(make_window([10, 20], [1, 3]), 2, "market")
+    with pytest.raises(DataError, match=f"^{message}$"):
+        density_damped_inversion(ms, damping, (-100.0, 100.0, 101))
 
 
 def damped_quadrature(raw_moments, s, grid, n_x=4001):

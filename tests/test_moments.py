@@ -16,9 +16,9 @@ from mbm.moments import (
     trade_moments,
     vwap,
 )
-from mbm.ticks import TickSeries, Window
+from mbm.ticks import TickSeries, WindowBatch
 
-from conftest import make_window, random_window
+from conftest import make_series, make_window, random_window
 
 
 # ---------------------------------------------------------------------------
@@ -27,26 +27,25 @@ from conftest import make_window, random_window
 
 def rows(window):
     """The window's price, volume and value rows as lists of Python floats."""
-    batch = window.batch()
-    return batch.price[0].tolist(), batch.volume[0].tolist(), batch.value[0].tolist()
+    return window.price[0].tolist(), window.volume[0].tolist(), window.value[0].tolist()
 
 
 def oracle_freq(window, n):
-    return math.fsum(p ** n for p in rows(window)[0]) / len(window)
+    return math.fsum(p ** n for p in rows(window)[0]) / window.window_len
 
 
 def oracle_trade(window, n):
     _, volumes, values = rows(window)
-    c = math.fsum(x ** n for x in values) / len(window)
-    u = math.fsum(x ** n for x in volumes) / len(window)
+    c = math.fsum(x ** n for x in values) / window.window_len
+    u = math.fsum(x ** n for x in volumes) / window.window_len
     return c, u
 
 
 def oracle_price_cov(w1, w2):
     p1, p2 = rows(w1)[0], rows(w2)[0]
-    m1 = math.fsum(p1) / len(w1)
-    m2 = math.fsum(p2) / len(w2)
-    return math.fsum((a - m1) * (b - m2) for a, b in zip(p1, p2)) / len(w1)
+    m1 = math.fsum(p1) / w1.window_len
+    m2 = math.fsum(p2) / w2.window_len
+    return math.fsum((a - m1) * (b - m2) for a, b in zip(p1, p2)) / w1.window_len
 
 
 def test_freq_moment_hand_values():
@@ -98,7 +97,7 @@ def test_market_equals_freq_for_constant_volume(rng):
 def test_moment_convexity_bound_both_methods(rng):
     for _ in range(200):
         w = random_window(rng)
-        prices = w.batch().price[0]
+        prices = w.price[0]
         for n in range(1, 7):
             powers = prices ** n
             assert powers.min() <= market_price_moment(w, n) <= powers.max()
@@ -274,6 +273,40 @@ def test_payoff_autocorrelation_needs_two_pairs():
         payoff_autocorrelation([1.0], [1.0])
 
 
+@pytest.mark.parametrize("dev12, dev2, name", [
+    ([math.inf, -math.inf], [1.0, -1.0], "first"),
+    ([math.nan, 0.0], [1.0, -1.0], "first"),
+    ([1.0, -1.0], [0.0, math.nan], "second"),
+])
+def test_payoff_autocorrelation_rejects_non_finite_deviations(dev12, dev2, name):
+    with pytest.raises(DataError, match=f"^{name} deviation sequence has a non-finite value$"):
+        payoff_autocorrelation(dev12, dev2)
+
+
+# ---------------------------------------------------------------------------
+# a single window is a one-row WindowBatch
+# ---------------------------------------------------------------------------
+
+ONE_WINDOW_HELPERS = {
+    "freq_moment": lambda w: freq_moment(w, 1),
+    "trade_moments": lambda w: trade_moments(w, 1),
+    "market_price_moment": lambda w: market_price_moment(w, 1),
+    "vwap": vwap,
+    "compute_moment_set": lambda w: compute_moment_set(w, 2, "market"),
+    "decorrelation_diagnostic": lambda w: decorrelation_diagnostic(w, 1),
+    "price_autocorrelation_first": lambda w: price_autocorrelation(w, make_window([1, 2]), "market"),
+    "price_autocorrelation_second": lambda w: price_autocorrelation(make_window([1, 2]), w, "market"),
+}
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@pytest.mark.parametrize("helper", ONE_WINDOW_HELPERS.values(), ids=ONE_WINDOW_HELPERS.keys())
+def test_one_window_helpers_reject_a_batch_that_is_not_one_row(helper, rows):
+    batch = WindowBatch(make_series([10, 20, 30, 40], [1, 3, 2, 1]), 0, rows, 2, 2)
+    with pytest.raises(DataError, match=f"one-row WindowBatch, got {rows} rows"):
+        helper(batch)
+
+
 # ---------------------------------------------------------------------------
 # overflowing moments are flagged, not reported as plain numbers
 # ---------------------------------------------------------------------------
@@ -313,7 +346,7 @@ def windows(draw, min_len=1, max_len=30):
     n = draw(st.integers(min_len, max_len))
     prices = draw(st.lists(POSITIVE, min_size=n, max_size=n))
     volumes = draw(st.lists(POSITIVE, min_size=n, max_size=n))
-    return Window(TickSeries(np.arange(n, dtype=float), prices, volumes), 0, n)
+    return WindowBatch(TickSeries(np.arange(n, dtype=float), prices, volumes), 0, 1, n, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,8 +360,8 @@ def test_vwap_is_the_market_first_moment_bitwise(w):
 def test_market_moment_obeys_the_convexity_bound(w, n):
     # exact in real arithmetic; in floats C_i = p_i*U_i, the powers, sums and
     # the division each round, so the bound holds to (n + 2N + 4) eps relative
-    powers = w.batch().price[0] ** n
-    slack = (n + 2 * len(w) + 4) * EPS
+    powers = w.price[0] ** n
+    slack = (n + 2 * w.window_len + 4) * EPS
     m = market_price_moment(w, n)
     assert powers.min() * (1.0 - slack) <= m <= powers.max() * (1.0 + slack)
 
@@ -351,16 +384,15 @@ def test_a_window_of_a_long_series_computes_on_its_own_ticks_alone(rng):
     prices = rng.uniform(1.0, 50.0, n)
     volumes = 10.0 * np.exp(0.5 * rng.standard_normal(n))
     series = TickSeries(np.arange(n, dtype=float), prices, volumes)
-    window, after = Window(series, start, stop), Window(series, stop, stop + 20)
+    window, after = WindowBatch(series, start, 1, stop - start, 1), WindowBatch(series, stop, 1, 20, 1)
     alone = make_window(prices[start:stop], volumes[start:stop], np.arange(start, stop, dtype=float))
     alone_after = make_window(prices[stop:stop + 20], volumes[stop:stop + 20],
                               np.arange(stop, stop + 20, dtype=float))
 
-    batch = window.batch()
-    assert batch.ticks("price").size == len(window)
-    assert batch.series is series and batch.rows(batch.ticks("price")).shape == (1, len(window))
+    assert window.ticks("price").size == window.window_len
+    assert window.series is series and window.price.shape == (1, window.window_len)
     for name in ("price", "volume", "value"):
-        assert np.array_equal(batch.ticks(name), getattr(series, name)[start:stop])
+        assert np.array_equal(window.ticks(name), getattr(series, name)[start:stop])
     for w, a in ((window, alone), (after, alone_after)):
         assert vwap(w) == vwap(a)
         assert market_price_moment(w, 3) == market_price_moment(a, 3)

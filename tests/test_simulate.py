@@ -20,7 +20,7 @@ from mbm.simulate import (
     ndtri,
     stream_normals,
 )
-from mbm.ticks import Window, parse_ticks, render_ticks
+from mbm.ticks import parse_ticks, render_ticks, window_batch
 
 
 def spec(**overrides):
@@ -72,7 +72,7 @@ def test_value_identity_holds():
 
 def test_constant_volume_collapses_market_to_frequency():
     series = gen_trades(spec(volume_model="constant", median_volume=7.0, seed=11))
-    w = Window(series, 0, len(series))
+    w = window_batch(series, len(series))
     assert (series.volume == 7.0).all()
     for n in range(1, 5):
         m = market_price_moment(w, n)
@@ -87,7 +87,7 @@ def test_constant_price_model():
 
 def test_uncorrelated_streams_pass_decorrelation_diagnostic():
     series = gen_trades(spec(length=10000, seed=21))
-    w = Window(series, 0, len(series))
+    w = window_batch(series, len(series))
     d = decorrelation_diagnostic(w, 1)
     assert abs(d.coefficient) < 0.05
 
@@ -198,6 +198,14 @@ def test_payoff_samples_validation():
         gen_payoff_samples(0.0, -1.0, 0.0, 10, 1)
     with pytest.raises(DataError):
         gen_payoff_samples(0.0, 1.0, 0.0, 1, 1)
+
+
+@pytest.mark.parametrize("variance, autocorr", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan),
+])
+def test_payoff_samples_reject_a_non_finite_variance_or_autocorr(variance, autocorr):
+    with pytest.raises(DataError, match="^variance and autocorr must be finite"):
+        gen_payoff_samples(0.0, variance, autocorr, 10, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 
 import mbm
 from mbm.errors import DataError
-from mbm.ticks import (TickSeries, TradeTick, Window, WindowBatch, parse_ticks, partition_windows,
+from mbm.ticks import (TickSeries, TradeTick, WindowBatch, parse_ticks, partition_windows,
                        render_ticks, window_batch, window_from_ticks)
 
 from conftest import make_series, make_window
@@ -96,8 +96,8 @@ def test_round_trip_preserves_regular_spacing():
 def test_partition_disjoint_counts():
     series = make_series(range(1, 7))
     windows = partition_windows(series, 3, "disjoint")
-    assert [len(w) for w in windows] == [3, 3]
-    seen = [t for w in windows for t in series.time[w.start:w.stop].tolist()]
+    assert [w.window_len for w in windows] == [3, 3]
+    seen = [t for w in windows for t in w.ticks("time").tolist()]
     assert seen == sorted(set(seen))  # no tick shared
 
 
@@ -111,7 +111,7 @@ def test_partition_sliding_counts_and_overlap():
     windows = partition_windows(series, 3, "sliding")
     assert len(windows) == 4
     for w1, w2 in zip(windows, windows[1:]):
-        assert (w2.start, w2.stop) == (w1.start + 1, w1.stop + 1)  # N-1 shared ticks
+        assert (w2.first, w2.window_len) == (w1.first + 1, w1.window_len)  # N-1 shared ticks
 
 
 def test_partition_window_longer_than_series():
@@ -128,18 +128,26 @@ def test_partition_rejects_bad_window_len_and_mode():
         partition_windows(series, 2, "wavelet")
 
 
+def test_a_single_window_is_a_one_row_batch():
+    series = make_series(range(1, 8))
+    assert partition_windows(series, 3, "sliding")[2] == WindowBatch(series, 2, 1, 3, 1)
+    assert partition_windows(series, 3, "disjoint")[1] == WindowBatch(series, 3, 1, 3, 1)
+    ticks = [TradeTick(t, p, 1.0, p) for t, p in zip(series.time.tolist(), series.price.tolist())]
+    assert window_from_ticks(ticks) == WindowBatch(series, 0, 1, 7, 1)
+
+
 def test_window_center_is_median_time():
     odd = make_window([1, 2, 3], times=[0.0, 4.0, 10.0])
-    assert odd.center_time == 4.0
+    assert odd.center_time.tolist() == [4.0]
     even = make_window([1, 2, 3, 4], times=[0.0, 2.0, 6.0, 8.0])
-    assert even.center_time == 4.0
+    assert even.center_time.tolist() == [4.0]
 
 
 def test_window_times_lie_in_centered_span():
     w = make_window([1, 2, 3, 4, 5])
-    times = w.series.time[w.start:w.stop]
-    half = np.abs(times - w.center_time).max()
-    assert ((w.center_time - half <= times) & (times <= w.center_time + half)).all()
+    times, center = w.ticks("time"), w.center_time[0]
+    half = np.abs(times - center).max()
+    assert ((center - half <= times) & (times <= center + half)).all()
 
 
 def test_empty_window_rejected():
@@ -189,6 +197,7 @@ def test_benchmark_tick_api_matches_the_columns(rng):
     ticks = [mbm.TradeTick(time=t, price=p, volume=u, value=p * u)
              for t, p, u in zip(time.tolist(), price.tolist(), volume.tolist())]
     got = mbm.compute_moment_set(mbm.window_from_ticks(ticks), 4, "market")
-    want = mbm.compute_moment_set(Window(TickSeries(time, price, volume), 0, 50), 4, "market")
+    want = mbm.compute_moment_set(WindowBatch(TickSeries(time, price, volume), 0, 1, 50, 1), 4,
+                                  "market")
     assert repr(got) == repr(want)  # float repr round-trips: equal bits
     assert callable(mbm.ticks.partition_windows) and callable(mbm.ticks.window_from_ticks)
