@@ -178,22 +178,22 @@ def _filled(template: str, sep: str, cells: np.ndarray) -> str:
     return sep.join([template] * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _write_table(path: str | None, n: int, per_row: int, chunk, line: str, record: str, frame,
-                 max_rows: int | None = None):
-    """Print a line and write a record for each of n rows, a chunk of rows at a time.
+def _write_table(path: str | None, slices, chunk, line: str, record: str, frame):
+    """Print a line and write a record for each row, a chunk of rows at a time.
 
-    The chunks are ticks.row_chunks of rows of per_row floats, at most
-    max_rows rows each if given, so a chunk formats about ticks.OUTPUT_FLOATS
-    floats and no output's text is held whole. chunk(rows, to_file) returns
-    two (rows, slots) object arrays of cells for a slice of rows: the line
-    cells after the row's index and, if to_file, the record cells (else
-    None). The lines are printed; the records are written to path,
-    frame[1]-joined within a chunk and framed (as in ticks.framed) around the
-    chunks. A chunk is printed and written before the next one is made.
-    Without a path only lines are printed.
+    slices are the chunks' rows, in order: the caller's
+    ticks.row_chunks, whose per_row counts the floats a row formats (and,
+    for moments, the ticks a row's window reduces), so no output's text is
+    held whole. chunk(rows, to_file) returns two (rows, slots) object
+    arrays of cells for a slice of rows: the line cells after the row's
+    index and, if to_file, the record cells (else None). The lines are
+    printed; the records are written to path, frame[1]-joined within a
+    chunk and framed (as in ticks.framed) around the chunks. A chunk is
+    printed and written before the next one is made. Without a path only
+    lines are printed.
     """
     def parts():
-        for rows in row_chunks(n, per_row, max_rows):
+        for rows in slices:
             lines, records = chunk(rows, path is not None)
             print(_filled(line, "\n", np.hstack(
                 [np.arange(rows.start, rows.stop, dtype=object)[:, None], lines])))
@@ -334,10 +334,11 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         return lines, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags[:, 1:]])
 
     try:
-        _write_table(settings["output"], len(batch), 2 + order * (3 if trade else 1), chunk,
-                     "window %s center_time=%s mean=%s variance=%s flags=%s",
-                     _moment_record(method, order, trade), JSON_ARRAY,
-                     moments_mod.span_rows(batch.window_len))
+        # a row formats 2 + order * (3 or 1) floats and its kernels reduce window_len ticks
+        _write_table(settings["output"],
+                     row_chunks(len(batch), max(2 + order * (3 if trade else 1), batch.window_len)),
+                     chunk, "window %s center_time=%s mean=%s variance=%s flags=%s",
+                     _moment_record(method, order, trade), JSON_ARRAY)
     finally:
         if reported:  # the report's one line ends before any error's message
             sys.stderr.write("\n")
@@ -351,7 +352,8 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     floats = np.column_stack([batch.center_time, moments_mod.batch_vwap(batch)])
-    _write_table(settings["output"], *floats.shape, lambda rows, _: (_reprs(floats[rows]),) * 2,
+    _write_table(settings["output"], row_chunks(len(floats), 2),
+                 lambda rows, _: (_reprs(floats[rows]),) * 2,
                  "window %s center_time=%s vwap=%s", "%s,%s\n",
                  (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
@@ -372,7 +374,8 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     values = moments_mod.batch_autocorrelation(batch, lag, method)  # finite, or it raised
     centers = batch.center_time  # finite, as the tick times are
     floats = np.column_stack([centers[:len(values)], centers[lag:], values])
-    _write_table(settings["output"], *floats.shape, lambda rows, _: (_reprs(floats[rows]),) * 2,
+    _write_table(settings["output"], row_chunks(len(floats), 3),
+                 lambda rows, _: (_reprs(floats[rows]),) * 2,
                  "window %s t1=%s t2=%s autocorr=%s", _AUTOCORR_RECORD, JSON_ARRAY)
     return EXIT_OK
 

@@ -91,11 +91,7 @@ def _read_fields(cls, section: dict[str, str], where: str, keys: dict[str, str] 
 def build_utility(section: dict[str, str]) -> UtilitySpec:
     from .utility import UtilitySpec
 
-    if "family" not in section:
-        raise DataError("[utility] section needs a 'family' key")
-    family = section["family"].strip()
-    parameter = number(section.get("parameter", "0"), "[utility] parameter")
-    return UtilitySpec(family=family, parameter=parameter)
+    return UtilitySpec(**_read_fields(UtilitySpec, section, "utility"))
 
 
 def build_scenario(

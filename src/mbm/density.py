@@ -186,6 +186,15 @@ def _finalize(spec, grid: np.ndarray, values_raw: np.ndarray, method: str) -> De
     )
 
 
+def _check_moments(moments: MomentSet) -> None:
+    """An input error for an order below 2; a numerical failure for a set flagged non_finite."""
+    if moments.order < 2:
+        raise DataError(f"density needs order >= 2, got {moments.order}")
+    if "non_finite" in moments.flags:
+        raise DomainError("cannot build a density from non-finite moments "
+                          f"{list(moments.raw_moments)}")
+
+
 def density_gram_charlier(moments: MomentSet, grid_spec) -> DensityApprox:
     """Gram-Charlier A-series density matching the set's moments (up to 4).
 
@@ -195,8 +204,7 @@ def density_gram_charlier(moments: MomentSet, grid_spec) -> DensityApprox:
     (flagged sets are rejected) and a grid spanning at least mean +/- 6
     standard deviations.
     """
-    if moments.order < 2:
-        raise DataError(f"density needs order >= 2, got {moments.order}")
+    _check_moments(moments)
     if "negative_variance" in moments.flags or not (moments.variance > 0.0):
         raise DomainError(
             f"cannot build a density from non-positive variance {moments.variance:g}"
@@ -229,8 +237,7 @@ def density_damped_inversion(
     moment-consistent density convolved with a Gaussian of standard
     deviation 1/s, so larger damping_sigma means less broadening.
     """
-    if moments.order < 2:
-        raise DataError(f"density needs order >= 2, got {moments.order}")
+    _check_moments(moments)
     if not (damping_sigma > 0.0):
         raise DataError(f"damping_sigma must be positive, got {damping_sigma}")
     if damping_sigma == math.inf:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .ticks import WindowBatch
+from .ticks import WindowBatch, row_chunks
 
 METHODS = ("frequency", "market")
 
@@ -84,21 +84,10 @@ class CorrelationDiagnostic:
     undefined: bool = False
 
 
-# Elements per temporary in the batch kernels: they take a span of windows of
-# about this many ticks at a time, which bounds the products of their rows.
-_CHUNK_ELEMENTS = 1 << 16
-
-
-def span_rows(window_len: int) -> int:
-    """Rows per span of windows of window_len ticks: _CHUNK_ELEMENTS ticks of rows (one at least)."""
-    return max(1, _CHUNK_ELEMENTS // window_len)
-
-
 def _spans(*batches: WindowBatch):
-    """(rows, the span batch of those rows of each batch), covering the batches' rows in order."""
-    step = span_rows(batches[0].window_len)
-    for lo in range(0, len(batches[0]), step):
-        rows = slice(lo, lo + step)
+    """(rows, the span batch of those rows of each batch) for each ticks.row_chunks slice of
+    the batches' rows, a row being a window's ticks: a span is about ticks.BLOCK ticks."""
+    for rows in row_chunks(len(batches[0]), batches[0].window_len):
         yield (rows, *(batch[rows] for batch in batches))
 
 
@@ -374,10 +363,16 @@ def payoff_autocorrelation(dev12, dev2) -> float:
         raise DataError("deviation sequences must be 1-d and of equal length")
     if d12.size < 2:
         raise DataError("payoff autocorrelation needs at least 2 pairs")
-    for name, d in (("first", d12), ("second", d2)):
-        if not np.isfinite(d).all():
-            raise DataError(f"{name} deviation sequence has a non-finite value")
-        scale = max(1.0, float(np.max(np.abs(d))))
-        if abs(float(np.mean(d))) > 1e-9 * scale:
-            raise DataError(f"{name} deviation sequence is not centered (mean {np.mean(d):g})")
-    return float(np.mean(d12 * d2))
+    # an overflowing sum or product is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, d in (("first", d12), ("second", d2)):
+            if not np.isfinite(d).all():
+                raise DataError(f"{name} deviation sequence has a non-finite value")
+            scale = max(1.0, float(np.max(np.abs(d))))
+            mean = float(np.mean(d))
+            if abs(mean) > 1e-9 * scale:
+                raise DataError(f"{name} deviation sequence is not centered (mean {mean:g})")
+        out = float(np.mean(d12 * d2))
+    if not np.isfinite(out):
+        raise DomainError(f"payoff autocorrelation {out!r} is not finite")
+    return out

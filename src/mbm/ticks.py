@@ -14,8 +14,11 @@ one-row batch. TradeTick is a plain record that window_from_ticks reads
 into a series. parse_ticks keeps the columns of each text it parses in a
 private on-disk cache, so a text is parsed once, and a file whose
 columns are there is hashed, never read whole.
-The CLI writes its row outputs a chunk of about OUTPUT_FLOATS floats at a
-time (row_chunks), each framed by its head, separators and tail (framed).
+Every bounded loop walks row_chunks(n, per_row): the tick checks, the
+moment kernels' spans of windows, simulate's blocks of ticks and the
+CLI's output chunks each take BLOCK elements of rows at a time, so no
+temporary grows with the input. The CLI frames its chunks by their head,
+separators and tail (framed).
 """
 
 from __future__ import annotations
@@ -52,20 +55,27 @@ _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*"
 _DECIMAL_BYTES = b"0123456789.eE+-, \t\n"
 
 
-#: Ticks per block of the tick checks, so their temporaries do not grow with the series.
-CHECK_TICKS = 1 << 14
+#: Elements per block of every bounded loop: a tick checked, a float formatted
+#: or a tick of a window's row. See row_chunks.
+BLOCK = 1 << 14
+
+
+def row_chunks(n: int, per_row: int) -> list[slice]:
+    """Slices that cover rows 0..n-1 in order, max(1, BLOCK // per_row) rows each
+    (the last one the rest), where a row is per_row elements."""
+    step = max(1, BLOCK // per_row)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _check_columns(time, price, volume, value, where) -> None:
     """Raise DataError for the first tick that breaks a rule or goes back in time.
 
-    The ticks are checked CHECK_TICKS at a time, in order; where(i) names
-    tick i in the message (a CSV line, a tick index).
+    The ticks are checked a row_chunks block at a time, in order; where(i)
+    names tick i in the message (a CSV line, a tick index).
     """
-    n = len(time)
-    for lo in range(0, n, CHECK_TICKS):
-        hi = min(lo + CHECK_TICKS, n)
-        t, p, u, c = time[lo:hi], price[lo:hi], volume[lo:hi], value[lo:hi]
+    for rows in row_chunks(len(time), 1):
+        lo, hi = rows.start, rows.stop
+        t, p, u, c = time[rows], price[rows], volume[rows], value[rows]
         with np.errstate(invalid="ignore", over="ignore"):
             expected = p * u
             passed = (
@@ -450,24 +460,11 @@ def _infer_spacing(time: np.ndarray) -> float | None:
     first = time[1] - time[0]
     if not first > 0.0:
         return None
-    for lo in range(0, len(time) - 1, CHECK_TICKS):  # the differences a block at a time
-        diffs = np.diff(time[lo:lo + CHECK_TICKS + 1])
+    for rows in row_chunks(len(time) - 1, 1):  # the differences a block at a time
+        diffs = np.diff(time[rows.start:rows.stop + 1])
         if np.any(np.abs(diffs - first) > 1e-9 * np.maximum(abs(first), np.abs(diffs))):
             return None
     return float(first)
-
-
-#: Floats per chunk of a rendered output. The CLI formats, prints and writes
-#: its outputs a chunk of rows at a time, each chunk about this many floats,
-#: so no output's text is held whole.
-OUTPUT_FLOATS = 1 << 14
-
-
-def row_chunks(n: int, floats_per_row: int, max_rows: int | None = None) -> list[slice]:
-    """Slices that cover rows 0..n-1 in order, each of at most OUTPUT_FLOATS floats
-    when a row formats floats_per_row floats and of at most max_rows rows (one row at least)."""
-    step = max(1, min(OUTPUT_FLOATS // floats_per_row, max_rows or n))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def framed(parts, frame: tuple[str, str, str, str]):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbm.ticks
 from mbm import moments
 from mbm.cli import main
 from mbm.moments import (
@@ -148,15 +149,15 @@ def test_batched_kernels_equal_per_window_reference_bitwise(
         n_ticks = n_windows + window_len - 1
     series = make_series(seed, n_ticks, discrete)
     # small chunks put chunk boundaries inside the batch; None keeps the default
-    chunk = moments._CHUNK_ELEMENTS if chunk_rows is None else chunk_rows * window_len
-    with mock.patch.object(moments, "_CHUNK_ELEMENTS", chunk):
+    chunk = mbm.ticks.BLOCK if chunk_rows is None else chunk_rows * window_len
+    with mock.patch.object(mbm.ticks, "BLOCK", chunk):
         check_against_reference(series, window_len, mode, k, method, lag, corr_order)
 
 
 @pytest.mark.parametrize("method", ["frequency", "market"])
 def test_batched_kernels_cross_default_chunk_boundaries(method):
-    window_len = 1000  # long windows keep the default chunk to a few hundred rows
-    rows_per_chunk = moments._CHUNK_ELEMENTS // window_len
+    window_len = 1000  # long windows keep the default chunk to a few rows
+    rows_per_chunk = mbm.ticks.BLOCK // window_len
     series = make_series(7, 2 * rows_per_chunk + 150 + window_len - 1, discrete=False)
     check_against_reference(series, window_len, "sliding", 4, method, 1, 2)
 

@@ -345,6 +345,18 @@ def test_density_flagged_set_without_strict_is_numerical_failure(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("density_method", ["gram_charlier", "damped"])
+def test_density_of_non_finite_moments_is_one_numerical_failure(tmp_path, capsys,
+                                                                density_method):
+    path = tmp_path / "big.csv"
+    path.write_text("time,price,volume\n0,1e160,1\n1,2e160,1\n2,3e160,1\n", encoding="utf-8")
+    assert main(["density", "--input", str(path), "--order", "4", "--method", "market",
+                 "--density-method", density_method, "--damping-sigma", "1",
+                 "--grid=-1e161:1e161:11", "--output", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: cannot build a density from "
+                                       "non-finite moments [2e+160, inf, inf, inf]\n")
+
+
 def test_price_single(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PRICE_CFG, encoding="utf-8")
@@ -833,3 +845,12 @@ def test_config_entries_no_command_reads_are_input_errors(tmp_path, capsys, extr
     (tmp_path / "p.cfg").write_text(PRICE_CFG + extra, encoding="utf-8")
     assert main(["price", "--config", str(tmp_path / "p.cfg"), *argv]) == 1
     assert expected in capsys.readouterr().err
+
+
+def test_an_unknown_utility_key_is_an_input_error(tmp_path, capsys):
+    # a key that no utility reads is not ignored
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRICE_CFG.replace("family = log\n", "family = log\ngamma = 3\n"),
+                   encoding="utf-8")
+    assert main(["price", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "input error: [utility] unknown keys ['gamma']\n")

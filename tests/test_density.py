@@ -150,6 +150,28 @@ def test_gc_rejects_flagged_negative_variance():
         density_gram_charlier(ms, (-100.0, 100.0, 101))
 
 
+def non_finite_set():
+    """The market k=4 moment set of ticks near 1e160, whose squares overflow."""
+    ms = compute_moment_set(make_window([1e160, 2e160, 3e160]), 4, "market")
+    assert ms.flags == ("non_finite",)
+    return ms
+
+
+NON_FINITE = r"^cannot build a density from non-finite moments \[2e\+160, inf, inf, inf\]$"
+
+
+def test_gc_rejects_a_non_finite_set():
+    # the non_finite flag, not the nan variance it gives, names the failure
+    with pytest.raises(DomainError, match=NON_FINITE):
+        density_gram_charlier(non_finite_set(), (-1e161, 1e161, 11))
+
+
+def test_damped_inversion_rejects_a_non_finite_set():
+    # rejected before any evaluation, so no overflow warning precedes the error
+    with pytest.raises(DomainError, match=NON_FINITE):
+        density_damped_inversion(non_finite_set(), 1.0, (-1e161, 1e161, 11))
+
+
 def test_gc_rejects_narrow_grid():
     ms = compute_moment_set(make_window([10, 20], [1, 3]), 2, "market")
     sd = math.sqrt(ms.variance)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbm.errors import DataError
+from mbm.errors import DataError, DomainError
 from mbm.moments import (
     compute_moment_set,
     decorrelation_diagnostic,
@@ -266,6 +266,12 @@ def test_payoff_autocorrelation_hand_values():
 def test_payoff_autocorrelation_rejects_uncentered():
     with pytest.raises(DataError, match="not centered"):
         payoff_autocorrelation([1.0, 2.0], [-1.0, 1.0])
+
+
+def test_payoff_autocorrelation_that_overflows_is_a_numerical_failure():
+    # finite, centred deviations whose products overflow
+    with pytest.raises(DomainError, match="^payoff autocorrelation inf is not finite$"):
+        payoff_autocorrelation([1e200, -1e200], [1e200, -1e200])
 
 
 def test_payoff_autocorrelation_needs_two_pairs():

@@ -1,13 +1,14 @@
 """Outputs written in row chunks equal the whole-output rendering byte for byte.
 
 The CLI formats, prints and writes its large outputs a chunk of rows at a
-time, each chunk at most ticks.OUTPUT_FLOATS floats; moments also computes
-a chunk at a time, each at most moments._CHUNK_ELEMENTS ticks of windows.
-These tests shrink a limit to R rows' floats or ticks, check that the
-command then writes R rows per chunk, and check, for 0, 1, R-1, R, R+1
-and 2R+1 rows, that stdout, stderr and the output file equal those of a
-run that renders the whole output as one chunk, and that the JSON files
-equal json.dumps of their records.
+time, the ticks.row_chunks of its rows: ticks.BLOCK floats a chunk, and
+for moments, which also computes a chunk at a time, ticks.BLOCK of a row's
+floats or of its window's ticks, whichever a row has more of. These tests
+shrink ticks.BLOCK to R rows, check that the command then writes R rows
+per chunk, and check, for 0, 1, R-1, R, R+1 and 2R+1 rows, that stdout,
+stderr and the output file equal those of a run that renders the whole
+output as one chunk, and that the JSON files equal json.dumps of their
+records.
 """
 
 import json
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mbm
 import mbm.cli
@@ -31,47 +34,48 @@ from mbm.ticks import TICK_FLOATS, TickSeries, parse_ticks, render_ticks, row_ch
 R = 3
 ROW_COUNTS = (1, R - 1, R, R + 1, 2 * R + 1)
 
-# (price, volume) ticks. Two-tick windows: (A, B) and (B, A) have a negative
-# market variance, and any window holding H overflows p**4, so it is non_finite.
+# (price, volume) ticks. Windows of A and B ticks alone, both kinds held, have
+# a negative market variance, and any window holding H overflows p**4, so it
+# is non_finite.
 A, B, H = (10.0, 1.0), (1.0, 10.0), (1e80, 1.0)
 
+# Window lengths below and above the floats of every moments row written
+# here (at most 14), so that either bounds moments' chunks.
+WINDOWS = {"floats_exceed_N": 2, "N_exceeds_floats": 16}
 
-def tick_text(windows: int, mode: str) -> str:
-    """A tick file whose two-tick windows put a non_finite and a negative_variance
-    window on each side of every chunk boundary."""
+
+def tick_text(windows: int, mode: str, window: int = 2) -> str:
+    """A tick file of the given windows, each tick of the two-tick pattern below
+    written window // 2 times. With two-tick windows, it puts a non_finite and
+    a negative_variance window on each side of every chunk boundary."""
+    m = window // 2
     if mode == "disjoint":  # windows cycle non_finite, negative_variance, plain
-        ticks = [t for i in range(windows) for t in ((A, H), (A, B), (A, A))[i % 3]]
-    else:  # windows cycle negative, negative, non_finite, non_finite, plain
-        ticks = [(A, B, A, H, A)[i % 5] for i in range(windows + 1)]
+        ticks = [t for i in range(windows) for t in ((A, H), (A, B), (A, A))[i % 3]
+                 for _ in range(m)]
+    else:  # two-tick windows cycle negative, negative, non_finite, non_finite, plain
+        ticks = [(A, B, A, H, A)[i // m % 5] for i in range(windows + window - 1)]
     return "time,price,volume\n" + "".join(f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(ticks))
 
 
-def run(capsys, argv, output: Path | None, rows: int | None = None, limit: str = "floats"):
-    """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given.
-
-    The chunks are limited by the floats of R rows, or with limit "ticks"
-    by the ticks of R windows (moments, whose kernels run a chunk at a time).
-    """
+def run(capsys, argv, output: Path | None, rows: int | None = None):
+    """(exit, stdout, stderr, output bytes) of one CLI run, in chunks of rows if given."""
     if output is not None:
         output.unlink(missing_ok=True)
         argv = argv + ["--output", str(output)]
     calls = []  # the chunk sizes of each row_chunks call
 
     with pytest.MonkeyPatch.context() as patch:
-        def recording(n, per_row, max_rows=None):
-            # chunks of `rows` rows of the width the command passes, or more floats than n rows
-            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", (rows if limit == "floats" else n + 1) * per_row)
-            chunks = row_chunks(n, per_row, max_rows)
+        def recording(n, per_row):
+            # chunks of `rows` rows of the width the command passes
+            patch.setattr(mbm.ticks, "BLOCK", rows * per_row)
+            chunks = row_chunks(n, per_row)
             calls.append([sl.stop - sl.start for sl in chunks])
             return chunks
 
         if rows is not None:
             # simulate makes its blocks of ticks before the writer's call
-            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
+            patch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
             patch.setattr(mbm.cli, "row_chunks", recording)
-            if limit == "ticks":
-                window = int(argv[argv.index("--window") + 1])
-                patch.setattr(mbm.moments, "_CHUNK_ELEMENTS", rows * window)
         code = main(argv)
     for sizes in calls:  # R rows per chunk, the last chunk holding the rest
         n = sum(sizes)
@@ -80,10 +84,10 @@ def run(capsys, argv, output: Path | None, rows: int | None = None, limit: str =
     return code, out, err, None if output is None or not output.exists() else output.read_bytes()
 
 
-def same_chunked_and_whole(capsys, argv, output: Path | None = None, limit: str = "floats"):
+def same_chunked_and_whole(capsys, argv, output: Path | None = None):
     """The chunked run's result, after checking it equals the whole-output run's."""
     whole = run(capsys, argv, output)
-    chunked = run(capsys, argv, output, rows=R, limit=limit)
+    chunked = run(capsys, argv, output, rows=R)
     assert chunked == whole
     return chunked
 
@@ -93,22 +97,38 @@ def window_numbers(text: str, sep: str = "\n") -> list[int]:
 
 
 def test_row_chunks_read_the_row_constant_at_each_call(monkeypatch):
-    # 16,384 floats: a market k=4 moments row formats 14 of them, a tick-CSV row 4
+    # 16,384 elements: a market k=4 moments row formats 14 floats, a tick-CSV row 4,
+    # and a 100-tick window is 100 ticks of a kernel's row
     assert row_chunks(1171, 14) == [slice(0, 1170), slice(1170, 1171)]
     assert row_chunks(8192, TICK_FLOATS) == [slice(0, 4096), slice(4096, 8192)]
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", 2 * R + 1)
+    assert row_chunks(200, 100) == [slice(0, 163), slice(163, 200)]
+    monkeypatch.setattr(mbm.ticks, "BLOCK", 2 * R + 1)
     assert row_chunks(0, 2) == []
     assert row_chunks(2 * R + 1, 2) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     # a row of more floats than a chunk holds is a chunk of its own
     assert row_chunks(2, 2 * R + 2) == [slice(0, 1), slice(1, 2)]
 
 
+@given(n=st.integers(0, 3000), per_row=st.integers(1, 300),
+       block=st.none() | st.integers(1, 5000))
+def test_row_chunks_cover_the_rows_in_order(n, per_row, block):
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:  # None keeps the default
+            patch.setattr(mbm.ticks, "BLOCK", block)
+        step = max(1, mbm.ticks.BLOCK // per_row)
+        chunks = row_chunks(n, per_row)
+    assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(n))
+    sizes = [sl.stop - sl.start for sl in chunks]
+    assert all(sl.step is None for sl in chunks) and all(0 < size <= step for size in sizes)
+    assert all(size == step for size in sizes[:-1])
+
+
 def test_moment_rows_format_the_floats_they_are_chunked_by(tmp_path, capsys, monkeypatch):
     ticks, out = tmp_path / "ticks.csv", tmp_path / "m.json"
     ticks.write_text(tick_text(4, "sliding"), encoding="utf-8")
     chunked_by = []
-    monkeypatch.setattr(mbm.cli, "row_chunks", lambda n, per_row, max_rows=None: (
-        chunked_by.append(per_row) or row_chunks(n, per_row, max_rows)))
+    monkeypatch.setattr(mbm.cli, "row_chunks", lambda n, per_row: (
+        chunked_by.append(per_row) or row_chunks(n, per_row)))
     for k, method, floats in ((4, "frequency", 6), (4, "market", 14), (3, "market", 11)):
         assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
                      "--order", str(k), "--method", method, "--output", str(out)]) == 0
@@ -117,6 +137,11 @@ def test_moment_rows_format_the_floats_they_are_chunked_by(tmp_path, capsys, mon
         written = 2 + sum(len(record[name] or ()) for name in ("raw_moments", "value_moments",
                                                                 "volume_moments"))
         assert chunked_by.pop() == floats == written
+    # a window of more ticks than its row's 14 floats chunks the rows by its ticks
+    ticks.write_text(tick_text(4, "sliding", 16), encoding="utf-8")
+    assert main(["moments", "--input", str(ticks), "--window", "16", "--mode", "sliding",
+                 "--order", "4", "--method", "market", "--output", str(out)]) == 0
+    assert chunked_by.pop() == 16
     capsys.readouterr()
 
 
@@ -124,17 +149,20 @@ def test_moment_rows_format_the_floats_they_are_chunked_by(tmp_path, capsys, mon
 @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
 @pytest.mark.parametrize("method", ["frequency", "market"])
 def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode, windows):
+    # rows bounded by their floats, then by their windows' ticks
+    for window in WINDOWS.values():
+        check_strict_moments_in_chunks(tmp_path, capsys, method, mode, windows, window)
+
+
+def check_strict_moments_in_chunks(tmp_path, capsys, method, mode, windows, window):
     ticks = tmp_path / "ticks.csv"
-    ticks.write_text(tick_text(windows, mode), encoding="utf-8")
-    argv = ["moments", "--input", str(ticks), "--window", "2", "--mode", mode, "--order", "4",
-            "--method", method, "--strict"]
-    # chunks of R rows' floats, then of R windows' ticks: both limits give the same bytes
+    ticks.write_text(tick_text(windows, mode, window), encoding="utf-8")
+    argv = ["moments", "--input", str(ticks), "--window", str(window), "--mode", mode,
+            "--order", "4", "--method", method, "--strict"]
     code, out, err, data = same_chunked_and_whole(capsys, argv, tmp_path / "m.json")
-    assert same_chunked_and_whole(capsys, argv, tmp_path / "m.json", "ticks") == (code, out, err,
-                                                                                   data)
     assert code == 3
     assert window_numbers(out) == list(range(windows))
-    batch = window_batch(parse_ticks(ticks.read_text()), 2, mode)
+    batch = window_batch(parse_ticks(ticks.read_text()), window, mode)
     table = batch_moments(batch, 4, method)
     coef, correlated, _ = batch_decorrelation(batch, 2, 0.2)
     messages = []
@@ -149,28 +177,31 @@ def test_strict_moments_in_chunks_equal_one_chunk(tmp_path, capsys, method, mode
     assert err == "strict violation: " + "; ".join(messages) + "\n"
     payload = [table.moment_set(i).to_json_dict() for i in range(len(table))]
     assert data.decode() == json.dumps(payload, indent=2) + "\n"
-    if windows == 2 * R + 1 and method == "market":  # both flags on each side of a boundary
+    # both flags on each side of a boundary; long sliding windows share too many
+    # ticks to take turns
+    if windows == 2 * R + 1 and method == "market" and (mode == "disjoint" or window == 2):
         for rows in (slice(0, R), slice(R, 2 * R)):
             assert table.negative_variance[rows].any() and table.non_finite[rows].any()
     # without an output file, stdout and stderr are those of the run with one
     assert same_chunked_and_whole(capsys, argv) == (code, out, err, None)
 
 
-@pytest.mark.parametrize("limit", ["floats", "ticks"])
+@pytest.mark.parametrize("window", WINDOWS.values(), ids=WINDOWS.keys())
 def test_strict_report_names_the_windows_at_chunk_edges_by_their_series_index(tmp_path, capsys,
-                                                                              limit):
-    # disjoint two-tick windows; (A, B) has a negative market variance and a
-    # -1 correlation, (A, A) neither. Rows 0-2, 3-5 and 6 are the chunks, and
-    # the first and last window of each is flagged.
+                                                                              window):
+    # disjoint windows of A and B ticks, half each, have a negative market
+    # variance and a -1 correlation, of A ticks alone neither. Rows 0-2, 3-5
+    # and 6 are the chunks, and the first and last window of each is flagged.
     flagged = [0, 2, 3, 5, 6]
     ticks = tmp_path / "ticks.csv"
     rows = [(A, B) if i in flagged else (A, A) for i in range(2 * R + 1)]
     ticks.write_text("time,price,volume\n" + "".join(
-        f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(t for row in rows for t in row)),
+        f"{t},{p!r},{v!r}\n" for t, (p, v) in enumerate(
+            t for row in rows for t in row for _ in range(window // 2))),
         encoding="utf-8")
-    argv = ["moments", "--input", str(ticks), "--window", "2", "--order", "2", "--method",
-            "market", "--strict"]
-    code, out, err, _ = same_chunked_and_whole(capsys, argv, tmp_path / "m.json", limit)
+    argv = ["moments", "--input", str(ticks), "--window", str(window), "--order", "2",
+            "--method", "market", "--strict"]
+    code, out, err, _ = same_chunked_and_whole(capsys, argv, tmp_path / "m.json")
     assert code == 3
     assert [i for i, line in enumerate(out.splitlines()) if "negative_variance" in line] == flagged
     assert err.startswith("strict violation: ") and err.endswith("\n") and err.count("\n") == 1
@@ -246,7 +277,7 @@ def test_simulate_in_chunks_equals_one_chunk(tmp_path, capsys, length):
 
 
 def test_library_renderings_join_the_chunks(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * TICK_FLOATS)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", R * TICK_FLOATS)
     for n in (0, *ROW_COUNTS):
         series = TickSeries(np.arange(float(n)), 1.0 + np.arange(n) / 7, np.full(n, 3.0))
         rows = zip(*(getattr(series, c).tolist() for c in ("time", "price", "volume", "value")))
@@ -254,7 +285,7 @@ def test_library_renderings_join_the_chunks(tmp_path, capsys, monkeypatch):
             f"{t!r},{p!r},{v!r},{c!r}\n" for t, p, v, c in rows)
     # an output of no rows is its frame's empty text, with no lines
     path = tmp_path / "empty.json"
-    mbm.cli._write_table(str(path), 0, 14, None, "", "", mbm.cli.JSON_ARRAY)
+    mbm.cli._write_table(str(path), row_chunks(0, 14), None, "", "", mbm.cli.JSON_ARRAY)
     assert path.read_text(encoding="utf-8") == json.dumps([], indent=2) + "\n"
     assert capsys.readouterr() == ("", "")
 
@@ -269,7 +300,7 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
         write_pieces(path, (written.append(piece) or piece for piece in pieces))
 
     monkeypatch.setattr(mbm.cli, "_write_pieces", recording)
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)  # a market k=4 row formats 14 floats
+    monkeypatch.setattr(mbm.ticks, "BLOCK", R * 14)  # a market k=4 row formats 14 floats
     assert main(["moments", "--input", str(ticks), "--window", "2", "--mode", "sliding",
                  "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
     assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
@@ -386,7 +417,7 @@ def test_simulate_peak_memory_does_not_grow_with_its_length(tmp_path):
 @pytest.mark.parametrize("rows", [R, 4096])
 def test_a_write_that_fails_in_a_later_chunk_is_an_input_error(tmp_path, capsys, monkeypatch, rows):
     # ~60 KB of ticks: the file's buffer flushes, and fails, while chunks are being written
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("[simulate]\nlength = 2000\nseed = 4\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
@@ -406,7 +437,7 @@ def test_a_strict_report_cut_by_a_failing_write_ends_its_line_before_the_error(t
             "--method", "market", "--strict"]
     assert main(argv + ["--output", str(tmp_path / "m.json")]) == 3
     report = capsys.readouterr().err
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", R * 14)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", R * 14)
     assert main(argv + ["--output", "/dev/full"]) == 1
     out, err = capsys.readouterr()
     violations, error, end = err.split("\n")

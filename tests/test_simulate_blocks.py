@@ -1,4 +1,4 @@
-"""simulate makes its ticks in blocks of one output chunk, ticks.OUTPUT_FLOATS
+"""simulate makes its ticks in blocks of one output chunk, ticks.BLOCK
 floats (4096 ticks of 4 floats), and writes each block before it makes the
 next. These tests shrink a block to R ticks and check, for R-1, R, R+1 and
 2R+1 ticks, that the blocks join to the series generated as one block bit
@@ -45,7 +45,7 @@ def test_blocks_join_to_the_series_made_in_one_block(monkeypatch, rows, models):
         spec = sim_spec(length, *models)
         whole = gen_trades(spec)  # 4096 rows: one block
         with monkeypatch.context() as patch:
-            patch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
+            patch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
             blocks = list(trade_blocks(spec))
             joined = gen_trades(spec)
             sizes = [r.stop - r.start for r in row_chunks(length, TICK_FLOATS)]
@@ -76,7 +76,7 @@ def write_config(tmp_path, spec):
 def test_simulate_writes_the_rendered_series(tmp_path, capsys, monkeypatch, rows):
     spec = sim_spec(2 * rows + 1)
     expected = render_ticks(gen_trades(spec)).encode()
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
     out = tmp_path / "ticks.csv"
     assert main(["simulate", "--config", write_config(tmp_path, spec), "--output", str(out)]) == 0
     assert capsys.readouterr() == (f"simulated ticks={2 * rows + 1} seed=11\n", "")
@@ -99,7 +99,7 @@ def test_a_bad_tick_past_the_first_block_keeps_the_rows_before_its_block(tmp_pat
                                                                          monkeypatch, rows):
     spec = SimSpec(**OVERFLOW)
     kept = render_ticks(gen_trades(dataclasses.replace(spec, length=9 // rows * rows)))
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", rows * TICK_FLOATS)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
     out = tmp_path / "ticks.csv"
     out.write_text("an older file\n", encoding="utf-8")
     assert main(["simulate", "--config", write_config(tmp_path, spec), "--output", str(out)]) == 1
@@ -119,7 +119,7 @@ def test_a_bad_tick_in_the_first_block_leaves_the_output_untouched(tmp_path, cap
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 def test_a_failed_simulate_never_removes_a_device_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(mbm.ticks, "OUTPUT_FLOATS", 3 * TICK_FLOATS)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", 3 * TICK_FLOATS)
     cfg = write_config(tmp_path, SimSpec(**OVERFLOW))
     assert main(["simulate", "--config", cfg, "--output", os.devnull]) == 1
     assert capsys.readouterr().err.startswith("input error: tick 9: ")

@@ -79,7 +79,7 @@ BLOCK = 4  # ticks per block of the checks below: 12 ticks are three blocks
 def check(columns, block):
     """The DataError message of TickSeries(*columns) with ticks checked block at a time, or None."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mbm.ticks, "CHECK_TICKS", block)
+        patch.setattr(mbm.ticks, "BLOCK", block)
         try:
             TickSeries(*columns)
         except DataError as exc:
@@ -123,6 +123,6 @@ def test_spacing_in_blocks_is_the_spacing_of_one_block(monkeypatch):
         off[i] += 0.1
         cases.append(off)
     whole = [_infer_spacing(time) for time in cases]
-    monkeypatch.setattr(mbm.ticks, "CHECK_TICKS", BLOCK)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", BLOCK)
     assert [_infer_spacing(time) for time in cases] == whole
     assert whole[0] == 0.25 and whole[1] == 0.25 + 1e-12 and whole[2:] == [None] * n
