@@ -58,10 +58,6 @@ EXIT_NUMERICAL = 2
 EXIT_STRICT = 3
 
 
-class StrictViolation(Exception):
-    """An assumption violation promoted to an error by --strict."""
-
-
 _TICK_COMMANDS = "moments vwap autocorr"
 
 #: setting -> (commands that read it, help, type: text/int/float/bool, default).
@@ -282,8 +278,7 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
     order = _require(settings, "order")
     method = _require(settings, "method")
     threshold = settings["decorrelation_threshold"]
-    if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
+    moments_mod.check_threshold(threshold)
     # a table of no rows checks order and method before the output is opened
     moments_mod.batch_moments(batch[:0], order, method)
     trade = method == "market"
@@ -396,9 +391,9 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
     method = _require(settings, "method")
     ms = moments_mod.compute_moment_set(window_batch(series, len(series)), order, method)
     if "negative_variance" in ms.flags and settings["strict"]:
-        raise StrictViolation(
-            f"moment set has negative market variance {ms.variance!r}; density undefined"
-        )
+        print(f"strict violation: moment set has negative market variance {ms.variance!r}; "
+              "density undefined", file=sys.stderr)
+        return EXIT_STRICT
     grid_spec = _parse_grid_setting(_require(settings, "grid"))
     density_method = settings["density_method"]
     if density_method == "gram_charlier":
@@ -557,9 +552,6 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except StrictViolation as exc:
-        print(f"strict violation: {exc}", file=sys.stderr)
-        return EXIT_STRICT
     except (ConvergenceError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

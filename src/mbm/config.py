@@ -55,7 +55,8 @@ def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     """Read a config file into {section: {key: value}}."""
     import configparser  # only a run with a config file reads one
 
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section name is "", so [DEFAULT] is a section like any other, not keys shared by all
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep key case
     try:
         parser.read_string(read_text(path, "config "), source=str(path))

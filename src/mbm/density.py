@@ -145,23 +145,29 @@ def _central_moments(raw: tuple[float, ...]):
 def _parse_grid(grid_spec) -> tuple[tuple[float, float, int], np.ndarray]:
     try:
         lo, hi, points = grid_spec
-    except (TypeError, ValueError):
-        raise DataError("grid_spec must be (lo, hi, points)") from None
-    points = int(points)
+        spec = float(lo), float(hi), int(points)
+    except (TypeError, ValueError, OverflowError):  # int(nan), int(inf)
+        raise DataError(f"grid_spec must be (lo, hi, points), got {grid_spec!r}") from None
+    if spec[2] != points:
+        raise DataError(f"grid points must be an integer, got {points!r}")
+    lo, hi, points = spec
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DataError(f"grid lo and hi must be finite, got ({lo}, {hi})")
     if not (hi > lo) or points < 2:
         raise DataError(f"grid needs hi > lo and points >= 2, got ({lo}, {hi}, {points})")
-    spec = float(lo), float(hi), points
     try:
         return spec, np.linspace(*spec)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded"
         raise DataError(f"grid of {points} points does not fit in memory") from None
 
 
 def _hermite_density(grid: np.ndarray, center: float, scale: float, coeffs) -> np.ndarray:
     """Gaussian N(center, scale^2) times the Hermite series sum_n c_n He_n(z)."""
-    z = (grid - center) / scale
-    base = np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
-    return base * hermeval(z, coeffs)
+    # an overflow makes non-finite values, which _finalize reports, not warns about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = (grid - center) / scale
+        base = np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
+        return base * hermeval(z, coeffs)
 
 
 def _finalize(spec, grid: np.ndarray, values_raw: np.ndarray, method: str) -> DensityApprox:
@@ -244,9 +250,13 @@ def density_damped_inversion(
         raise DataError("damping_sigma must be finite, got inf")
     charfn = CharFnApprox.from_moment_set(moments)  # it rejects an order whose n! is no float
     spec, grid = _parse_grid(grid_spec)
-    coeffs = [1.0] + [
-        p * damping_sigma ** n / math.factorial(n)
-        for n, p in enumerate(charfn.moments, start=1)
-    ]
+    try:
+        coeffs = [1.0] + [
+            p * damping_sigma ** n / math.factorial(n)
+            for n, p in enumerate(charfn.moments, start=1)
+        ]
+    except OverflowError:
+        raise DomainError(f"damped_inversion: a power of damping_sigma {damping_sigma!r} up to "
+                          f"{charfn.order} overflows") from None
     values = _hermite_density(grid, 0.0, 1.0 / damping_sigma, coeffs)
     return _finalize(spec, grid, values, "damped_inversion")

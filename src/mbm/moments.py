@@ -111,9 +111,24 @@ def _power_means(batch: WindowBatch, name: str, orders) -> np.ndarray:
     return out
 
 
+def _covariance(mean_xy: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray) -> np.ndarray:
+    """The one-pass covariance mean_xy - mean_x * mean_y, a finite negative value no larger
+    in size than 64 eps mean_x mean_y (rounding noise on a constant window) read as 0.0."""
+    out = mean_xy - mean_x * mean_y
+    noise = (out < 0.0) & np.isfinite(out) & (-out <= 64.0 * np.finfo(float).eps * mean_x * mean_y)
+    out[noise] = 0.0
+    return out
+
+
 def _check_order(n: int, what: str = "moment order"):
     if n < 1:
         raise DataError(f"{what} must be >= 1, got {n}")
+
+
+def check_threshold(threshold: float):
+    """An input error for a decorrelation threshold outside [0, 1], NaN included."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"decorrelation_threshold must be in [0, 1], got {threshold!r}")
 
 
 def _check_method(method: str):
@@ -197,14 +212,8 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
             volume_moms = _power_means(batch, "volume", orders)
             raw = value_moms / volume_moms
         mean = raw[:, 0]
-        variance = raw[:, 1] - mean * mean
+        variance = _covariance(raw[:, 1], mean, mean)
         negative = variance < 0.0
-        if method == "frequency":
-            # rounding noise on a (near-)constant window; true value is >= 0
-            noise = negative & np.isfinite(variance) & (
-                np.abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean)
-            variance[noise] = 0.0
-            negative &= ~noise
     computed = [raw, variance[:, None]] + ([] if value_moms is None else [value_moms, volume_moms])
     # each array checked on its own: no (windows, columns) copy of them all
     non_finite = ~np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in computed])
@@ -217,6 +226,7 @@ def batch_decorrelation(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coefficient, flagged, undefined): decorrelation_diagnostic of every window, as arrays."""
     _check_order(n, "diagnostic order")
+    check_threshold(threshold)
     if batch.window_len < 2:
         raise DataError("decorrelation diagnostic needs at least 2 ticks")
     coef = np.empty(len(batch))
@@ -258,7 +268,7 @@ def _paired_autocorrelation(first: WindowBatch, second: WindowBatch, method: str
             for sl, a, b in _spans(first, second):
                 cross[sl, 0] = _row_means(a.value * b.value)
                 cross[sl, 1] = _row_means(a.volume * b.volume)
-            out = cross[:, 0] / cross[:, 1] - batch_vwap(first) * batch_vwap(second)
+            out = _covariance(cross[:, 0] / cross[:, 1], batch_vwap(first), batch_vwap(second))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         i = int(bad[0])

@@ -154,6 +154,7 @@ class SimSpec:
     log-returns; price_model="constant" pins the price). Volumes are
     lognormal about median_volume, guaranteeing positivity, or constant.
     pv_correlation couples the log-price and log-volume innovations.
+    Ticks fall at times 0..length-1, exact as floats for length <= 2**53.
     """
 
     length: int
@@ -171,6 +172,9 @@ class SimSpec:
         require_finite(self, skip=("length", "seed", "price_model", "volume_model"))
         if self.length < 1:
             raise DataError(f"length must be >= 1, got {self.length}")
+        if self.length > 2 ** 53:
+            raise DataError(f"length must be <= 2**53, past which float tick times are not "
+                            f"exact integers, got {self.length}")
         if self.price_model not in ("constant", "ar1"):
             raise DataError(f"unknown price model {self.price_model!r}")
         if self.volume_model not in ("constant", "lognormal"):

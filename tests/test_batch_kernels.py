@@ -53,7 +53,7 @@ def reference_moments(p, u, c, k, method):
     variance = raw[1] - mean * mean
     flagged = False
     if variance < 0.0:
-        if method == "frequency" and abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean:
+        if abs(variance) <= 64.0 * np.finfo(float).eps * mean * mean:
             variance = 0.0
         else:
             flagged = True
@@ -77,7 +77,10 @@ def reference_autocorrelation(w1, w2, method):
         return float(np.mean((p1 - p1.mean()) * (p2 - p2.mean())))
     vwap1 = float(np.mean(c1)) / float(np.mean(u1))
     vwap2 = float(np.mean(c2)) / float(np.mean(u2))
-    return float(np.mean(c1 * c2)) / float(np.mean(u1 * u2)) - vwap1 * vwap2
+    out = float(np.mean(c1 * c2)) / float(np.mean(u1 * u2)) - vwap1 * vwap2
+    if out < 0.0 and abs(out) <= 64.0 * np.finfo(float).eps * vwap1 * vwap2:
+        return 0.0  # the variance's rounding-noise rule, as for the market variance
+    return out
 
 
 def make_series(seed, n_ticks, discrete):

@@ -11,7 +11,11 @@ import pytest
 import mbm
 import mbm.ticks
 from mbm.cli import SETTINGS, build_parser, main
+from mbm.config import build_scenario, build_sim_spec, build_utility, load_config
 from mbm.errors import DataError
+from mbm.moments import compute_moment_set
+
+from conftest import make_window
 
 ANTI_CSV = "time,price,volume\n0,10,1\n1,1,10\n"
 
@@ -317,6 +321,28 @@ def test_a_density_grid_too_large_to_allocate_is_an_input_error(ticks_path, tmp_
         1, f"input error: grid of {points} points does not fit in memory\n")
 
 
+@pytest.mark.parametrize("grid, density_args, code, message", [
+    ("0:40:100000000000000000000000", [], 1,
+     "input error: grid of 100000000000000000000000 points does not fit in memory"),
+    ("0:40:101", ["--density-method", "damped", "--damping-sigma", "1e200"], 2,
+     "numerical failure: damped_inversion: a power of damping_sigma 1e+200 up to 4 overflows"),
+    ("-1e300:1e300:101", [], 2,
+     "numerical failure: gram_charlier: non-finite density values on the grid"),
+    ("-1e300:1e300:101", ["--density-method", "damped", "--damping-sigma", "1"], 2,
+     "numerical failure: damped_inversion: non-finite density values on the grid"),
+], ids=["grid-past-numpy-size", "damping-powers-overflow", "gc-series-overflows",
+        "damped-series-overflows"])
+def test_a_density_that_cannot_be_made_is_one_line_without_warnings(
+        ticks_path, tmp_path, capsys, grid, density_args, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["density", "--input", str(ticks_path), "--order", "4", "--method",
+                     "frequency", f"--grid={grid}", *density_args,
+                     "--output", str(tmp_path / "d.csv")]) == code
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_density_of_a_file_without_ticks_is_an_input_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("time,price,volume\n", encoding="utf-8")
@@ -333,6 +359,11 @@ def test_density_strict_rejects_flagged_set(tmp_path, capsys):
         "--grid=-100:100:101", "--output", str(tmp_path / "d.csv"), "--strict",
     ])
     assert code == 3
+    variance = compute_moment_set(make_window([10.0, 1.0], [1.0, 10.0]), 2, "market").variance
+    assert variance < 0.0
+    assert capsys.readouterr() == ("", f"strict violation: moment set has negative market "
+                                       f"variance {variance!r}; density undefined\n")
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_density_flagged_set_without_strict_is_numerical_failure(tmp_path):
@@ -637,6 +668,43 @@ def test_decorrelation_threshold_outside_unit_interval_is_input_error(
     assert "input error" in err and "decorrelation_threshold must be in [0, 1]" in err
 
 
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
+def test_a_bad_threshold_is_an_input_error_before_any_output(ticks_path, tmp_path, capsys,
+                                                            strict):
+    out = tmp_path / "m.json"
+    code = main(["moments", "--input", str(ticks_path), "--window", "2", "--order", "2",
+                 "--method", "market", "--decorrelation-threshold", "1.5", *strict,
+                 "--output", str(out)])
+    assert (code, capsys.readouterr()) == (
+        1, ("", "input error: decorrelation_threshold must be in [0, 1], got 1.5\n"))
+    assert not out.exists()
+
+
+CONSTANT_PRICE_CFG = """\
+[simulate]
+length = 2000
+seed = 3
+price_model = constant
+base_price = 3.3
+log_sigma = 0.5
+"""
+
+
+@pytest.mark.parametrize("method", ["frequency", "market"])
+def test_constant_price_moments_pass_strict_under_both_averagings(tmp_path, capsys, method):
+    # the market variance of 8 of these 20 windows was rounding noise of -7.1e-15 to -1.8e-15
+    cfg, ticks = tmp_path / "sim.cfg", tmp_path / "ticks.csv"
+    cfg.write_text(CONSTANT_PRICE_CFG, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--output", str(ticks)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["moments", "--input", str(ticks), "--window", "100", "--order", "4",
+                     "--method", method, "--strict"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 20 and "negative_variance" not in out
+
+
 @pytest.mark.parametrize("threshold", ["0", "1"])
 def test_decorrelation_threshold_bounds_are_accepted(ticks_path, capsys, threshold):
     code = main(["moments", "--input", str(ticks_path), "--window", "2", "--order", "2",
@@ -854,3 +922,32 @@ def test_an_unknown_utility_key_is_an_input_error(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["price", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", "input error: [utility] unknown keys ['gamma']\n")
+
+
+@pytest.mark.parametrize("section, argv", [
+    ("[DEFAULT]\nseed = 3\n\n[simulate]\nlength = 5\n",
+     ["simulate", "--output", "{tmp}/s.csv"]),
+    ("[DEFAULT]\nbogus = 3\n", ["validate", "--input", "{tmp}/ticks.csv"]),
+], ids=["seeds-simulate", "unknown-key"])
+def test_a_default_section_is_an_input_error(ticks_path, tmp_path, capsys, section, argv):
+    # configparser would share [DEFAULT]'s keys with every section
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(section, encoding="utf-8")
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "input error: config section [DEFAULT] is read by no command\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_the_readme_config_example_builds_its_utility_scenario_and_sim_spec(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "example.cfg").write_text(block, encoding="utf-8")
+    cfg = load_config(tmp_path / "example.cfg")
+    assert sorted(cfg) == ["run", "scenario", "simulate", "utility"]
+    utility = build_utility(cfg["utility"])
+    assert (utility.family, utility.parameter) == ("log", 2.0)
+    scenario = build_scenario(cfg["scenario"], utility)
+    assert scenario.two_sale and scenario.T2 == 3.0
+    spec = build_sim_spec(cfg["simulate"])
+    assert (spec.length, spec.price_model, spec.volume_model) == (10000, "ar1", "lognormal")

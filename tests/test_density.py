@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -345,3 +347,39 @@ def test_order_170_is_the_largest_a_charfn_and_a_damped_density_take():
     ms = moment_set_from_points(DAMPED_POINTS, order=170)
     assert np.isfinite(CharFnApprox.from_moment_set(ms).evaluate(0.5))
     assert np.isfinite(density_damped_inversion(ms, 0.5, (0.0, 2.0, 11)).values).all()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((0.0, 40.0, 5.5), "grid points must be an integer, got 5.5"),
+    ((0.0, 40.0, math.nan), "grid_spec must be (lo, hi, points)"),
+    ((0.0, 40.0, math.inf), "grid_spec must be (lo, hi, points)"),
+    ((-math.inf, 40.0, 11), "grid lo and hi must be finite"),
+    ((0.0, math.nan, 11), "grid lo and hi must be finite"),
+], ids=["points-5.5", "points-nan", "points-inf", "lo-inf", "hi-nan"])
+@pytest.mark.parametrize("method", ["gram_charlier", "damped"])
+def test_a_grid_of_non_integral_points_or_non_finite_ends_is_an_input_error(grid, message,
+                                                                            method):
+    ms = moment_set_from_points([18.0, 20.0, 22.0, 21.0])
+    with pytest.raises(DataError, match=re.escape(message)):
+        if method == "damped":
+            density_damped_inversion(ms, 1.0, grid)
+        else:
+            density_gram_charlier(ms, grid)
+
+
+def test_a_damping_whose_powers_overflow_is_a_numerical_failure():
+    ms = moment_set_from_points([18.0, 20.0, 22.0, 21.0])
+    with pytest.raises(DomainError, match="a power of damping_sigma 1e[+]200 up to 4 overflows"):
+        density_damped_inversion(ms, 1e200, (0.0, 40.0, 101))
+
+
+@pytest.mark.parametrize("method", ["gram_charlier", "damped"])
+def test_a_hermite_series_that_overflows_is_one_failure_without_warnings(method):
+    ms = moment_set_from_points([18.0, 20.0, 22.0, 21.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="non-finite density values on the grid"):
+            if method == "damped":
+                density_damped_inversion(ms, 1.0, (-1e300, 1e300, 101))
+            else:
+                density_gram_charlier(ms, (-1e300, 1e300, 101))

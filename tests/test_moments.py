@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbm.errors import DataError, DomainError
 from mbm.moments import (
+    batch_autocorrelation,
+    batch_decorrelation,
+    batch_moments,
     compute_moment_set,
     decorrelation_diagnostic,
     freq_moment,
@@ -16,7 +20,7 @@ from mbm.moments import (
     trade_moments,
     vwap,
 )
-from mbm.ticks import TickSeries, WindowBatch
+from mbm.ticks import TickSeries, WindowBatch, window_batch
 
 from conftest import make_series, make_window, random_window
 
@@ -201,8 +205,20 @@ def test_decorrelation_two_point_anticorrelation():
 
 
 def test_decorrelation_threshold_configurable():
-    w = make_window([10, 1], [1, 10])
-    assert decorrelation_diagnostic(w, 1, threshold=1.5).flagged is False
+    w = make_window([10, 1], [1, 10])  # coefficient -1.0 exactly
+    assert decorrelation_diagnostic(w, 1, threshold=1.0).flagged is False
+    assert decorrelation_diagnostic(w, 1, threshold=0.99).flagged is True
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 1.5])
+def test_a_threshold_outside_the_unit_interval_is_an_input_error(threshold):
+    # NaN used to flag no window and -1.0 every one
+    w = make_window([10, 1, 4], [1, 10, 3])
+    with pytest.raises(DataError, match=re.escape(
+            f"decorrelation_threshold must be in [0, 1], got {threshold!r}")):
+        batch_decorrelation(w, 2, threshold)
+    with pytest.raises(DataError, match="decorrelation_threshold"):
+        decorrelation_diagnostic(w, 2, threshold)
 
 
 def test_decorrelation_needs_two_ticks():
@@ -374,6 +390,8 @@ def test_market_moment_obeys_the_convexity_bound(w, n):
 
 @settings(max_examples=200, deadline=None)
 @given(w=windows(min_len=2), method=st.sampled_from(["frequency", "market"]))
+# a constant window whose one-pass market variance is -1.8e-15 before the noise rule
+@example(w=make_window([3.3, 3.3], [1.0, 3.0]), method="market")
 def test_self_autocorrelation_is_the_variance(w, method):
     b = price_autocorrelation(w, w, method)
     ms = compute_moment_set(w, 2, method)
@@ -408,3 +426,24 @@ def test_a_window_of_a_long_series_computes_on_its_own_ticks_alone(rng):
     for method in ("frequency", "market"):
         assert (price_autocorrelation(window, after, method)
                 == price_autocorrelation(alone, alone_after, method))
+
+
+@pytest.mark.parametrize("method", ["frequency", "market"])
+@pytest.mark.parametrize("window_len", [1, 2, 100])
+def test_constant_price_windows_are_never_flagged(rng, window_len, method):
+    # a constant price has zero variance under either averaging, whatever the volumes;
+    # the one-pass E[p^2] - E[p]^2 comes out as rounding noise, which reads 0.0
+    for price in (3.3, 0.1, 1.1, 7.7, 123.456):
+        n = 20 * window_len
+        series = TickSeries(np.arange(n, dtype=float), np.full(n, price),
+                            np.exp(0.5 * rng.standard_normal(n)))
+        batch = window_batch(series, window_len, "disjoint")
+        table = batch_moments(batch, 4, method)
+        assert not table.negative_variance.any() and not table.non_finite.any()
+        assert ((table.variance >= 0.0)
+                & (table.variance <= 64.0 * EPS * table.mean * table.mean)).all()
+        if window_len >= 2:  # a window's self-autocorrelation is its variance, bit for bit
+            self_autocorrelation = batch_autocorrelation(batch, 0, method)
+            if method == "market":
+                assert np.array_equal(self_autocorrelation, table.variance)
+            assert (self_autocorrelation >= 0.0).all()

@@ -68,7 +68,7 @@ def run(capsys, argv, output: Path | None, rows: int | None = None):
         def recording(n, per_row):
             # chunks of `rows` rows of the width the command passes
             patch.setattr(mbm.ticks, "BLOCK", rows * per_row)
-            chunks = row_chunks(n, per_row)
+            chunks = list(row_chunks(n, per_row))
             calls.append([sl.stop - sl.start for sl in chunks])
             return chunks
 
@@ -99,14 +99,22 @@ def window_numbers(text: str, sep: str = "\n") -> list[int]:
 def test_row_chunks_read_the_row_constant_at_each_call(monkeypatch):
     # 16,384 elements: a market k=4 moments row formats 14 floats, a tick-CSV row 4,
     # and a 100-tick window is 100 ticks of a kernel's row
-    assert row_chunks(1171, 14) == [slice(0, 1170), slice(1170, 1171)]
-    assert row_chunks(8192, TICK_FLOATS) == [slice(0, 4096), slice(4096, 8192)]
-    assert row_chunks(200, 100) == [slice(0, 163), slice(163, 200)]
+    assert list(row_chunks(1171, 14)) == [slice(0, 1170), slice(1170, 1171)]
+    assert list(row_chunks(8192, TICK_FLOATS)) == [slice(0, 4096), slice(4096, 8192)]
+    assert list(row_chunks(200, 100)) == [slice(0, 163), slice(163, 200)]
     monkeypatch.setattr(mbm.ticks, "BLOCK", 2 * R + 1)
-    assert row_chunks(0, 2) == []
-    assert row_chunks(2 * R + 1, 2) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert list(row_chunks(0, 2)) == []
+    assert list(row_chunks(2 * R + 1, 2)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     # a row of more floats than a chunk holds is a chunk of its own
-    assert row_chunks(2, 2 * R + 2) == [slice(0, 1), slice(1, 2)]
+    assert list(row_chunks(2, 2 * R + 2)) == [slice(0, 1), slice(1, 2)]
+
+
+def test_row_chunks_are_made_as_they_are_taken(monkeypatch):
+    chunks = row_chunks(3, 1)
+    assert iter(chunks) is chunks  # an iterator, not a list made up front
+    huge = row_chunks(10**30, 1)
+    monkeypatch.setattr(mbm.ticks, "BLOCK", 5)  # BLOCK was read at the call
+    assert next(huge) == slice(0, 1 << 14) and next(huge) == slice(1 << 14, 2 << 14)
 
 
 @given(n=st.integers(0, 3000), per_row=st.integers(1, 300),
@@ -116,7 +124,7 @@ def test_row_chunks_cover_the_rows_in_order(n, per_row, block):
         if block is not None:  # None keeps the default
             patch.setattr(mbm.ticks, "BLOCK", block)
         step = max(1, mbm.ticks.BLOCK // per_row)
-        chunks = row_chunks(n, per_row)
+        chunks = list(row_chunks(n, per_row))
     assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(n))
     sizes = [sl.stop - sl.start for sl in chunks]
     assert all(sl.step is None for sl in chunks) and all(0 < size <= step for size in sizes)

@@ -146,6 +146,13 @@ def test_invalid_specs_rejected(kwargs):
         spec(**kwargs)
 
 
+def test_a_length_past_2_53_is_rejected():
+    # float tick times 0..length-1 are exact integers up to here; no tick is made
+    assert SimSpec(length=2**53, seed=1).length == 2**53
+    with pytest.raises(DataError, match=r"length must be <= 2\*\*53"):
+        SimSpec(length=2**53 + 1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # payoff sample generation
 # ---------------------------------------------------------------------------
