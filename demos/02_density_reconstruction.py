@@ -9,15 +9,15 @@
 
 import math
 
+import numpy as np
+
 from mbm import (
     CharFnApprox,
     SimSpec,
-    charfn_eval,
     compute_moment_set,
     density_damped_inversion,
     density_gram_charlier,
     gen_trades,
-    recover_moment,
     window_batch,
 )
 
@@ -30,13 +30,19 @@ print(f"market moment set: mean={ms.mean:.4f} variance={ms.variance:.4f}")
 
 # --- 1. the characteristic function and its derivative round trip ----------
 
-print(f"\nF(0) = {charfn_eval(ms, 0.0)}")
-print(f"F(0.01) = {charfn_eval(ms, 0.01):.6f}")
-
 cf = CharFnApprox.from_moment_set(ms)
-print("\nmoment recovery from the Taylor coefficients of F_k at x = 0:")
-for n in range(1, 5):
-    got = recover_moment(cf, n)
+print(f"\nF(0) = {cf.evaluate(0.0)}")
+print(f"F(0.01) = {cf.evaluate(0.01):.6f}")
+
+# F_k is a polynomial of degree k, so the one through k + 1 of its values is
+# F_k itself: its Taylor coefficients c_n at 0 give the n-th derivative n! c_n,
+# and that over i^n is the n-th moment. The points sit at the scale 1 / mean.
+h = 1.0 / ms.mean
+y = np.linspace(-1.0, 1.0, cf.order + 1)
+coeffs = np.linalg.solve(np.vander(y, cf.order + 1, increasing=True), cf.evaluate(h * y))
+print("\nmoment recovery from the derivatives of F_k at x = 0:")
+for n in range(1, cf.order + 1):
+    got = (coeffs[n] * math.factorial(n) / (h ** n * 1j ** n)).real
     stored = ms.raw_moments[n - 1]
     print(f"  n={n}: recovered={got:.8g}  stored={stored:.8g}  "
           f"rel err={abs(got - stored) / abs(stored):.1e}")

@@ -46,7 +46,7 @@ print(f"linear utility:  holdings={allout.holdings} boundary={allout.at_boundary
 
 # --- 2. synthetic payoff deviations with a prescribed autocorrelation -------
 
-d12, d2 = gen_payoff_samples(mean=6.0, variance=2.0, autocorr=0.8, count=50000, seed=5)
+d12, d2 = gen_payoff_samples(variance=2.0, autocorr=0.8, count=50000, seed=5)
 print(f"\nrequested payoff autocorrelation 0.8, "
       f"estimated {payoff_autocorrelation(d12, d2):.4f}")
 

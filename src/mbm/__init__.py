@@ -29,8 +29,8 @@ _EXPORTS = {
                 "batch_decorrelation", "batch_moments", "batch_vwap", "compute_moment_set",
                 "decorrelation_diagnostic", "freq_moment", "market_price_moment",
                 "payoff_autocorrelation", "price_autocorrelation", "trade_moments", "vwap"),
-    "density": ("CharFnApprox", "DensityApprox", "charfn_eval", "density_damped_inversion",
-                "density_gram_charlier", "recover_moment"),
+    "density": ("CharFnApprox", "DensityApprox", "density_damped_inversion",
+                "density_gram_charlier"),
     "utility": ("UtilitySpec", "eval_utility"),
     "pricing": ("HoldingsOptimum", "PriceSolution", "PricingScenario", "TwoTradeScenario",
                 "linearized_marginal_expectation", "optimize_holdings", "residual_basic_eq",
@@ -41,7 +41,7 @@ _EXPORTS = {
 _EAGER = ("errors", "ticks", "moments")
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 __all__ = sorted(_LAYER_OF)
 
 for _layer in _EAGER:

@@ -58,11 +58,30 @@ def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     # no section name is "", so [DEFAULT] is a section like any other, not keys shared by all
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep key case
+    text = read_text(path, "config ")
     try:
-        parser.read_string(read_text(path, "config "), source=str(path))
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise DataError(f"malformed config {path}: {exc}") from None
+        raise DataError(f"malformed config {path}: {_malformed(exc, text)}") from None
     return {section: dict(parser[section]) for section in parser.sections()}
+
+
+def _malformed(exc, text: str) -> str:
+    """configparser's error exc, raised reading text, as one line: its line number and fault."""
+    import configparser
+
+    lines = text.split("\n")
+    if isinstance(exc, configparser.DuplicateOptionError):
+        lineno, fault = exc.lineno, f"key {exc.option!r} appears twice in section [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        lineno, fault = exc.lineno, f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno = exc.lineno
+        fault = f"{lines[lineno - 1]!r} comes before any [section] header"
+    else:  # the ParsingError of the lines that are neither; the first is named
+        lineno = exc.errors[0][0]
+        fault = f"{lines[lineno - 1]!r} is neither a [section] header nor a key = value line"
+    return f"line {lineno}: {fault}"
 
 
 def _read_fields(cls, section: dict[str, str], where: str, keys: dict[str, str] | None = None):

@@ -39,21 +39,26 @@ GC_MAX_ORDER = 4
 
 @dataclass(frozen=True, slots=True)
 class CharFnApprox:
-    """Truncated characteristic function built from raw moments 1..k."""
+    """Truncated characteristic function built from raw moments 1..k, k = order.
 
-    order: int
+    F_k is a polynomial whose n-th Taylor coefficient is i^n p_n / n!, so
+    its n-th derivative at 0 over i^n is moments[n-1] exactly.
+    """
+
     moments: tuple[float, ...]
 
     def __post_init__(self):
-        if self.order < 1 or len(self.moments) != self.order:
-            raise DataError(
-                f"need exactly {self.order} moments for order {self.order}, got {len(self.moments)}"
-            )
+        if not self.moments:
+            raise DataError("need at least one moment, got none")
         check_factorial_order(self.order)
+
+    @property
+    def order(self) -> int:
+        return len(self.moments)
 
     @classmethod
     def from_moment_set(cls, moments: MomentSet) -> "CharFnApprox":
-        return cls(order=moments.order, moments=tuple(moments.raw_moments))
+        return cls(tuple(moments.raw_moments))
 
     def evaluate(self, x):
         """F_k(x) for scalar or array x, as complex: the polynomial of coefficients 1, i^n p_n / n!."""
@@ -61,37 +66,6 @@ class CharFnApprox:
                           for n, p in enumerate(self.moments, start=1)]
         out = polyval(np.asarray(x, dtype=float), coeffs)
         return complex(out) if np.ndim(x) == 0 else out
-
-
-def charfn_eval(moments: MomentSet, x):
-    """Evaluate the truncated characteristic function of a moment set."""
-    return CharFnApprox.from_moment_set(moments).evaluate(x)
-
-
-class RecoveredMoment(float):
-    """Float with a .truncated marker for orders beyond the stored expansion."""
-
-    truncated: bool
-
-    def __new__(cls, value: float, truncated: bool = False):
-        obj = super().__new__(cls, value)
-        obj.truncated = truncated
-        return obj
-
-
-def recover_moment(charfn: CharFnApprox, n: int) -> RecoveredMoment:
-    """Recover the n-th moment as the n-th derivative of F_k at 0 over i^n.
-
-    F_k is a polynomial, so that derivative is n! times its n-th Taylor
-    coefficient i^n p_n / n!, and the moment comes back exactly: p_n.
-    Orders above the expansion are exact zeros of the polynomial: returns
-    0.0 with .truncated set.
-    """
-    if n < 1:
-        raise DataError(f"moment order must be >= 1, got {n}")
-    if n > charfn.order:
-        return RecoveredMoment(0.0, truncated=True)
-    return RecoveredMoment(charfn.moments[n - 1])
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,22 +39,29 @@ DEFAULT_DECORRELATION_THRESHOLD = 0.2
 class MomentSet:
     """Raw price moments 1..k for one window, by one averaging method.
 
-    raw_moments[n-1] is the n-th moment. For the market method the
-    trade value/volume moments that produced them are kept alongside.
-    variance is always raw_moments[1] - mean**2; under the market method it
-    may be negative, in which case "negative_variance" appears in flags.
+    raw_moments[n-1] is the n-th moment; order and mean are read from it.
+    For the market method the trade value/volume moments that produced
+    them are kept alongside. variance is always raw_moments[1] - mean**2;
+    under the market method it may be negative, in which case
+    "negative_variance" appears in flags.
     "non_finite" appears when a moment overflowed to inf or nan.
     """
 
     method: str
-    order: int
     center_time: float
     raw_moments: tuple[float, ...]
     trade_value_moments: tuple[float, ...] | None
     trade_volume_moments: tuple[float, ...] | None
-    mean: float
     variance: float
     flags: tuple[str, ...] = ()
+
+    @property
+    def order(self) -> int:
+        return len(self.raw_moments)
+
+    @property
+    def mean(self) -> float:
+        return self.raw_moments[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,13 +157,13 @@ def check_factorial_order(k: int):
 class MomentTable:
     """Moment sets of every window of a batch, as arrays; row i is window i.
 
-    Columns match MomentSet: raw_moments[:, n-1] is the n-th moment, the
-    trade value/volume moments are kept for the market method, and
+    Columns match MomentSet: raw_moments[:, n-1] is the n-th moment (order
+    and mean are read from it, as a MomentSet's are), the trade
+    value/volume moments are kept for the market method, and
     negative_variance and non_finite mark the rows whose set carries that flag.
     """
 
     method: str
-    order: int
     center_time: np.ndarray
     raw_moments: np.ndarray
     trade_value_moments: np.ndarray | None
@@ -169,6 +176,10 @@ class MomentTable:
         return len(self.center_time)
 
     @property
+    def order(self) -> int:
+        return self.raw_moments.shape[1]
+
+    @property
     def mean(self) -> np.ndarray:
         return self.raw_moments[:, 0]
 
@@ -176,15 +187,12 @@ class MomentTable:
         def row(a):
             return None if a is None else tuple(a[i].tolist())
 
-        raw = row(self.raw_moments)
         return MomentSet(
             method=self.method,
-            order=self.order,
             center_time=float(self.center_time[i]),
-            raw_moments=raw,
+            raw_moments=row(self.raw_moments),
             trade_value_moments=row(self.trade_value_moments),
             trade_volume_moments=row(self.trade_volume_moments),
-            mean=raw[0],
             variance=float(self.variance[i]),
             flags=FLAG_SETS[int(self.negative_variance[i]) + 2 * int(self.non_finite[i])],
         )
@@ -217,7 +225,7 @@ def batch_moments(batch: WindowBatch, k: int, method: str) -> MomentTable:
     computed = [raw, variance[:, None]] + ([] if value_moms is None else [value_moms, volume_moms])
     # each array checked on its own: no (windows, columns) copy of them all
     non_finite = ~np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in computed])
-    return MomentTable(method, k, batch.center_time, raw, value_moms, volume_moms,
+    return MomentTable(method, batch.center_time, raw, value_moms, volume_moms,
                        variance, negative, non_finite)
 
 

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DomainError, require_finite
-from .utility import UtilitySpec, eval_utility, resolve
+from .utility import POSITIVE_FAMILIES, UtilitySpec, eval_utility, resolve
 
 RESIDUAL_RTOL = 1e-10
 MAX_ITERATIONS = 200  # fixed-point steps before the bracketed fallback
@@ -282,7 +282,7 @@ def _solve_linearized(
 
     # largest trial price keeping today's mean consumption admissible
     hi_bound = math.inf
-    if u.family in ("log", "power") and xi > 0.0:
+    if u.family in POSITIVE_FAMILIES and xi > 0.0:
         hi_bound = (scn.endowment_t - spent) / xi
     bounded = math.isfinite(hi_bound)
     hi_adm = hi_bound - 1e-12 * max(1.0, abs(hi_bound)) if bounded else hi_bound
@@ -451,10 +451,11 @@ def residual_basic_eq(
     x = np.asarray(payoff_samples, dtype=float)
     if p.size == 0 or x.size == 0:
         raise DataError("need non-empty price and payoff samples")
-    c_t = _consumptions(scn, p, holdings, scn.endowment_t, -1.0)
-    c_T = _consumptions(scn, x, holdings, scn.endowment_T, +1.0)
     d1, g = resolve(scn.utility)[0][1], scn.utility.parameter
-    with np.errstate(over="ignore", under="ignore"):  # extreme consumption maps u' to inf/0
+    # an overflowing consumption fails the domain test; extreme consumption maps u' to inf/0
+    with np.errstate(over="ignore", under="ignore"):
+        c_t = _consumptions(scn, p, holdings, scn.endowment_t, -1.0)
+        c_T = _consumptions(scn, x, holdings, scn.endowment_T, +1.0)
         up_t, up_T = d1(c_t, g), d1(c_T, g)
     # np.mean's own pairwise sum and division by the count, without its wrapper
     lhs = float(np.add.reduce(up_t * p, axis=None) / p.size)

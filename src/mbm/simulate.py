@@ -226,21 +226,19 @@ def gen_trades(spec: SimSpec) -> TickSeries:
     """Generate a deterministic tick series at unit time spacing: the join of trade_blocks(spec)."""
     blocks = list(trade_blocks(spec))
     return TickSeries(*(np.concatenate([getattr(b, c) for b in blocks])
-                        for c in ("time", "price", "volume", "value")),
-                      tick_spacing=1.0 if spec.length >= 2 else None, copy=False)
+                        for c in ("time", "price", "volume", "value")), copy=False)
 
 
 def gen_payoff_samples(
-    mean: float, variance: float, autocorr: float, count: int, seed: int
+    variance: float, autocorr: float, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paired payoff deviations with the requested covariance.
 
     Draws jointly Gaussian pairs, each with population variance `variance`
     and covariance `autocorr`, then removes the sample means so the output
-    is exactly centered (the mean argument describes the payoff level the
-    deviations sit around; deviations themselves are mean-free).
+    is exactly centered: deviations are mean-free, whatever payoff level
+    they sit around.
     """
-    del mean  # deviations are reported around the mean, which never enters
     if not (math.isfinite(variance) and math.isfinite(autocorr)):
         raise DataError(f"variance and autocorr must be finite, got {variance} and {autocorr}")
     if variance < 0.0:

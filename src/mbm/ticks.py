@@ -127,20 +127,20 @@ def _frozen_column(values, copy: bool) -> np.ndarray:
 
 
 class TickSeries:
-    """Ordered trade ticks as read-only float64 columns, with an optional regular spacing.
+    """Ordered trade ticks as read-only float64 columns.
 
     The columns are equal-length 1-d arrays; value defaults to
     price*volume. Every tick is checked in one vectorized pass, and where(i)
-    names the offending tick in the DataError message. tick_spacing is the
-    minimal time division of the series; it is inferred on parse when all
-    consecutive time differences agree, else left None. copy=False keeps
-    float64 columns as given, for a caller that owns them and writes them no more.
+    names the offending tick in the DataError message. tick_spacing, the
+    minimal time division of the series, is read from the times at each
+    access. copy=False keeps float64 columns as given, for a caller that
+    owns them and writes them no more.
     """
 
-    __slots__ = ("time", "price", "volume", "value", "tick_spacing")
+    __slots__ = ("time", "price", "volume", "value")
 
-    def __init__(self, time, price, volume, value=None, tick_spacing: float | None = None,
-                 *, where=lambda i: f"tick {i}", copy: bool = True):
+    def __init__(self, time, price, volume, value=None, *, where=lambda i: f"tick {i}",
+                 copy: bool = True):
         if value is None:
             with np.errstate(over="ignore"):  # an overflowing product fails _check_columns
                 value = np.multiply(price, volume)
@@ -149,7 +149,11 @@ class TickSeries:
             raise DataError("tick columns must be 1-d and of equal length")
         _check_columns(*columns, where)
         self.time, self.price, self.volume, self.value = columns
-        self.tick_spacing = tick_spacing
+
+    @property
+    def tick_spacing(self) -> float | None:
+        """The positive time step that all consecutive ticks share to relative 1e-9, else None."""
+        return _infer_spacing(self.time)
 
     def __len__(self):
         return len(self.time)
@@ -157,15 +161,12 @@ class TickSeries:
     def __eq__(self, other):
         if not isinstance(other, TickSeries):
             return NotImplemented
-        return self.tick_spacing == other.tick_spacing and all(
-            np.array_equal(getattr(self, c), getattr(other, c))
-            for c in _TICK_FIELDS
-        )
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _TICK_FIELDS)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"TickSeries(<{len(self)} ticks>, tick_spacing={self.tick_spacing!r})"
+        return f"TickSeries(<{len(self)} ticks>)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,7 +368,6 @@ def _cached(path: Path | None) -> TickSeries | None:
         return None
     with suppress(OSError):  # a cache that cannot be touched still serves its entries
         os.utime(path)
-    series.tick_spacing = _infer_spacing(series.time)
     return series
 
 
@@ -416,10 +416,8 @@ def _parse_csv(data: bytes) -> TickSeries:
         )
 
     values = _parse_body(data, start, ncols, decimal)
-    series = TickSeries(*(values[:, j] for j in range(ncols)),
-                        where=lambda i: f"line {list(_data_rows(data[start:].decode()))[i][0]}")
-    series.tick_spacing = _infer_spacing(series.time)
-    return series
+    return TickSeries(*(values[:, j] for j in range(ncols)),
+                      where=lambda i: f"line {list(_data_rows(data[start:].decode()))[i][0]}")
 
 
 def _data_rows(body: str):

@@ -2,10 +2,10 @@
 
 Four families, all increasing and (weakly) concave on their domains:
 
-    linear       u(c) = c                      any c
-    log          u(c) = ln(c)                  c > 0
-    power        u(c) = c^(1-g)/(1-g), g>0,g!=1, c > 0
-    exponential  u(c) = -exp(-a*c)/a, a>0      any c
+    linear       u(c) = c                      any finite c
+    log          u(c) = ln(c)                  0 < c < inf
+    power        u(c) = c^(1-g)/(1-g), g>0,g!=1, 0 < c < inf
+    exponential  u(c) = -exp(-a*c)/a, a>0      any finite c
 
 linear exists mostly as the closed-form anchor: with u'' = 0 every pricing
 equation collapses to price = discount * mean payoff. Power with g -> 1 is
@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DataError, DomainError
 
 FAMILIES = ("linear", "log", "power", "exponential")
-#: Families defined for c > 0 only; the others take any finite c.
-_POSITIVE = ("log", "power")
+#: Families defined for finite c > 0 only; the others take any finite c.
+POSITIVE_FAMILIES = ("log", "power")
 
 #: (u, u', u'') of each family at consumption c with parameter g. Scalars and
 #: arrays run the same formulas; transcendental steps always go through the
@@ -59,7 +59,10 @@ class UtilitySpec:
 
 
 def _positive(c) -> bool:
-    return bool((c > 0.0).all()) if isinstance(c, np.ndarray) else c > 0.0
+    if isinstance(c, np.ndarray):  # two reductions, no temporary: it runs on every sample array
+        return c.size == 0 or bool(np.minimum.reduce(c, axis=None) > 0.0
+                                   and np.maximum.reduce(c, axis=None) < math.inf)
+    return 0.0 < c < math.inf
 
 
 def _finite(c) -> bool:
@@ -70,7 +73,7 @@ def resolve(spec: UtilitySpec):
     """((u, u', u''), inside) of spec's family: each formula is f(c, spec.parameter) on
     admissible c under the caller's error state; inside(c) is True when every value
     of a real number or float array lies in the family's domain."""
-    return _FORMULAS[spec.family], _positive if spec.family in _POSITIVE else _finite
+    return _FORMULAS[spec.family], _positive if spec.family in POSITIVE_FAMILIES else _finite
 
 
 @np.errstate(over="ignore", under="ignore")  # extreme c maps to inf/0

@@ -6,11 +6,11 @@ import pytest
 from mbm.ticks import TickSeries, WindowBatch
 
 
-def make_series(prices, volumes=None, times=None, spacing=None):
+def make_series(prices, volumes=None, times=None):
     prices = np.asarray(prices, dtype=float)
     volumes = np.ones(len(prices)) if volumes is None else volumes
     times = np.arange(len(prices), dtype=float) if times is None else times
-    return TickSeries(times, prices, volumes, tick_spacing=spacing)
+    return TickSeries(times, prices, volumes)
 
 
 def make_window(prices, volumes=None, times=None):

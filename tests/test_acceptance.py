@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mbm.cli import main as cli_main
-from mbm.density import CharFnApprox, density_gram_charlier, recover_moment
+from mbm.density import CharFnApprox, density_gram_charlier
 from mbm.errors import ConvergenceError
 from mbm.moments import (
     compute_moment_set,
@@ -167,6 +167,19 @@ def test_c05_autocorrelation_self_consistency():
 # 6. moment recovery from the characteristic function
 # ---------------------------------------------------------------------------
 
+def derivatives_at_zero(cf, count):
+    """F^(n)(0) / i^n for n = 0..count-1, from cf.evaluate alone.
+
+    F is a polynomial of degree cf.order < count, so the polynomial through
+    it at count points is F itself, and its Taylor coefficients are F's. The
+    points are taken at the scale 1 / p_1, where every term is of order one.
+    """
+    h = 1.0 / abs(cf.moments[0])
+    y = np.linspace(-1.0, 1.0, count)
+    scaled = np.linalg.solve(np.vander(y, count, increasing=True), cf.evaluate(h * y))
+    return [complex(c) * math.factorial(n) / (h ** n * 1j ** n) for n, c in enumerate(scaled)]
+
+
 def test_c06_moment_recovery():
     start = time.perf_counter()
     rng = np.random.default_rng(206)
@@ -175,10 +188,13 @@ def test_c06_moment_recovery():
         points = scale * rng.uniform(0.5, 1.5, size=8)
         order = int(rng.integers(2, 5))
         moments = tuple(float(np.mean(points ** n)) for n in range(1, order + 1))
-        cf = CharFnApprox(order=order, moments=moments)
+        cf = CharFnApprox(moments=moments)
+        got = derivatives_at_zero(cf, order + 2)
+        assert abs(got[0] - 1.0) <= 1e-6
         for n in range(1, order + 1):
-            got = recover_moment(cf, n)
-            assert abs(got - moments[n - 1]) <= 1e-6 * abs(moments[n - 1])
+            assert abs(got[n] - moments[n - 1]) <= 1e-6 * abs(moments[n - 1])
+        # past the expansion F is truncated: its next derivative at zero is 0
+        assert abs(got[order + 1]) <= 1e-6 * abs(moments[0]) ** (order + 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     announce(6, f"moment recovery within 1e-6 relative for k<=4, {elapsed:.2f}s")

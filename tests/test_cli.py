@@ -488,6 +488,30 @@ def test_optimize_command(tmp_path):
     assert abs(payload["foc_residual"]) <= 1e-8 * 5.0
 
 
+@pytest.mark.parametrize("utility", ["family = log", "family = power\nparameter = 2"],
+                         ids=["log", "power"])
+def test_an_infinite_sale_date_consumption_is_a_numerical_failure(tmp_path, capsys, utility):
+    # holdings 1e308 make the sale-date consumption inf, where log's u' reads 0
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRICE_CFG.replace("family = log", utility).replace(
+        "holdings = 1\n", "holdings = 1e308\n"), encoding="utf-8")
+    assert main(["price", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: sale-date mean consumption inf inadmissible\n")
+
+
+def test_an_overflowing_holdings_bound_is_one_input_error_line(tmp_path, capsys):
+    # the overflowing consumption fails the domain test, with no overflow warning before it
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRICE_CFG, encoding="utf-8")
+    samples = tmp_path / "s.csv"
+    samples.write_text("price,payoff\n4.0,5.0\n4.5,6.5\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(cfg), "--samples", str(samples),
+                 "--lo", "0", "--hi", "1e308"]) == 1
+    assert capsys.readouterr() == ("", "input error: holdings bound hi=1e+308 makes consumption "
+                                       "inadmissible for some sample\n")
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CFG, encoding="utf-8")
@@ -937,6 +961,22 @@ def test_a_default_section_is_an_input_error(ticks_path, tmp_path, capsys, secti
     assert capsys.readouterr() == (
         "", "input error: config section [DEFAULT] is read by no command\n")
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("[]\nbogus = 3\n", "line 1: '[]' comes before any [section] header"),
+    ("[simulate]\nlength = 5\nbogus\n",
+     "line 3: 'bogus' is neither a [section] header nor a key = value line"),
+    ("[simulate]\nlength = 5\n[simulate]\nseed = 3\n",
+     "line 3: section [simulate] appears twice"),
+    ("[simulate]\nlength = 5\nlength = 6\n",
+     "line 3: key 'length' appears twice in section [simulate]"),
+], ids=["no-section-header", "parsing-error", "duplicate-section", "duplicate-key"])
+def test_a_malformed_config_is_one_input_error_line(ticks_path, tmp_path, capsys, text, fault):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["validate", "--input", str(ticks_path), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"input error: malformed config {cfg}: {fault}\n")
 
 
 def test_the_readme_config_example_builds_its_utility_scenario_and_sim_spec(tmp_path):

@@ -8,10 +8,8 @@ import pytest
 
 from mbm.density import (
     CharFnApprox,
-    charfn_eval,
     density_damped_inversion,
     density_gram_charlier,
-    recover_moment,
 )
 from mbm.errors import DataError, DomainError
 from mbm.moments import compute_moment_set
@@ -38,19 +36,24 @@ def random_moment_set(rng, order=4, scale=None):
 def test_charfn_at_zero_is_one(rng):
     for _ in range(20):
         ms = random_moment_set(rng)
-        assert charfn_eval(ms, 0.0) == 1.0 + 0.0j
+        assert CharFnApprox.from_moment_set(ms).evaluate(0.0) == 1.0 + 0.0j
 
 
 def test_charfn_hand_value_first_order():
-    cf = CharFnApprox(order=1, moments=(17.5,))
+    cf = CharFnApprox(moments=(17.5,))
     got = cf.evaluate(0.01)
     assert got == pytest.approx(1.0 + 0.175j, rel=1e-15)
 
 
 def test_charfn_zero_moments_identity():
-    cf = CharFnApprox(order=3, moments=(0.0, 0.0, 0.0))
+    cf = CharFnApprox(moments=(0.0, 0.0, 0.0))
     for x in (-2.0, 0.0, 0.5, 10.0):
         assert cf.evaluate(x) == 1.0 + 0.0j
+
+
+def test_charfn_needs_a_moment():
+    with pytest.raises(DataError, match="^need at least one moment, got none$"):
+        CharFnApprox(moments=())
 
 
 def test_charfn_conjugate_symmetry(rng):
@@ -63,11 +66,6 @@ def test_charfn_conjugate_symmetry(rng):
         np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-15)
 
 
-def test_charfn_order_mismatch_rejected():
-    with pytest.raises(DataError):
-        CharFnApprox(order=3, moments=(1.0, 2.0))
-
-
 # ---------------------------------------------------------------------------
 # moment recovery
 # ---------------------------------------------------------------------------
@@ -78,41 +76,28 @@ def test_recover_round_trips_stored_moments(rng):
         ms = random_moment_set(rng, order=order)
         cf = CharFnApprox.from_moment_set(ms)
         for n in range(1, order + 1):
-            got = recover_moment(cf, n)
-            assert not got.truncated
+            got = cf.moments[n - 1]
             assert got == pytest.approx(ms.raw_moments[n - 1], rel=1e-6)
 
 
 def test_recover_round_trips_stored_moments_bit_for_bit():
     moments = (3.0, 10.0, 34.5, 130.25, 520.0, 2201.5)
     for order in (3, 6):
-        cf = CharFnApprox(order=order, moments=moments[:order])
-        assert [recover_moment(cf, n) for n in range(1, order + 1)] == list(moments[:order])
+        cf = CharFnApprox(moments=moments[:order])
+        assert cf.order == order
+        assert [cf.moments[n - 1] for n in range(1, order + 1)] == list(moments[:order])
 
 
 def test_recover_hand_set():
-    cf = CharFnApprox(order=2, moments=(17.5, 370.0))
-    assert recover_moment(cf, 1) == pytest.approx(17.5, rel=1e-6)
-    assert recover_moment(cf, 2) == pytest.approx(370.0, rel=1e-6)
+    cf = CharFnApprox(moments=(17.5, 370.0))
+    assert cf.moments[0] == pytest.approx(17.5, rel=1e-6)
+    assert cf.moments[1] == pytest.approx(370.0, rel=1e-6)
 
 
 def test_recover_zero_moments():
-    cf = CharFnApprox(order=2, moments=(0.0, 0.0))
-    assert recover_moment(cf, 1) == 0.0
-    assert recover_moment(cf, 2) == 0.0
-
-
-def test_recover_beyond_order_returns_truncation_marker():
-    cf = CharFnApprox(order=2, moments=(1.0, 2.0))
-    got = recover_moment(cf, 3)
-    assert got == 0.0
-    assert got.truncated
-
-
-def test_recover_rejects_bad_order():
-    cf = CharFnApprox(order=2, moments=(1.0, 2.0))
-    with pytest.raises(DataError):
-        recover_moment(cf, 0)
+    cf = CharFnApprox(moments=(0.0, 0.0))
+    assert cf.moments[0] == 0.0
+    assert cf.moments[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +191,10 @@ def damped_from_raw(mu, var, s, grid):
 
     ms = MomentSet(
         method="market",
-        order=2,
         center_time=0.0,
         raw_moments=(mu, var + mu * mu),
         trade_value_moments=None,
         trade_volume_moments=None,
-        mean=mu,
         variance=var,
     )
     return density_damped_inversion(ms, s, grid)
@@ -332,12 +315,12 @@ def test_csv_and_json_serialization():
 def test_an_order_whose_factorial_is_no_float_is_an_input_error(order):
     message = f"^order {order} is above 170, the largest whose factorial is a float$"
     with pytest.raises(DataError, match=message):
-        CharFnApprox(order=order, moments=(1.0,) * order)
+        CharFnApprox(moments=(1.0,) * order)
     with pytest.raises(DataError, match=message):
         moment_set_from_points(DAMPED_POINTS, order=order)
     # a set of that order made by hand, its moments past 170 made up
     ms = moment_set_from_points(DAMPED_POINTS, order=170)
-    ms = dataclasses.replace(ms, order=order, raw_moments=ms.raw_moments + (1.0,) * (order - 170))
+    ms = dataclasses.replace(ms, raw_moments=ms.raw_moments + (1.0,) * (order - 170))
     with pytest.raises(DataError, match=message):
         density_damped_inversion(ms, 0.5, (0.0, 2.0, 11))
     assert density_gram_charlier(ms, (-4.0, 6.0, 11)).total_mass > 0.0  # it reads orders 1..4

@@ -158,14 +158,14 @@ def test_a_length_past_2_53_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_payoff_samples_deterministic():
-    a = gen_payoff_samples(5.0, 2.0, 0.5, 100, 9)
-    b = gen_payoff_samples(5.0, 2.0, 0.5, 100, 9)
+    a = gen_payoff_samples(2.0, 0.5, 100, 9)
+    b = gen_payoff_samples(2.0, 0.5, 100, 9)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_payoff_samples_centered():
-    d12, d2 = gen_payoff_samples(5.0, 2.0, 0.5, 1000, 3)
+    d12, d2 = gen_payoff_samples(2.0, 0.5, 1000, 3)
     assert abs(d12.mean()) <= 1e-12
     assert abs(d2.mean()) <= 1e-12
     # accepted by the estimator without complaint
@@ -173,12 +173,12 @@ def test_payoff_samples_centered():
 
 
 def test_payoff_samples_full_correlation_pairs_equal():
-    d12, d2 = gen_payoff_samples(0.0, 3.0, 3.0, 500, 4)
+    d12, d2 = gen_payoff_samples(3.0, 3.0, 500, 4)
     np.testing.assert_allclose(d12, d2, rtol=0.0, atol=1e-12)
 
 
 def test_payoff_samples_zero_variance_all_zero():
-    d12, d2 = gen_payoff_samples(1.0, 0.0, 0.0, 10, 5)
+    d12, d2 = gen_payoff_samples(0.0, 0.0, 10, 5)
     assert not d12.any()
     assert not d2.any()
 
@@ -186,25 +186,25 @@ def test_payoff_samples_zero_variance_all_zero():
 def test_payoff_samples_zero_autocorr_statistics():
     n = 100000
     variance = 2.0
-    d12, d2 = gen_payoff_samples(0.0, variance, 0.0, n, 6)
+    d12, d2 = gen_payoff_samples(variance, 0.0, n, 6)
     est = payoff_autocorrelation(d12, d2)
     assert abs(est) <= 3.0 * variance / np.sqrt(n)
 
 
 def test_payoff_samples_target_covariance():
     n = 100000
-    d12, d2 = gen_payoff_samples(0.0, 2.0, 1.2, n, 8)
+    d12, d2 = gen_payoff_samples(2.0, 1.2, n, 8)
     est = payoff_autocorrelation(d12, d2)
     assert est == pytest.approx(1.2, abs=5.0 * 2.0 / np.sqrt(n))
 
 
 def test_payoff_samples_validation():
     with pytest.raises(DataError, match="Cauchy-Schwarz"):
-        gen_payoff_samples(0.0, 1.0, 1.5, 10, 1)
+        gen_payoff_samples(1.0, 1.5, 10, 1)
     with pytest.raises(DataError):
-        gen_payoff_samples(0.0, -1.0, 0.0, 10, 1)
+        gen_payoff_samples(-1.0, 0.0, 10, 1)
     with pytest.raises(DataError):
-        gen_payoff_samples(0.0, 1.0, 0.0, 1, 1)
+        gen_payoff_samples(1.0, 0.0, 1, 1)
 
 
 @pytest.mark.parametrize("variance, autocorr", [
@@ -212,7 +212,7 @@ def test_payoff_samples_validation():
 ])
 def test_payoff_samples_reject_a_non_finite_variance_or_autocorr(variance, autocorr):
     with pytest.raises(DataError, match="^variance and autocorr must be finite"):
-        gen_payoff_samples(0.0, variance, autocorr, 10, 1)
+        gen_payoff_samples(variance, autocorr, 10, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbm
 from mbm.errors import DataError
@@ -42,7 +44,7 @@ def test_parse_handles_crlf():
 
 
 def test_parse_reads_a_str_with_cr_line_ends_as_its_lf_text():
-    expected = make_series([10, 11], [1, 2], spacing=1.0)  # not a parse: it would share the entry
+    expected = make_series([10, 11], [1, 2])  # not a parse: it would share the entry
     assert parse_ticks("time,price,volume\r0,10,1\r1,11,2\r") == expected
 
 
@@ -89,8 +91,33 @@ def test_render_parse_round_trip_exact(rng):
 
 
 def test_round_trip_preserves_regular_spacing():
-    series = make_series([10.0, 11.0, 12.0], spacing=1.0)
+    series = make_series([10.0, 11.0, 12.0])
     assert parse_ticks(render_ticks(series)) == series
+
+
+_positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tick_columns(draw):
+    """(time, price, volume) of 0..30 valid ticks, their times at a regular step or not."""
+    n = draw(st.integers(0, 30))
+    start = draw(st.floats(0.0, 1e6))
+    if draw(st.booleans()):
+        times = start + draw(st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-7])) * np.arange(n)
+    else:
+        times = np.sort(draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    prices, volumes = (draw(st.lists(_positive, min_size=n, max_size=n)) for _ in range(2))
+    return np.asarray(times, dtype=float), prices, volumes
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=tick_columns())
+def test_a_series_spacing_and_columns_are_those_of_its_parse(columns):
+    series = TickSeries(*columns)
+    parsed = parse_ticks(render_ticks(series))
+    assert series.tick_spacing == parsed.tick_spacing
+    assert parsed == series
 
 
 def test_partition_disjoint_counts():

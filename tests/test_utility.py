@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_domain_errors(family):
         eval_utility(u, 0.0, 1)
     with pytest.raises(DomainError):
         eval_utility(u, -1.0, 0)
+
+
+@pytest.mark.parametrize("family", ["log", "power"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_infinite_consumption_is_outside_the_positive_domain(family, order):
+    # u'(inf) = 0 would make a sale-date consumption of inf look admissible
+    u = UtilitySpec(family, 2.0 if family == "power" else 0.0)
+    for c in (math.inf, np.float64(math.inf), np.array([1.0, math.inf])):
+        with pytest.raises(DomainError):
+            eval_utility(u, c, order)
 
 
 @pytest.mark.parametrize(
