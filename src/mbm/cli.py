@@ -28,10 +28,16 @@ results to the output files. This module alone spells output: moments,
 vwap and autocorr print a line and write a record per row through
 _write_table, templates filled from each float's repr, made once. moments
 computes, flags and writes a chunk of windows at a time, and writes its
---strict report to stderr as it is made: one line, "strict violation: " and the messages "; "-joined. A run
-that fails after part of the report was written (an output that cannot
-be written) ends that line, then reports its error on a line of its own
-with that error's exit code.
+--strict report to stderr as it is made: one line, "strict violation: "
+and the messages "; "-joined. A run that fails after part of the report
+was written (an output that cannot be written) ends that line, then
+reports its error on a line of its own with that error's exit code; a
+stdout that cannot be written (a closed pipe) is such an input error.
+
+The chunks of a streamed output (the tables and simulate's tick blocks)
+are made on every usable CPU (_in_turn): forked children make them in
+turn and this process writes their bytes in order, so the bytes do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import gc
 import itertools
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +144,7 @@ def _read_series(settings: dict):
 
 
 def _write_pieces(path: str | None, pieces):
-    """Write a text to path as UTF-8, each piece as it comes.
+    """Write a text's bytes to path, each piece as it comes.
 
     The file is opened before the first piece is made. An OSError while
     opening, writing or closing it is an input error; the work that makes
@@ -149,7 +155,7 @@ def _write_pieces(path: str | None, pieces):
     if not path:
         raise DataError("output must be a file path, got ''")
     with _failing(f"write {path}"):
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(path, "wb")
     try:
         for piece in pieces:
             with _failing(f"write {path}"):
@@ -162,7 +168,132 @@ def _write_pieces(path: str | None, pieces):
 
 
 def _write_text(path: str | None, text: str):
-    _write_pieces(path, (text,))
+    _write_pieces(path, (text.encode("utf-8"),))
+
+
+def _put(stream, data: bytes):
+    """Write data to a text stream after the text written to it: to its buffer, with no
+    decode and re-encode, where it has one (a StringIO has none)."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(data.decode("utf-8"))
+    else:
+        stream.flush()
+        buffer.write(data)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell, or cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _make_in_child(w: int, cpus: int, walked, make, pipe_fds):
+    """Child w: send make(item) for the items i of walked with i % cpus == w, then exit.
+
+    Each item's parts go down the pipe as their sizes on a line, then their
+    bytes. Any exception ends the child before the item it hit is sent.
+    """
+    code = 1
+    try:
+        os.close(pipe_fds[0])
+        with open(pipe_fds[1], "wb") as pipe:
+            for i, item in walked:
+                if i % cpus == w:
+                    parts = make(item)
+                    pipe.write(b" ".join(b"%d" % len(part) for part in parts) + b"\n")
+                    pipe.writelines(parts)
+        code = 0
+    finally:
+        os._exit(code)  # no cleanup of the parent's: its buffers, files and finally blocks
+
+
+def _received(reader):
+    """The parts a child sent for its next item, or None if it ended before sending them all."""
+    head = reader.readline()
+    if not head.endswith(b"\n"):
+        return None
+    sizes = [int(size) for size in head.split()]
+    parts = tuple(reader.read(size) for size in sizes)
+    return parts if [len(part) for part in parts] == sizes else None
+
+
+def _fork(w: int, cpus: int, walked, make):
+    """(pid, reader of its pipe) of a forked child w, which runs _make_in_child.
+
+    The pipe holds 1 MiB where the platform allows, so that a child can make
+    several chunks ahead while the parent waits on another child: at the
+    default 64 KiB a chunk fills the pipe, and the children take turns
+    rather than working together. The process's only other thread is
+    OpenBLAS's pool, which no chunk's numpy work calls.
+    """
+    import fcntl  # loaded only when a child is forked
+
+    pipe_fds = os.pipe()
+    with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or past the system's limit
+        fcntl.fcntl(pipe_fds[1], fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = os.fork()
+    if pid == 0:
+        _make_in_child(w, cpus, walked, make, pipe_fds)
+    os.close(pipe_fds[1])  # so the child's exit is its reader's end of file
+    return pid, open(pipe_fds[0], "rb")
+
+
+def _in_turn(items, make):
+    """Yield make(item), a tuple of bytes, for each of items in order, made on every usable CPU.
+
+    On P usable CPUs (_usable_cpus) with P > 1, forked children make the
+    items: child w makes the items i with i % P == w and sends their bytes
+    through a pipe, and this process yields them in order. Child w is forked
+    when this process walks to item w (child 0 at item 1, so one item forks
+    nothing), up to P - 1 items ahead of the one it yields. Every process walks
+    items itself, so an iterator that carries state from item to item works.
+    An item whose child ended before sending it, and each later item of that
+    child, is made here; an error walking items is raised after the items
+    before it are yielded. So errors and bytes are those of the serial code.
+    The children are killed and reaped when the generator ends or is closed.
+    """
+    cpus = _usable_cpus()
+    walked = enumerate(items)
+    ahead, readers, pids = [], {}, []
+    done, failure = False, None
+    try:
+        while True:
+            while not done and len(ahead) < cpus:
+                try:
+                    ahead.append(next(walked))
+                except StopIteration:
+                    done = True
+                except Exception as exc:  # raised once the items before it are yielded
+                    done, failure = True, exc
+                else:
+                    i = ahead[-1][0]
+                    while 1 < cpus and 0 < i and len(pids) <= min(i, cpus - 1):
+                        w = len(pids)
+                        pid, readers[w] = _fork(w, cpus, itertools.chain(ahead, walked), make)
+                        pids.append(pid)
+            if not ahead:
+                if failure is not None:
+                    raise failure
+                return
+            i, item = ahead.pop(0)
+            reader = readers.get(i % cpus)
+            parts = None if reader is None else _received(reader)
+            if parts is None:  # no child makes it, or its child ended early
+                if reader is not None:
+                    readers.pop(i % cpus).close()
+                parts = make(item)
+            yield parts
+    finally:
+        for reader in readers.values():
+            reader.close()
+        if pids:
+            import signal  # loaded only when a child was forked
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _filled(template: str, sep: str, cells: np.ndarray) -> str:
@@ -174,34 +305,54 @@ def _filled(template: str, sep: str, cells: np.ndarray) -> str:
     return sep.join([template] * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _write_table(path: str | None, slices, chunk, line: str, record: str, frame):
-    """Print a line and write a record for each row, a chunk of rows at a time.
+def _write_table(path: str | None, slices, chunk, line: str, record: str, frame) -> bool:
+    """Print a line and write a record for each row, a chunk of rows at a time; True if
+    a --strict message was reported.
 
     slices are the chunks' rows, in order: the caller's
     ticks.row_chunks, whose per_row counts the floats a row formats (and,
     for moments, the ticks a row's window reduces), so no output's text is
-    held whole. chunk(rows, to_file) returns two (rows, slots) object
-    arrays of cells for a slice of rows: the line cells after the row's
-    index and, if to_file, the record cells (else None). The lines are
-    printed; the records are written to path, frame[1]-joined within a
-    chunk and framed (as in ticks.framed) around the chunks. A chunk is
-    printed and written before the next one is made. Without a path only
-    lines are printed.
+    held whole. chunk(rows, to_file) returns, for a slice of rows, two
+    (rows, slots) object arrays of cells and a list of --strict messages:
+    the line cells after the row's index and, if to_file, the record cells
+    (else None). The chunks' text is made by _in_turn, on every usable CPU,
+    and written here in order, each chunk before the next one is taken:
+    its messages to stderr, as one report line that starts with "strict
+    violation: " and ends after the last chunk or before an error's
+    message; its lines to stdout; its records to path, frame[1]-joined
+    within a chunk and framed (as in ticks.framed) around the chunks.
+    Without a path only lines are printed.
     """
-    def parts():
-        for rows in slices:
-            lines, records = chunk(rows, path is not None)
-            print(_filled(line, "\n", np.hstack(
-                [np.arange(rows.start, rows.stop, dtype=object)[:, None], lines])))
-            part = "" if records is None else _filled(record, frame[1], records)
-            del lines, records  # no chunk's cells outlive it
+    def make(rows):
+        lines, records, messages = chunk(rows, path is not None)
+        out = _filled(line, "\n", np.hstack(
+            [np.arange(rows.start, rows.stop, dtype=object)[:, None], lines])) + "\n"
+        part = "" if records is None else _filled(record, frame[1], records)
+        return out.encode(), part.encode(), "; ".join(messages).encode()
+
+    reported = False  # whether the report's line was begun
+
+    def parts(made):
+        nonlocal reported
+        for out, part, report in made:
+            if report:  # sys.stderr looked up here, so a redirected stderr gets it
+                _put(sys.stderr, (b"; " if reported else b"strict violation: ") + report)
+                reported = True
+            with _failing("write stdout"):
+                _put(sys.stdout, out)
             yield part
 
-    if path is None:
-        for _ in parts():
-            pass
-    else:
-        _write_pieces(path, framed(parts(), frame))
+    try:
+        with closing(_in_turn(slices, make)) as made:
+            if path is None:
+                for _ in parts(made):
+                    pass
+            else:
+                _write_pieces(path, framed(parts(made), tuple(s.encode() for s in frame)))
+    finally:
+        if reported:
+            _put(sys.stderr, b"\n")
+    return reported
 
 
 def _write_json(path: str | None, payload):
@@ -256,6 +407,15 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
 
 
+def _float_cells(floats: np.ndarray):
+    """The _write_table chunk of a table of floats: a row's line and record cells are
+    both its floats' reprs, and there is no --strict message."""
+    def chunk(rows, to_file):
+        cells = _reprs(floats[rows])
+        return cells, cells, []
+    return chunk
+
+
 def _moment_record(method: str, k: int, trade: bool) -> str:
     """A moment set as json.dumps(MomentSet.to_json_dict(), indent=2) writes it in an array,
     a %s slot for each value; trade: with value and volume moments. method is one of
@@ -289,10 +449,8 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         coef, correlated = np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
         if batch.window_len >= 2:
             coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
-    reported = False  # whether the --strict report's line was begun
 
     def chunk(rows, to_file):
-        nonlocal reported
         table = moments_mod.batch_moments(batch[rows], order, method)  # over only their ticks
         negative, non_finite = table.negative_variance, table.non_finite
         # each float written once: center_time, raw moments, [value, volume moments,] variance
@@ -300,8 +458,8 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
                                  *([table.trade_value_moments, table.trade_volume_moments]
                                    if trade else []), table.variance[:, None]]))
         flags = _FLAG_CELLS[negative + 2 * non_finite]
+        messages = []
         if strict:
-            messages = []
             for j in np.flatnonzero(negative | non_finite | correlated[rows]).tolist():
                 i = rows.start + j
                 if negative[j]:
@@ -314,29 +472,24 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
                         f"window {i}: order-2 price/volume correlation "
                         f"{float(coef[i])!r} exceeds {threshold!r}"
                     )
-            if messages:  # sys.stderr looked up here, so a redirected stderr gets them
-                sys.stderr.write(("; " if reported else "strict violation: ") + "; ".join(messages))
-                reported = True
         # a line: center_time, mean (the first raw moment), variance and flags
         lines = np.hstack([text[:, :2], text[:, -1:], flags[:, :1]])
         if not to_file:
-            return lines, None
+            return lines, None, messages
         if non_finite.any():  # json's spelling of repr's nan, inf and -inf
             for spelled, json_spelling in (("nan", "NaN"), ("inf", "Infinity"),
                                            ("-inf", "-Infinity")):
                 text[text == spelled] = json_spelling
         # a record: center_time and the moments, then the mean, variance and flags
-        return lines, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags[:, 1:]])
+        return (lines, np.hstack([text[:, :-1], text[:, 1:2], text[:, -1:], flags[:, 1:]]),
+                messages)
 
-    try:
-        # a row formats 2 + order * (3 or 1) floats and its kernels reduce window_len ticks
-        _write_table(settings["output"],
-                     row_chunks(len(batch), max(2 + order * (3 if trade else 1), batch.window_len)),
-                     chunk, "window %s center_time=%s mean=%s variance=%s flags=%s",
-                     _moment_record(method, order, trade), JSON_ARRAY)
-    finally:
-        if reported:  # the report's one line ends before any error's message
-            sys.stderr.write("\n")
+    # a row formats 2 + order * (3 or 1) floats and its kernels reduce window_len ticks
+    reported = _write_table(
+        settings["output"],
+        row_chunks(len(batch), max(2 + order * (3 if trade else 1), batch.window_len)),
+        chunk, "window %s center_time=%s mean=%s variance=%s flags=%s",
+        _moment_record(method, order, trade), JSON_ARRAY)
     return EXIT_STRICT if reported else EXIT_OK
 
 
@@ -347,8 +500,7 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     floats = np.column_stack([batch.center_time, moments_mod.batch_vwap(batch)])
-    _write_table(settings["output"], row_chunks(len(floats), 2),
-                 lambda rows, _: (_reprs(floats[rows]),) * 2,
+    _write_table(settings["output"], row_chunks(len(floats), 2), _float_cells(floats),
                  "window %s center_time=%s vwap=%s", "%s,%s\n",
                  (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
@@ -369,8 +521,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     values = moments_mod.batch_autocorrelation(batch, lag, method)  # finite, or it raised
     centers = batch.center_time  # finite, as the tick times are
     floats = np.column_stack([centers[:len(values)], centers[lag:], values])
-    _write_table(settings["output"], row_chunks(len(floats), 3),
-                 lambda rows, _: (_reprs(floats[rows]),) * 2,
+    _write_table(settings["output"], row_chunks(len(floats), 3), _float_cells(floats),
                  "window %s t1=%s t2=%s autocorr=%s", _AUTOCORR_RECORD, JSON_ARRAY)
     return EXIT_OK
 
@@ -498,8 +649,9 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     spec = build_sim_spec(section)
     blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
     blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
-    _write_pieces(_require(settings, "output"),
-                  framed((tick_rows(block, slice(None)) for block in blocks), TICK_CSV))
+    path = _require(settings, "output")
+    with closing(_in_turn(blocks, lambda block: (tick_rows(block, slice(None)).encode(),))) as made:
+        _write_pieces(path, framed((rows for rows, in made), tuple(s.encode() for s in TICK_CSV)))
     print(f"simulated ticks={spec.length} seed={spec.seed}")
     return EXIT_OK
 
@@ -551,7 +703,10 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        code = run(argv)
+        with _failing("write stdout"):  # a closed stdout is an input error here, not at exit
+            sys.stdout.flush()
+        return code
     except (ConvergenceError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -561,9 +716,19 @@ def main(argv=None) -> int:
 
 
 def process_main() -> int:
-    """main() for a process of its own: the imported heap is frozen before the command runs."""
+    """main() for a process of its own: the imported heap is frozen before the command runs.
+
+    A stdout that cannot take its last bytes (a closed pipe), which main()
+    reported, is pointed at the null device, so the interpreter's exit
+    drops them rather than printing a traceback.
+    """
     gc.freeze()
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,13 @@ shrink ticks.BLOCK to R rows, check that the command then writes R rows
 per chunk, and check, for 0, 1, R-1, R, R+1 and 2R+1 rows, that stdout,
 stderr and the output file equal those of a run that renders the whole
 output as one chunk, and that the JSON files equal json.dumps of their
-records.
+records. The chunks are made on every usable CPU (cli._in_turn): with the
+CPU count patched to 2 and 3, every byte, error and exit code equals the
+one-CPU run's, and no child process is left behind, whether the output
+ends, fails, is cut by a closed stdout or loses a child.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -90,6 +94,32 @@ def same_chunked_and_whole(capsys, argv, output: Path | None = None):
     chunked = run(capsys, argv, output, rows=R)
     assert chunked == whole
     return chunked
+
+
+def assert_no_child():
+    """Every child process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def on_cpus(capsys, cpus: int, argv, output: Path | None, rows: int = R):
+    """(run's result in chunks of rows, os.fork calls) on `cpus` usable CPUs, after checking
+    that no child is left."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:  # in this process, not the child
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mbm.cli, "_usable_cpus", lambda: cpus)
+        patch.setattr(os, "fork", counted)
+        result = run(capsys, argv, output, rows)
+    assert_no_child()
+    return result, len(forks)
 
 
 def window_numbers(text: str, sep: str = "\n") -> list[int]:
@@ -313,8 +343,139 @@ def test_a_multi_chunk_output_is_written_a_chunk_at_a_time(tmp_path, capsys, mon
                  "--order", "4", "--method", "market", "--output", str(tmp_path / "m.json")]) == 0
     assert window_numbers(capsys.readouterr().out) == list(range(2 * R + 1))
     # "[\n", three chunks of records with ",\n" between them, "\n]\n"
-    assert written[::2] == ["[\n", ",\n", ",\n", "\n]\n"]
-    assert [piece.count('"method"') for piece in written[1::2]] == [R, R, 1]
+    assert written[::2] == [b"[\n", b",\n", b",\n", b"\n]\n"]
+    assert [piece.count(b'"method"') for piece in written[1::2]] == [R, R, 1]
+
+
+def cpu_case(tmp_path, case: str, rows: int):
+    """(argv, output path) of a run of `case` whose output is `rows` rows."""
+    ticks = tmp_path / "ticks.csv"
+    if case == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"[simulate]\nlength = {rows}\nseed = 4\nsigma = 0.05\n", encoding="utf-8")
+        return ["simulate", "--config", str(cfg)], tmp_path / "t.csv"
+    command, mode, *method = case.split("-")
+    # autocorr's rows are pairs of windows one apart
+    ticks.write_text(tick_text(rows + (command == "autocorr"), mode), encoding="utf-8")
+    argv = [command, "--input", str(ticks), "--window", "2", "--mode", mode]
+    if command == "moments":
+        argv += ["--order", "4", "--strict"]
+    if method:
+        argv += ["--method", *method]
+    return argv, tmp_path / "out"
+
+
+CPU_CASES = ["moments-disjoint-frequency", "moments-disjoint-market", "moments-sliding-frequency",
+             "moments-sliding-market", "vwap-sliding", "autocorr-disjoint-market", "simulate"]
+
+
+@pytest.mark.parametrize("case", CPU_CASES)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_outputs_on_several_cpus_equal_those_on_one(tmp_path, capsys, cpus, case):
+    for chunks in sorted({1, cpus - 1, cpus, cpus + 1, 2 * cpus + 1}):
+        argv, output = cpu_case(tmp_path, case, chunks * R - 1)  # the last chunk is short
+        serial, forks = on_cpus(capsys, 1, argv, output)
+        assert forks == 0
+        assert serial[0] in (0, 3) and serial[3]
+        # a child per CPU, or per chunk where there are fewer; one chunk forks nothing
+        assert on_cpus(capsys, cpus, argv, output) == (serial, min(cpus, chunks) if chunks > 1 else 0)
+
+
+@pytest.mark.parametrize("case", ["moments-sliding-market", "simulate"])
+def test_a_child_that_ends_early_leaves_its_chunks_to_this_process(tmp_path, capsys, monkeypatch,
+                                                                    case):
+    argv, output = cpu_case(tmp_path, case, 7 * R)
+    serial, _ = on_cpus(capsys, 1, argv, output)
+    parent = os.getpid()
+    name = "tick_rows" if case == "simulate" else "_reprs"  # what every chunk calls
+    formats = getattr(mbm.cli, name)
+    made = []
+
+    def ending(*args):
+        if os.getpid() != parent:
+            made.append(args)
+            if len(made) == 2:  # a child ends after sending its first chunk
+                os._exit(1)
+        return formats(*args)
+
+    monkeypatch.setattr(mbm.cli, name, ending)
+    assert on_cpus(capsys, 3, argv, output) == (serial, 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_in_turn_walks_a_stateful_iterator_and_raises_where_one_process_would(monkeypatch, cpus):
+    monkeypatch.setattr(mbm.cli, "_usable_cpus", lambda: cpus)
+
+    def walk(n, bad=None):
+        total = 0  # carried from item to item
+        for i in range(n):
+            if i == bad:
+                raise mbm.DataError(f"item {i}")
+            total += i
+            yield total
+
+    def make(total):
+        return b"%d" % total, b"!" * total
+
+    sums = [make(sum(range(i + 1))) for i in range(2 * cpus + 3)]
+    for n in range(2 * cpus + 3):
+        assert list(mbm.cli._in_turn(walk(n), make)) == sums[:n]
+        assert_no_child()
+    for bad in range(2 * cpus + 2):
+        made = []
+        with pytest.raises(mbm.DataError, match=f"item {bad}$"):
+            made.extend(mbm.cli._in_turn(walk(2 * cpus + 3, bad), make))
+        assert made == sums[:bad]  # every item before the error, as one process makes them
+        assert_no_child()
+    unfinished = mbm.cli._in_turn(walk(2 * cpus + 3), make)
+    assert next(unfinished) == sums[0]
+    unfinished.close()  # its children are killed and reaped
+    assert_no_child()
+
+
+def test_a_child_that_ends_mid_item_sent_nothing_of_it():
+    def received(sent: bytes):
+        return mbm.cli._received(io.BufferedReader(io.BytesIO(sent)))
+
+    assert received(b"3 0 2\nabcde") == (b"abc", b"", b"de")
+    for cut in (b"", b"3 0", b"3 0 2\n", b"3 0 2\nabcd"):
+        assert received(cut) is None
+
+
+# runs mbm.cli.process_main with the arguments after it, on three CPUs and in
+# chunks of 1,000 floats; exit 99 if a child process is left
+_CLOSED_STDOUT = """
+import os, sys
+import mbm.cli, mbm.ticks
+mbm.cli._usable_cpus = lambda: 3
+mbm.ticks.BLOCK = 1000
+sys.argv = ["mbm", *sys.argv[1:]]
+code = mbm.cli.process_main()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["moments", "--order", "4", "--method", "market"], ["vwap"]],
+                         ids=["moments", "vwap"])
+def test_a_closed_stdout_is_one_input_error_line(tmp_path, command, unbuffered):
+    # 300 KB of lines or more, so the pipe is still being written when it is closed
+    ticks = str(simulated(tmp_path, 5_000))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [str(Path(mbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, "-c", _CLOSED_STDOUT, *command, "--input", ticks,
+                           "--window", "10", "--mode", "sliding"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"window 0 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    # no traceback, and no "Exception ignored" line at the interpreter's exit
+    assert err == b"input error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 SIM_CFG = "[simulate]\nlength = {}\nseed = 9\nsigma = 0.05\nlog_sigma = 0.3\npv_correlation = {}\n"
@@ -428,9 +589,12 @@ def test_a_write_that_fails_in_a_later_chunk_is_an_input_error(tmp_path, capsys,
     monkeypatch.setattr(mbm.ticks, "BLOCK", rows * TICK_FLOATS)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("[simulate]\nlength = 2000\nseed = 4\n", encoding="utf-8")
-    assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("input error: cannot write /dev/full: ")
+    for cpus in (1, 3):  # on three CPUs, the children making later chunks are killed
+        monkeypatch.setattr(mbm.cli, "_usable_cpus", lambda: cpus)
+        assert main(["simulate", "--config", str(cfg), "--output", "/dev/full"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: cannot write /dev/full: ")
+        assert_no_child()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
@@ -446,10 +610,16 @@ def test_a_strict_report_cut_by_a_failing_write_ends_its_line_before_the_error(t
     assert main(argv + ["--output", str(tmp_path / "m.json")]) == 3
     report = capsys.readouterr().err
     monkeypatch.setattr(mbm.ticks, "BLOCK", R * 14)
-    assert main(argv + ["--output", "/dev/full"]) == 1
-    out, err = capsys.readouterr()
-    violations, error, end = err.split("\n")
-    # the messages of the chunks made before the write failed, then the error's own line
-    assert violations.startswith("strict violation: ") and report.startswith(violations + "; ")
-    assert error.startswith("input error: cannot write /dev/full: ") and end == ""
-    assert 0 < len(window_numbers(out)) < windows
+    cut = set()
+    for cpus in (1, 3):
+        monkeypatch.setattr(mbm.cli, "_usable_cpus", lambda: cpus)
+        assert main(argv + ["--output", "/dev/full"]) == 1
+        out, err = capsys.readouterr()
+        violations, error, end = err.split("\n")
+        # the messages of the chunks made before the write failed, then the error's own line
+        assert violations.startswith("strict violation: ") and report.startswith(violations + "; ")
+        assert error.startswith("input error: cannot write /dev/full: ") and end == ""
+        assert 0 < len(window_numbers(out)) < windows
+        assert_no_child()
+        cut.add((out, err))
+    assert len(cut) == 1  # cut at the same chunk on any number of CPUs
