@@ -23,21 +23,23 @@ interpreter's teardown walks numpy's objects again, then returns main()'s
 exit code.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 assumption
-violation under --strict. Diagnostics go to stderr, summaries to stdout,
-results to the output files. This module alone spells output: moments,
-vwap and autocorr print a line and write a record per row through
-_write_table, templates filled from each float's repr, made once. moments
-computes, flags and writes a chunk of windows at a time, and writes its
---strict report to stderr as it is made: one line, "strict violation: "
-and the messages "; "-joined. A run that fails after part of the report
-was written (an output that cannot be written) ends that line, then
-reports its error on a line of its own with that error's exit code; a
-stdout that cannot be written (a closed pipe) is such an input error.
+violation under --strict. Diagnostics go to stderr, summaries and table
+lines to stdout through _out (a stdout that cannot be written, such as a
+closed pipe, is an input error), results to the output files. This
+module alone spells output: moments, vwap and autocorr print a line and
+write a record per row through _write_table, templates filled from each
+float's repr, made once. moments computes, flags and writes a chunk of
+windows at a time, and writes its --strict report to stderr as it is
+made: one line, "strict violation: " and the messages "; "-joined. A run
+that fails after part of the report was written (an output that cannot
+be written) ends that line, then reports its error on a line of its own
+with that error's exit code.
 
 The chunks of a streamed output (the tables and simulate's tick blocks)
-are made on every usable CPU (_in_turn): forked children make them in
-turn and this process writes their bytes in order, so the bytes do not
-depend on the CPU count.
+are made on every usable CPU (_in_turn): on P CPUs, min(P, chunks)
+children are forked before the first chunk and make them in turn, and
+this process writes their bytes in order; a failed fork leaves its chunks
+to this process. So the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ import numpy as np
 from . import moments as moments_mod
 from .config import ENV_PREFIX, build_scenario, build_sim_spec, build_utility, load_config, number
 from .errors import ConvergenceError, DataError, DomainError
-from .ticks import (TICK_CSV, _data_rows, framed, parse_ticks, read_text, row_chunks,
-                    tick_rows, window_batch)
+from .ticks import (TICK_CSV, TICK_FLOATS, _data_rows, chunk_count, framed, parse_ticks,
+                    read_text, row_chunks, tick_rows, window_batch)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -182,6 +184,12 @@ def _put(stream, data: bytes):
         buffer.write(data)
 
 
+def _out(data: bytes):
+    """Write data to stdout: a stdout that cannot take it (a closed pipe) is an input error."""
+    with _failing("write stdout"):
+        _put(sys.stdout, data)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot tell, or cannot fork."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -226,72 +234,59 @@ def _fork(w: int, cpus: int, walked, make):
     several chunks ahead while the parent waits on another child: at the
     default 64 KiB a chunk fills the pipe, and the children take turns
     rather than working together. The process's only other thread is
-    OpenBLAS's pool, which no chunk's numpy work calls.
+    OpenBLAS's pool, which no chunk's numpy work calls. A fork that fails
+    closes the pipe and raises its OSError.
     """
     import fcntl  # loaded only when a child is forked
 
     pipe_fds = os.pipe()
     with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or past the system's limit
         fcntl.fcntl(pipe_fds[1], fcntl.F_SETPIPE_SZ, 1 << 20)
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in pipe_fds:
+            os.close(fd)
+        raise
     if pid == 0:
         _make_in_child(w, cpus, walked, make, pipe_fds)
     os.close(pipe_fds[1])  # so the child's exit is its reader's end of file
     return pid, open(pipe_fds[0], "rb")
 
 
-def _in_turn(items, make):
+def _in_turn(items, count: int, make):
     """Yield make(item), a tuple of bytes, for each of items in order, made on every usable CPU.
 
-    On P usable CPUs (_usable_cpus) with P > 1, forked children make the
-    items: child w makes the items i with i % P == w and sends their bytes
-    through a pipe, and this process yields them in order. Child w is forked
-    when this process walks to item w (child 0 at item 1, so one item forks
-    nothing), up to P - 1 items ahead of the one it yields. Every process walks
-    items itself, so an iterator that carries state from item to item works.
-    An item whose child ended before sending it, and each later item of that
-    child, is made here; an error walking items is raised after the items
-    before it are yielded. So errors and bytes are those of the serial code.
-    The children are killed and reaped when the generator ends or is closed.
+    count is the number of items or an upper bound on it. On P usable CPUs
+    (_usable_cpus), C = min(P, count) > 1 children are forked before the
+    first item: child w makes the items i with i % C == w and sends their
+    bytes through a pipe, and this process yields them in order. Every
+    process walks items itself from the start, so an iterator that carries
+    state from item to item works, and a walk's error is raised here where
+    one process would raise it. An item whose fork failed (no later child
+    is forked) or whose child ended before sending it is made here. So
+    errors and bytes are those of the serial code. The children are killed
+    and reaped when the generator ends or is closed.
     """
-    cpus = _usable_cpus()
+    cpus = min(_usable_cpus(), count)
     walked = enumerate(items)
-    ahead, readers, pids = [], {}, []
-    done, failure = False, None
+    children = []  # (pid, reader of its pipe) of child w
     try:
-        while True:
-            while not done and len(ahead) < cpus:
-                try:
-                    ahead.append(next(walked))
-                except StopIteration:
-                    done = True
-                except Exception as exc:  # raised once the items before it are yielded
-                    done, failure = True, exc
-                else:
-                    i = ahead[-1][0]
-                    while 1 < cpus and 0 < i and len(pids) <= min(i, cpus - 1):
-                        w = len(pids)
-                        pid, readers[w] = _fork(w, cpus, itertools.chain(ahead, walked), make)
-                        pids.append(pid)
-            if not ahead:
-                if failure is not None:
-                    raise failure
-                return
-            i, item = ahead.pop(0)
-            reader = readers.get(i % cpus)
-            parts = None if reader is None else _received(reader)
-            if parts is None:  # no child makes it, or its child ended early
-                if reader is not None:
-                    readers.pop(i % cpus).close()
-                parts = make(item)
-            yield parts
+        if cpus > 1:
+            with suppress(OSError):  # a failed fork leaves its items to this process
+                for w in range(cpus):
+                    children.append(_fork(w, cpus, walked, make))
+        for i, item in walked:
+            w = i % cpus
+            # None if no child makes it, or its child ended early (its pipe is then at its end)
+            parts = _received(children[w][1]) if w < len(children) else None
+            yield make(item) if parts is None else parts
     finally:
-        for reader in readers.values():
-            reader.close()
-        if pids:
+        if children:
             import signal  # loaded only when a child was forked
 
-            for pid in pids:
+            for pid, reader in children:
+                reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -305,17 +300,18 @@ def _filled(template: str, sep: str, cells: np.ndarray) -> str:
     return sep.join([template] * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _write_table(path: str | None, slices, chunk, line: str, record: str, frame) -> bool:
-    """Print a line and write a record for each row, a chunk of rows at a time; True if
-    a --strict message was reported.
+def _write_table(path: str | None, n: int, per_row: int, chunk, line: str, record: str,
+                 frame) -> bool:
+    """Print a line and write a record for each of n rows, a chunk of rows at a time; True
+    if a --strict message was reported.
 
-    slices are the chunks' rows, in order: the caller's
-    ticks.row_chunks, whose per_row counts the floats a row formats (and,
-    for moments, the ticks a row's window reduces), so no output's text is
-    held whole. chunk(rows, to_file) returns, for a slice of rows, two
-    (rows, slots) object arrays of cells and a list of --strict messages:
-    the line cells after the row's index and, if to_file, the record cells
-    (else None). The chunks' text is made by _in_turn, on every usable CPU,
+    The chunks are ticks.row_chunks(n, per_row), per_row being the floats a
+    row formats (and, for moments, the ticks a row's window reduces), so no
+    output's text is held whole. chunk(rows, to_file) returns, for a slice
+    of rows, two (rows, slots) object arrays of cells and a list of --strict
+    messages: the line cells after the row's index and, if to_file, the
+    record cells (else None). The chunks' text is made by _in_turn, in
+    min(P, chunks) children forked before the first chunk on P usable CPUs,
     and written here in order, each chunk before the next one is taken:
     its messages to stderr, as one report line that starts with "strict
     violation: " and ends after the last chunk or before an error's
@@ -338,12 +334,11 @@ def _write_table(path: str | None, slices, chunk, line: str, record: str, frame)
             if report:  # sys.stderr looked up here, so a redirected stderr gets it
                 _put(sys.stderr, (b"; " if reported else b"strict violation: ") + report)
                 reported = True
-            with _failing("write stdout"):
-                _put(sys.stdout, out)
+            _out(out)
             yield part
 
     try:
-        with closing(_in_turn(slices, make)) as made:
+        with closing(_in_turn(row_chunks(n, per_row), chunk_count(n, per_row), make)) as made:
             if path is None:
                 for _ in parts(made):
                     pass
@@ -388,7 +383,7 @@ def _check_read(file_cfg: dict):
 def cmd_validate(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     spacing = "irregular" if series.tick_spacing is None else repr(series.tick_spacing)
-    print(f"ok ticks={len(series)} spacing={spacing}")
+    _out(f"ok ticks={len(series)} spacing={spacing}\n".encode())
     return EXIT_OK
 
 
@@ -486,8 +481,7 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
 
     # a row formats 2 + order * (3 or 1) floats and its kernels reduce window_len ticks
     reported = _write_table(
-        settings["output"],
-        row_chunks(len(batch), max(2 + order * (3 if trade else 1), batch.window_len)),
+        settings["output"], len(batch), max(2 + order * (3 if trade else 1), batch.window_len),
         chunk, "window %s center_time=%s mean=%s variance=%s flags=%s",
         _moment_record(method, order, trade), JSON_ARRAY)
     return EXIT_STRICT if reported else EXIT_OK
@@ -500,7 +494,7 @@ def cmd_vwap(settings: dict, file_cfg: dict) -> int:
     series = _read_series(settings)
     batch = _window_batch(settings, series)
     floats = np.column_stack([batch.center_time, moments_mod.batch_vwap(batch)])
-    _write_table(settings["output"], row_chunks(len(floats), 2), _float_cells(floats),
+    _write_table(settings["output"], len(floats), 2, _float_cells(floats),
                  "window %s center_time=%s vwap=%s", "%s,%s\n",
                  (_VWAP_HEADER, "", "", _VWAP_HEADER))
     return EXIT_OK
@@ -521,7 +515,7 @@ def cmd_autocorr(settings: dict, file_cfg: dict) -> int:
     values = moments_mod.batch_autocorrelation(batch, lag, method)  # finite, or it raised
     centers = batch.center_time  # finite, as the tick times are
     floats = np.column_stack([centers[:len(values)], centers[lag:], values])
-    _write_table(settings["output"], row_chunks(len(floats), 3), _float_cells(floats),
+    _write_table(settings["output"], len(floats), 3, _float_cells(floats),
                  "window %s t1=%s t2=%s autocorr=%s", _AUTOCORR_RECORD, JSON_ARRAY)
     return EXIT_OK
 
@@ -560,11 +554,9 @@ def cmd_density(settings: dict, file_cfg: dict) -> int:
         raise DataError(f"output {out!r} is the path of the JSON summary; give the CSV another suffix")
     _write_text(out, approx.to_csv_text())
     _write_json(str(Path(out).with_suffix(".json")), approx.to_json_dict())
-    print(
-        f"density method={approx.method} mass={approx.total_mass!r} "
-        f"mean={approx.recovered_mean!r} variance={approx.recovered_variance!r} "
-        f"negative_mass_fraction={approx.negative_mass_fraction!r}"
-    )
+    _out(f"density method={approx.method} mass={approx.total_mass!r} "
+         f"mean={approx.recovered_mean!r} variance={approx.recovered_variance!r} "
+         f"negative_mass_fraction={approx.negative_mass_fraction!r}\n".encode())
     return EXIT_OK
 
 
@@ -588,7 +580,7 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
     if not isinstance(scenario, TwoTradeScenario):
         sol = solve_price_single(scenario)
         payload = {"kind": "single", "solution": sol.to_json_dict()}
-        print(f"p0={sol.mean_price!r} residual={sol.residual!r} iterations={sol.iterations}")
+        _out(f"p0={sol.mean_price!r} residual={sol.residual!r} iterations={sol.iterations}\n".encode())
     else:
         first = solve_price_first_purchase(scenario)
         if scenario.two_sale:
@@ -597,10 +589,8 @@ def cmd_price(settings: dict, file_cfg: dict) -> int:
             second = solve_price_second_purchase(scenario, first=first)
         payload = {"kind": "two_sales" if scenario.two_sale else "two_purchase",
                    "first_purchase": first.to_json_dict(), "second_purchase": second.to_json_dict()}
-        print(
-            f"p0(t1)={first.mean_price!r} p0(t2)={second.mean_price!r} "
-            f"residuals=({first.residual!r}, {second.residual!r})"
-        )
+        _out(f"p0(t1)={first.mean_price!r} p0(t2)={second.mean_price!r} "
+             f"residuals=({first.residual!r}, {second.residual!r})\n".encode())
     if settings["output"] is not None:
         _write_json(settings["output"], payload)
     return EXIT_OK
@@ -629,10 +619,8 @@ def cmd_optimize(settings: dict, file_cfg: dict) -> int:
     if settings["hi"] is None:
         raise DataError("optimize needs an upper holdings bound (--hi or [run] hi)")
     result = optimize_holdings(scenario, prices, payoffs, (settings["lo"], settings["hi"]))
-    print(
-        f"holdings={result.holdings!r} at_boundary={result.at_boundary} "
-        f"foc_residual={result.foc_residual!r}"
-    )
+    _out(f"holdings={result.holdings!r} at_boundary={result.at_boundary} "
+         f"foc_residual={result.foc_residual!r}\n".encode())
     if settings["output"] is not None:
         _write_json(settings["output"], result.to_json_dict())
     return EXIT_OK
@@ -650,9 +638,10 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
     blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
     path = _require(settings, "output")
-    with closing(_in_turn(blocks, lambda block: (tick_rows(block, slice(None)).encode(),))) as made:
+    with closing(_in_turn(blocks, chunk_count(spec.length, TICK_FLOATS),
+                          lambda block: (tick_rows(block, slice(None)).encode(),))) as made:
         _write_pieces(path, framed((rows for rows, in made), tuple(s.encode() for s in TICK_CSV)))
-    print(f"simulated ticks={spec.length} seed={spec.seed}")
+    _out(f"simulated ticks={spec.length} seed={spec.seed}\n".encode())
     return EXIT_OK
 
 

@@ -60,12 +60,21 @@ _DECIMAL_BYTES = b"0123456789.eE+-, \t\n"
 BLOCK = 1 << 14
 
 
+def _chunk_rows(per_row: int) -> int:
+    return max(1, BLOCK // per_row)
+
+
 def row_chunks(n: int, per_row: int):
     """Slices that cover rows 0..n-1 in order, max(1, BLOCK // per_row) rows each
     (the last one the rest), where a row is per_row elements. BLOCK is read at the
     call; the slices are made as they are taken, so a huge n costs nothing up front."""
-    step = max(1, BLOCK // per_row)
+    step = _chunk_rows(per_row)
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def chunk_count(n: int, per_row: int) -> int:
+    """The number of slices row_chunks(n, per_row) makes, BLOCK read at the call."""
+    return -(-n // _chunk_rows(per_row))
 
 
 def _check_columns(time, price, volume, value, where) -> None:

@@ -11,9 +11,10 @@ output as one chunk, and that the JSON files equal json.dumps of their
 records. The chunks are made on every usable CPU (cli._in_turn): with the
 CPU count patched to 2 and 3, every byte, error and exit code equals the
 one-CPU run's, and no child process is left behind, whether the output
-ends, fails, is cut by a closed stdout or loses a child.
+ends, fails, is cut by a closed stdout, loses a child or cannot fork one.
 """
 
+import errno
 import io
 import json
 import os
@@ -33,7 +34,8 @@ import mbm.moments
 import mbm.ticks
 from mbm.cli import main
 from mbm.moments import batch_autocorrelation, batch_decorrelation, batch_moments
-from mbm.ticks import TICK_FLOATS, TickSeries, parse_ticks, render_ticks, row_chunks, window_batch
+from mbm.ticks import (TICK_FLOATS, TickSeries, chunk_count, parse_ticks, render_ticks, row_chunks,
+                       window_batch)
 
 R = 3
 ROW_COUNTS = (1, R - 1, R, R + 1, 2 * R + 1)
@@ -155,6 +157,7 @@ def test_row_chunks_cover_the_rows_in_order(n, per_row, block):
             patch.setattr(mbm.ticks, "BLOCK", block)
         step = max(1, mbm.ticks.BLOCK // per_row)
         chunks = list(row_chunks(n, per_row))
+        assert chunk_count(n, per_row) == len(chunks)
     assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(n))
     sizes = [sl.stop - sl.start for sl in chunks]
     assert all(sl.step is None for sl in chunks) and all(0 < size <= step for size in sizes)
@@ -323,7 +326,7 @@ def test_library_renderings_join_the_chunks(tmp_path, capsys, monkeypatch):
             f"{t!r},{p!r},{v!r},{c!r}\n" for t, p, v, c in rows)
     # an output of no rows is its frame's empty text, with no lines
     path = tmp_path / "empty.json"
-    mbm.cli._write_table(str(path), row_chunks(0, 14), None, "", "", mbm.cli.JSON_ARRAY)
+    mbm.cli._write_table(str(path), 0, 14, None, "", "", mbm.cli.JSON_ARRAY)
     assert path.read_text(encoding="utf-8") == json.dumps([], indent=2) + "\n"
     assert capsys.readouterr() == ("", "")
 
@@ -402,6 +405,34 @@ def test_a_child_that_ends_early_leaves_its_chunks_to_this_process(tmp_path, cap
     assert on_cpus(capsys, 3, argv, output) == (serial, 3)
 
 
+def open_fds() -> int | None:
+    """The file descriptors this process has open, where the platform lists them (Linux)."""
+    fds = Path("/proc/self/fd")
+    return len(os.listdir(fds)) if fds.is_dir() else None
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["1st", "2nd"])
+@pytest.mark.parametrize("case", ["moments-sliding-market", "simulate"])
+def test_a_failed_fork_leaves_its_chunks_to_this_process(tmp_path, capsys, monkeypatch, case,
+                                                        failing):
+    argv, output = cpu_case(tmp_path, case, 7 * R)
+    serial, _ = on_cpus(capsys, 1, argv, output)
+    fork, calls = os.fork, []
+
+    def fork_or_fail():  # as a fork past the process limit fails
+        calls.append(None)
+        if len(calls) == failing:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    before = open_fds()
+    # the children forked before the failed fork make their chunks, and this process the rest
+    assert on_cpus(capsys, 3, argv, output) == (serial, failing - 1)
+    assert len(calls) == failing  # no fork after the one that failed
+    assert open_fds() == before  # both ends of the failed fork's pipe are closed
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_in_turn_walks_a_stateful_iterator_and_raises_where_one_process_would(monkeypatch, cpus):
     monkeypatch.setattr(mbm.cli, "_usable_cpus", lambda: cpus)
@@ -419,15 +450,16 @@ def test_in_turn_walks_a_stateful_iterator_and_raises_where_one_process_would(mo
 
     sums = [make(sum(range(i + 1))) for i in range(2 * cpus + 3)]
     for n in range(2 * cpus + 3):
-        assert list(mbm.cli._in_turn(walk(n), make)) == sums[:n]
-        assert_no_child()
+        for count in (n, n + cpus):  # the count of items, or a bound above it
+            assert list(mbm.cli._in_turn(walk(n), count, make)) == sums[:n]
+            assert_no_child()
     for bad in range(2 * cpus + 2):
         made = []
         with pytest.raises(mbm.DataError, match=f"item {bad}$"):
-            made.extend(mbm.cli._in_turn(walk(2 * cpus + 3, bad), make))
+            made.extend(mbm.cli._in_turn(walk(2 * cpus + 3, bad), 2 * cpus + 3, make))
         assert made == sums[:bad]  # every item before the error, as one process makes them
         assert_no_child()
-    unfinished = mbm.cli._in_turn(walk(2 * cpus + 3), make)
+    unfinished = mbm.cli._in_turn(walk(2 * cpus + 3), 2 * cpus + 3, make)
     assert next(unfinished) == sums[0]
     unfinished.close()  # its children are killed and reaped
     assert_no_child()
@@ -459,21 +491,54 @@ sys.exit(99)
 """
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", [["moments", "--order", "4", "--method", "market"], ["vwap"]],
-                         ids=["moments", "vwap"])
-def test_a_closed_stdout_is_one_input_error_line(tmp_path, command, unbuffered):
-    # 300 KB of lines or more, so the pipe is still being written when it is closed
+SCENARIO_CFG = ("[utility]\nfamily = exponential\nparameter = 2\n\n[scenario]\nbeta = 0.95\n"
+                "endowment_t = 10\nendowment_T = 3\nholdings = 1\npayoff_mean = 5\n"
+                "payoff_variance = 1\nprice_variance = 1\n")
+
+
+def closed_stdout_argv(tmp_path, command: str) -> list[str]:
+    """The arguments of a run of command whose stdout is closed: the tables print 300 KB of
+    lines or more, so their pipe is still being written when it is closed."""
     ticks = str(simulated(tmp_path, 5_000))
+    scenario, samples = tmp_path / "scenario.cfg", tmp_path / "samples.csv"
+    scenario.write_text(SCENARIO_CFG, encoding="utf-8")
+    samples.write_text("price,payoff\n4.0,5.0\n4.5,6.5\n5.0,5.5\n4.2,7.0\n", encoding="utf-8")
+    sliding = ["--input", ticks, "--window", "10", "--mode", "sliding"]
+    return {
+        "moments": ["moments", "--order", "4", "--method", "market", *sliding],
+        "vwap": ["vwap", *sliding],
+        "validate": ["validate", "--input", ticks],
+        "simulate": ["simulate", "--config", str(tmp_path / "sim5000.cfg"),  # simulated's
+                     "--output", str(tmp_path / "t.csv")],
+        "density": ["density", "--input", ticks, "--order", "4", "--method", "frequency",
+                    "--grid=5:15:11", "--output", str(tmp_path / "d.csv")],
+        "price": ["price", "--config", str(scenario)],
+        "optimize": ["optimize", "--config", str(scenario), "--samples", str(samples),
+                     "--lo", "0", "--hi", "1.5"],
+    }[command]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["moments", "vwap", "validate", "simulate", "density", "price",
+                                     "optimize"])
+def test_a_closed_stdout_is_one_input_error_line(tmp_path, command, unbuffered):
+    argv = [sys.executable, "-c", _CLOSED_STDOUT, *closed_stdout_argv(tmp_path, command)]
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
         [str(Path(mbm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    with subprocess.Popen([sys.executable, "-c", _CLOSED_STDOUT, *command, "--input", ticks,
-                           "--window", "10", "--mode", "sliding"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline().startswith(b"window 0 ")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
+    if command in ("moments", "vwap"):  # closed after the first line
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"window 0 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+    else:  # a one-line summary: its pipe's reading end is closed before the process starts
+        reading, writing = os.pipe()
+        os.close(reading)
+        with os.fdopen(writing, "wb") as stdout:
+            done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+        err = done.stderr
+        assert done.returncode == 1
     # no traceback, and no "Exception ignored" line at the interpreter's exit
     assert err == b"input error: cannot write stdout: [Errno 32] Broken pipe\n"
 
