@@ -36,10 +36,11 @@ be written) ends that line, then reports its error on a line of its own
 with that error's exit code.
 
 The chunks of a streamed output (the tables and simulate's tick blocks)
-are made on every usable CPU (_in_turn): on P CPUs, min(P, chunks)
-children are forked before the first chunk and make them in turn, and
-this process writes their bytes in order; a failed fork leaves its chunks
-to this process. So the bytes do not depend on the CPU count.
+are made on every usable CPU (_in_turn), each once: on P CPUs, C =
+min(P, chunks) processes take them in turn, this one and C - 1 children
+forked before the first chunk, and this process writes every chunk's
+bytes in order; a failed fork leaves its chunks to this process. So the
+bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -231,11 +232,11 @@ def _fork(w: int, cpus: int, walked, make):
     """(pid, reader of its pipe) of a forked child w, which runs _make_in_child.
 
     The pipe holds 1 MiB where the platform allows, so that a child can make
-    several chunks ahead while the parent waits on another child: at the
-    default 64 KiB a chunk fills the pipe, and the children take turns
-    rather than working together. The process's only other thread is
-    OpenBLAS's pool, which no chunk's numpy work calls. A fork that fails
-    closes the pipe and raises its OSError.
+    several chunks ahead while the parent makes its own or waits on another
+    child: at the default 64 KiB a chunk fills the pipe, and the processes
+    take turns rather than working together. The process's only other
+    thread is OpenBLAS's pool, which no chunk's numpy work calls. A fork
+    that fails closes the pipe and raises its OSError.
     """
     import fcntl  # loaded only when a child is forked
 
@@ -258,28 +259,28 @@ def _in_turn(items, count: int, make):
     """Yield make(item), a tuple of bytes, for each of items in order, made on every usable CPU.
 
     count is the number of items or an upper bound on it. On P usable CPUs
-    (_usable_cpus), C = min(P, count) > 1 children are forked before the
-    first item: child w makes the items i with i % C == w and sends their
-    bytes through a pipe, and this process yields them in order. Every
-    process walks items itself from the start, so an iterator that carries
-    state from item to item works, and a walk's error is raised here where
-    one process would raise it. An item whose fork failed (no later child
-    is forked) or whose child ended before sending it is made here. So
-    errors and bytes are those of the serial code. The children are killed
-    and reaped when the generator ends or is closed.
+    (_usable_cpus), C = min(P, count) processes make the items: this one
+    makes the items i with i % C == 0, and C - 1 children, forked before
+    the first item, make the others, child w those with i % C == w, and
+    send their bytes through a pipe; this process yields them all in
+    order. Every process walks items itself from the start, so an iterator
+    that carries state from item to item works, and a walk's error is
+    raised here where one process would raise it. An item whose fork
+    failed (no later child is forked) or whose child ended before sending
+    it is made here. So errors and bytes are those of the serial code. The
+    children are killed and reaped when the generator ends or is closed.
     """
     cpus = min(_usable_cpus(), count)
     walked = enumerate(items)
-    children = []  # (pid, reader of its pipe) of child w
+    children = []  # (pid, reader of its pipe) of child w, at w - 1
     try:
-        if cpus > 1:
-            with suppress(OSError):  # a failed fork leaves its items to this process
-                for w in range(cpus):
-                    children.append(_fork(w, cpus, walked, make))
+        with suppress(OSError):  # a failed fork leaves its items to this process
+            for w in range(1, cpus):
+                children.append(_fork(w, cpus, walked, make))
         for i, item in walked:
             w = i % cpus
-            # None if no child makes it, or its child ended early (its pipe is then at its end)
-            parts = _received(children[w][1]) if w < len(children) else None
+            # None if this process makes it, or its child ended early (its pipe is then at its end)
+            parts = _received(children[w - 1][1]) if 0 < w <= len(children) else None
             yield make(item) if parts is None else parts
     finally:
         if children:
@@ -310,9 +311,10 @@ def _write_table(path: str | None, n: int, per_row: int, chunk, line: str, recor
     output's text is held whole. chunk(rows, to_file) returns, for a slice
     of rows, two (rows, slots) object arrays of cells and a list of --strict
     messages: the line cells after the row's index and, if to_file, the
-    record cells (else None). The chunks' text is made by _in_turn, in
-    min(P, chunks) children forked before the first chunk on P usable CPUs,
-    and written here in order, each chunk before the next one is taken:
+    record cells (else None). Each chunk's text is made once by _in_turn,
+    here or in one of the min(P, chunks) - 1 children forked before the
+    first chunk on P usable CPUs, and written here in order, each chunk
+    before the next one is taken:
     its messages to stderr, as one report line that starts with "strict
     violation: " and ends after the last chunk or before an error's
     message; its lines to stdout; its records to path, frame[1]-joined
@@ -438,16 +440,13 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
     moments_mod.batch_moments(batch[:0], order, method)
     trade = method == "market"
     strict = settings["strict"]
-    if strict:
-        # 9 bytes a window, in one pass over spans: a call per chunk measured
-        # slower, its large temporaries freed and made again between chunks
-        coef, correlated = np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
-        if batch.window_len >= 2:
-            coef, correlated, _ = moments_mod.batch_decorrelation(batch, 2, threshold)
 
     def chunk(rows, to_file):
         table = moments_mod.batch_moments(batch[rows], order, method)  # over only their ticks
         negative, non_finite = table.negative_variance, table.non_finite
+        correlated = np.zeros_like(negative)
+        if strict and batch.window_len >= 2:  # each row's bits, as over the whole batch
+            coef, correlated, _ = moments_mod.batch_decorrelation(batch[rows], 2, threshold)
         # each float written once: center_time, raw moments, [value, volume moments,] variance
         text = _reprs(np.hstack([table.center_time[:, None], table.raw_moments,
                                  *([table.trade_value_moments, table.trade_volume_moments]
@@ -455,17 +454,17 @@ def cmd_moments(settings: dict, file_cfg: dict) -> int:
         flags = _FLAG_CELLS[negative + 2 * non_finite]
         messages = []
         if strict:
-            for j in np.flatnonzero(negative | non_finite | correlated[rows]).tolist():
+            for j in np.flatnonzero(negative | non_finite | correlated).tolist():
                 i = rows.start + j
                 if negative[j]:
                     messages.append(f"window {i}: negative market variance {text[j, -1]}")
                 if non_finite[j]:
                     # the set itself is unusable; its correlation is usually a NaN clipped to -1
                     messages.append(f"window {i}: non-finite moments")
-                elif correlated[i]:
+                elif correlated[j]:
                     messages.append(
                         f"window {i}: order-2 price/volume correlation "
-                        f"{float(coef[i])!r} exceeds {threshold!r}"
+                        f"{float(coef[j])!r} exceeds {threshold!r}"
                     )
         # a line: center_time, mean (the first raw moment), variance and flags
         lines = np.hstack([text[:, :2], text[:, -1:], flags[:, :1]])
@@ -627,7 +626,7 @@ def cmd_optimize(settings: dict, file_cfg: dict) -> int:
 
 
 def cmd_simulate(settings: dict, file_cfg: dict) -> int:
-    from .simulate import trade_blocks
+    from .simulate import make_block, walk_blocks
 
     if "simulate" not in file_cfg:
         raise DataError("simulate needs a [simulate] config section")
@@ -635,12 +634,15 @@ def cmd_simulate(settings: dict, file_cfg: dict) -> int:
     if settings["seed"] is not None:
         section["seed"] = str(settings["seed"])  # plain digits, read back exactly
     spec = build_sim_spec(section)
-    blocks = trade_blocks(spec)  # one block of ticks per chunk of rows, made as it is written
-    blocks = itertools.chain([next(blocks)], blocks)  # a bad first block fails before the open
-    path = _require(settings, "output")
-    with closing(_in_turn(blocks, chunk_count(spec.length, TICK_FLOATS),
-                          lambda block: (tick_rows(block, slice(None)).encode(),))) as made:
-        _write_pieces(path, framed((rows for rows, in made), tuple(s.encode() for s in TICK_CSV)))
+
+    def make(walked):  # one block of ticks per chunk of rows, made where it is formatted
+        return (tick_rows(make_block(spec, walked), slice(None)).encode(),)
+
+    with closing(_in_turn(walk_blocks(spec), chunk_count(spec.length, TICK_FLOATS), make)) as made:
+        first = next(made)  # made here, so a bad first block fails before the output is opened
+        path = _require(settings, "output")
+        _write_pieces(path, framed((rows for rows, in itertools.chain([first], made)),
+                                   tuple(s.encode() for s in TICK_CSV)))
     _out(f"simulated ticks={spec.length} seed={spec.seed}\n".encode())
     return EXIT_OK
 

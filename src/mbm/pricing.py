@@ -439,6 +439,20 @@ def _consumptions(scn: PricingScenario, samples, holdings: float, endowment: flo
     return c
 
 
+def _samples(price_samples, payoff_samples) -> tuple[np.ndarray, np.ndarray]:
+    """The price and payoff samples as float arrays; an empty or non-finite one is a DataError,
+    so that no bound or holdings is blamed for it."""
+    p = np.asarray(price_samples, dtype=float)
+    x = np.asarray(payoff_samples, dtype=float)
+    if p.size == 0 or x.size == 0:
+        raise DataError("need non-empty price and payoff samples")
+    for name, values in (("price", p), ("payoff", x)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{name} sample {bad[0]} must be finite, got {values.flat[bad[0]]}")
+    return p, x
+
+
 def residual_basic_eq(
     scn: PricingScenario, price_samples, payoff_samples, holdings: float
 ) -> float:
@@ -447,10 +461,10 @@ def residual_basic_eq(
     mean[u'(e_t - p*xi) * p] - beta * mean[u'(e_T + x*xi) * x]; zero at an
     interior expected-utility optimum in xi.
     """
-    p = np.asarray(price_samples, dtype=float)
-    x = np.asarray(payoff_samples, dtype=float)
-    if p.size == 0 or x.size == 0:
-        raise DataError("need non-empty price and payoff samples")
+    return _residual(scn, *_samples(price_samples, payoff_samples), holdings)
+
+
+def _residual(scn: PricingScenario, p: np.ndarray, x: np.ndarray, holdings: float) -> float:
     d1, g = resolve(scn.utility)[0][1], scn.utility.parameter
     # an overflowing consumption fails the domain test; extreme consumption maps u' to inf/0
     with np.errstate(over="ignore", under="ignore"):
@@ -489,10 +503,7 @@ def optimize_holdings(
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (hi > lo):
         raise DataError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
-    p = np.asarray(price_samples, dtype=float)
-    x = np.asarray(payoff_samples, dtype=float)
-    if p.size == 0 or x.size == 0:
-        raise DataError("need non-empty price and payoff samples")
+    p, x = _samples(price_samples, payoff_samples)
 
     def objective(xi: float) -> float:
         c_t = _consumptions(scn, p, xi, scn.endowment_t, -1.0)
@@ -503,7 +514,7 @@ def optimize_holdings(
         )
 
     def derivative(xi: float) -> float:
-        return -residual_basic_eq(scn, p, x, xi)
+        return -_residual(scn, p, x, xi)
 
     # consumption is linear in holdings and each family's admissible set is an
     # interval, so admissible bounds make every holdings between them
@@ -528,7 +539,7 @@ def optimize_holdings(
             holdings=xi,
             at_boundary=at_boundary,
             objective=objective(xi),
-            foc_residual=residual_basic_eq(scn, p, x, xi),
+            foc_residual=_residual(scn, p, x, xi),
         )
 
     if d_lo <= 0.0:

@@ -189,37 +189,56 @@ class SimSpec:
             raise DataError(f"pv_correlation must be in [-1, 1], got {self.pv_correlation}")
 
 
+def walk_blocks(spec: SimSpec):
+    """(rows, price-stream normals, AR(1) log deviations) of each block of trade_blocks(spec):
+    the state one block carries into the next, and no more. The normals and
+    deviations are None where the price has no noise."""
+    price_noise = spec.price_model == "ar1" and spec.sigma > 0.0
+    log_dev = None
+    for rows in row_chunks(spec.length, TICK_FLOATS):
+        eps_p = None
+        if price_noise:
+            eps_p = stream_normals(spec.seed, PRICE_STREAM, rows.stop - rows.start, rows.start)
+            with np.errstate(over="ignore"):  # an overflowing tick fails the tick checks
+                log_dev = _ar1(spec.sigma * eps_p, spec.phi, log_dev[-1] if rows.start else None)
+        yield rows, eps_p, log_dev
+
+
+def make_block(spec: SimSpec, walked) -> TickSeries:
+    """The ticks of one block of trade_blocks(spec) from its walk_blocks(spec) item."""
+    rows, eps_p, log_dev = walked
+    lo, n = rows.start, rows.stop - rows.start
+    rho = spec.pv_correlation
+    with np.errstate(over="ignore"):  # an overflowing tick fails the tick checks
+        prices = (np.full(n, spec.base_price) if log_dev is None
+                  else spec.base_price * np.exp(log_dev))
+        if spec.volume_model == "lognormal" and spec.log_sigma > 0.0:
+            eps_v = stream_normals(spec.seed, VOLUME_STREAM, n, lo)
+            if rho != 0.0:  # 2x2 Cholesky: correlate volume innovations with price ones
+                if eps_p is None:
+                    eps_p = stream_normals(spec.seed, PRICE_STREAM, n, lo)
+                eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
+            volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
+        else:
+            volumes = np.full(n, spec.median_volume)
+    return TickSeries(np.arange(lo, rows.stop, dtype=float), prices, volumes,
+                      where=lambda i: f"tick {lo + i}", copy=False)
+
+
 def trade_blocks(spec: SimSpec):
     """The ticks of gen_trades(spec) in the row chunks of their tick-CSV, made one at a time.
 
     Block [lo, hi) takes draws lo..hi-1 of each stream it uses, and the
     AR(1) log-price carries its last value into the next block, so the
     blocks join to the whole series bit for bit and memory does not grow
-    with spec.length. A tick that breaks a tick rule raises the DataError
-    of TickSeries, naming its index in the whole series.
+    with spec.length. Only that AR(1) is sequential: walk_blocks carries
+    it from block to block, and make_block makes a block from its walk
+    item alone (volumes, exp, tick checks), so a block can be made in
+    another process than the one before it. A tick that breaks a tick rule
+    raises the DataError of TickSeries, naming its index in the whole
+    series.
     """
-    rho = spec.pv_correlation
-    price_noise = spec.price_model == "ar1" and spec.sigma > 0.0
-    volume_noise = spec.volume_model == "lognormal" and spec.log_sigma > 0.0
-    for rows in row_chunks(spec.length, TICK_FLOATS):
-        lo, n = rows.start, rows.stop - rows.start
-        eps_p = (stream_normals(spec.seed, PRICE_STREAM, n, lo)
-                 if price_noise or (volume_noise and rho != 0.0) else None)
-        with np.errstate(over="ignore"):  # an overflowing tick fails the tick checks
-            if price_noise:
-                log_dev = _ar1(spec.sigma * eps_p, spec.phi, log_dev[-1] if lo else None)
-                prices = spec.base_price * np.exp(log_dev)
-            else:
-                prices = np.full(n, spec.base_price)
-            if volume_noise:
-                eps_v = stream_normals(spec.seed, VOLUME_STREAM, n, lo)
-                if rho != 0.0:  # 2x2 Cholesky: correlate volume innovations with price ones
-                    eps_v = rho * eps_p + np.sqrt(1.0 - rho * rho) * eps_v
-                volumes = spec.median_volume * np.exp(spec.log_sigma * eps_v)
-            else:
-                volumes = np.full(n, spec.median_volume)
-        yield TickSeries(np.arange(lo, rows.stop, dtype=float), prices, volumes,
-                         where=lambda i: f"tick {lo + i}", copy=False)
+    return (make_block(spec, walked) for walked in walk_blocks(spec))
 
 
 def gen_trades(spec: SimSpec) -> TickSeries:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, require_finite
 
 FAMILIES = ("linear", "log", "power", "exponential")
 #: Families defined for finite c > 0 only; the others take any finite c.
@@ -48,6 +48,7 @@ class UtilitySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"unknown utility family {self.family!r}; expected one of {FAMILIES}")
+        require_finite(self, skip=("family",))  # an infinite g or a makes no utility
         if self.family == "power":
             if not (self.parameter > 0.0) or self.parameter == 1.0:
                 raise DataError(

@@ -11,7 +11,8 @@ output as one chunk, and that the JSON files equal json.dumps of their
 records. The chunks are made on every usable CPU (cli._in_turn): with the
 CPU count patched to 2 and 3, every byte, error and exit code equals the
 one-CPU run's, and no child process is left behind, whether the output
-ends, fails, is cut by a closed stdout, loses a child or cannot fork one.
+ends, fails, is cut by a closed stdout, loses a child or cannot fork one;
+and each chunk is made in one process alone, this one making its share.
 """
 
 import errno
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 import mbm
 import mbm.cli
 import mbm.moments
+import mbm.simulate
 import mbm.ticks
 from mbm.cli import main
 from mbm.moments import batch_autocorrelation, batch_decorrelation, batch_moments
@@ -380,8 +382,8 @@ def test_outputs_on_several_cpus_equal_those_on_one(tmp_path, capsys, cpus, case
         serial, forks = on_cpus(capsys, 1, argv, output)
         assert forks == 0
         assert serial[0] in (0, 3) and serial[3]
-        # a child per CPU, or per chunk where there are fewer; one chunk forks nothing
-        assert on_cpus(capsys, cpus, argv, output) == (serial, min(cpus, chunks) if chunks > 1 else 0)
+        # a child per CPU but this one's, or per chunk where there are fewer; one chunk forks nothing
+        assert on_cpus(capsys, cpus, argv, output) == (serial, min(cpus, chunks) - 1)
 
 
 @pytest.mark.parametrize("case", ["moments-sliding-market", "simulate"])
@@ -402,7 +404,64 @@ def test_a_child_that_ends_early_leaves_its_chunks_to_this_process(tmp_path, cap
         return formats(*args)
 
     monkeypatch.setattr(mbm.cli, name, ending)
-    assert on_cpus(capsys, 3, argv, output) == (serial, 3)
+    assert on_cpus(capsys, 3, argv, output) == (serial, 2)
+
+
+def made_where(capsys, cpus: int, argv, output: Path, log: Path):
+    """(this process's id, [(process id, what was made)]) of a run on `cpus` CPUs that logs
+    each chunk formatted (_reprs, tick_rows: by its first float) and each block of normals
+    drawn (stream_normals: by stream and first draw), from whichever process made it."""
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND)
+
+    with pytest.MonkeyPatch.context() as patch:
+        def logged(module, name, item):
+            made = getattr(module, name)
+
+            def logging(*args):  # one write of one line, so the processes' lines do not mix
+                os.write(fd, f"{os.getpid()} {item(*args)}\n".encode())
+                return made(*args)
+            patch.setattr(module, name, logging)
+
+        logged(mbm.cli, "_reprs", lambda values: f"chunk {values[0, 0]!r}")
+        logged(mbm.cli, "tick_rows", lambda block, rows: f"chunk {block.time[0]!r}")
+        logged(mbm.simulate, "stream_normals", lambda seed, stream, n, lo: f"draw {stream} {lo}")
+        try:
+            on_cpus(capsys, cpus, argv, output)
+        finally:
+            os.close(fd)
+    return os.getpid(), [tuple(line.split(" ", 1)) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", [*CPU_CASES[:-1], "simulate-ar1", "simulate-constant"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_chunk_is_made_in_one_process(tmp_path, capsys, cpus, case):
+    chunks = 2 * cpus + 1
+    if case.startswith("simulate"):  # both streams drawn, correlated
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"[simulate]\nlength = {chunks * R - 1}\nseed = 4\n"
+                       f"price_model = {case[9:]}\nsigma = 0.05\nphi = 0.5\nlog_sigma = 0.2\n"
+                       "pv_correlation = 0.3\n", encoding="utf-8")
+        argv, output = ["simulate", "--config", str(cfg)], tmp_path / "t.csv"
+    else:
+        argv, output = cpu_case(tmp_path, case, chunks * R - 1)
+    _, serial = made_where(capsys, 1, argv, output, tmp_path / "serial.log")
+    order = [item for _, item in serial if item.startswith("chunk")]
+    assert len(order) == chunks
+    parent, made = made_where(capsys, cpus, argv, output, tmp_path / "made.log")  # no child left
+    # every chunk is formatted once, in the process whose turn it is: this one every cpus-th
+    chunk_pids = {order.index(item): int(pid) for pid, item in made if item.startswith("chunk")}
+    assert sorted(chunk_pids) == list(range(chunks))
+    assert len([item for _, item in made if item.startswith("chunk")]) == chunks
+    for i, pid in chunk_pids.items():
+        assert (pid == parent) == (i % cpus == 0) and pid == chunk_pids[i % cpus]
+    # a volume block is drawn once in all, and a price block once in each process that walks
+    # the AR(1) (every process), or, with a constant price, once in all for the volumes
+    volume = [item for _, item in made if item.startswith("draw 1 ")]
+    price = [(pid, item) for pid, item in made if item.startswith("draw 0 ")]
+    assert sorted(volume) == sorted({item for _, item in serial if item.startswith("draw 1 ")})
+    assert len(volume) == (chunks if case.startswith("simulate") else 0)
+    assert len(set(price)) == len(price)
+    assert len(price) == (cpus * chunks if case == "simulate-ar1" else len(volume))
 
 
 def open_fds() -> int | None:

@@ -479,13 +479,14 @@ def test_optimize_small_interior_optimum_keeps_relative_precision(monkeypatch):
     scn = log_sample()
     prices, payoffs = [5.38, 4.35], [4.126279789172481, 6.116279789172481]
     seen = []
+    residual = pricing._residual  # residual_basic_eq on samples already checked
 
     def recording_residual(*args):
-        r = residual_basic_eq(*args)
+        r = residual(*args)
         seen.append((args[3], -r))  # (holdings, derivative of the objective)
         return r
 
-    monkeypatch.setattr(pricing, "residual_basic_eq", recording_residual)
+    monkeypatch.setattr(pricing, "_residual", recording_residual)
     xi = optimize_holdings(scn, prices, payoffs, (0.0, 1.0)).holdings
     assert 1e-5 < xi < 1e-4
     # the last bracket: nearest evaluated holdings on each side of the optimum
@@ -504,7 +505,7 @@ def test_optimize_optimum_at_zero_stops_at_a_bracket_scaled_floor(monkeypatch):
         calls.append(xi)
         return xi  # the objective's derivative is -xi
 
-    monkeypatch.setattr(pricing, "residual_basic_eq", linear_residual)
+    monkeypatch.setattr(pricing, "_residual", linear_residual)
     # price 4 keeps both bounds admissible for the real residual too
     # (-0.664 at -1, 1.7625 at 2); at price 5, holdings 2 empty e_t
     out = optimize_holdings(log_sample(), [4.0], [5.0], (-1.0, 2.0))
@@ -525,6 +526,20 @@ def test_optimize_rejects_bad_bounds():
     scn = log_sample()
     with pytest.raises(DataError):
         optimize_holdings(scn, [4.0], [5.0], (1.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_sample_is_an_input_error_naming_its_index(bad):
+    # not a bound or a holdings that makes consumption inadmissible, and no warning first
+    scn = log_sample()
+    for prices, payoffs, named in (([4.0, bad], [5.0, 6.0], "price sample 1"),
+                                   ([4.0, 5.0], [bad, 6.0], "payoff sample 0")):
+        message = f"^{named} must be finite, got {bad}$"
+        with pytest.raises(DataError, match=message):
+            optimize_holdings(scn, prices, payoffs, (0.0, 1.0))
+        with pytest.raises(DataError, match=message):
+            residual_basic_eq(scn, prices, payoffs, 0.5)
 
 
 def test_solution_serialization():

@@ -157,3 +157,13 @@ def test_float_numpy_float_and_array_give_the_same_bits(spec, c, order):
     else:
         assert py[0] == np64[0] == "float" and arr[0] == "array"
         assert py[1] == np64[1] == arr[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_non_finite_parameter_is_an_input_error(family, bad):
+    # an infinite power g or exponential a used to be accepted, and pricing then failed
+    # with an invalid-value warning and a misleading convergence error
+    with pytest.raises(DataError, match=f"^parameter must be finite, got {bad}$"):
+        UtilitySpec(family, bad)
